@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Full B=2 real-input study: angle sweeps, outage boundaries, outage curves.
 
-Writes the fig4/fig5/fig6 data bundles under results/ (about five minutes;
-the 16-point curves dominate).
+Writes the fig4/fig5/fig6 data bundles under results/ (about a minute on
+2 cores; the 16-point boundary traces dominate).
 """
 
 import argparse

@@ -12,13 +12,7 @@ import math
 from outagelab import build_named
 from outagelab.cli import write_table
 from outagelab.mutual_info import EngineConfig
-from outagelab.outage import (
-    OutageQuery,
-    compute_anchors,
-    hypersphere_bounds,
-    outage_from_boundary_2d,
-    trace_boundary_2d,
-)
+from outagelab.outage import OutageGeometry
 from outagelab.precoders import rotation2
 
 
@@ -31,16 +25,16 @@ def main():
     args = ap.parse_args()
 
     cfg = EngineConfig()
-    c = build_named("r2_4")
-    p = rotation2(math.radians(args.theta_deg))
+    # anchors and boundary are SNR-free: solved once, rescaled per SNR point
+    geom = OutageGeometry.solve(build_named("r2_4"), rotation2(math.radians(args.theta_deg)),
+                                args.R, cfg, n_angles=257)
     a, b, step = (float(x) for x in args.gamma_db.split(":"))
     rows = []
     gdb = a
     while gdb <= b + step / 2:
-        q = OutageQuery(c, p, R=args.R, gamma=10 ** (gdb / 10))
-        an = compute_anchors(q, cfg)
-        p_up, p_low = hypersphere_bounds(an, 2)
-        p_out = outage_from_boundary_2d(trace_boundary_2d(q, 257, cfg)).p_out
+        gamma = 10 ** (gdb / 10)
+        p_up, p_low = geom.bounds(gamma)
+        p_out = geom.outage(gamma).p_out
         ok = "ok" if p_low <= p_out <= p_up else "VIOLATED"
         print(f"gamma={gdb:5.1f} dB  p_low={p_low:.3e}  p_out={p_out:.3e}  p_up={p_up:.3e}  {ok}")
         rows.append([gdb, p_out, p_up, p_low, ok])

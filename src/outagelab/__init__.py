@@ -28,6 +28,7 @@ from .mutual_info import (
 )
 from .outage import (
     OutageAnchors,
+    OutageGeometry,
     OutageQuery,
     OutageResult,
     chi_square_cdf,

@@ -23,26 +23,32 @@ import warnings
 import numpy as np
 
 from . import __version__, constellations, precoders
+from .constellations import project
 from .mutual_info import (
     ChannelSample,
     EngineConfig,
     SaturationError,
+    inv_mi_scalar,
     mi_gaussian,
     mi_per_use,
 )
 from .optimizer import (
     default_grid,
+    ergodic_snr,
     expansion_compare,
+    make_precoder,
     optimize,
     sweep,
 )
 from .outage import (
+    OutageGeometry,
     OutageQuery,
+    OutageResult,
+    PolarMICache,
     compute_anchors,
     gaussian_anchors,
     gaussian_boundary_2d,
     hypersphere_bounds,
-    outage_from_boundary_2d,
     outage_mc,
     trace_boundary_2d,
 )
@@ -211,52 +217,49 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _outage_row(c, p, R, gamma_db, args, cfg, cache=None):
-    gamma = db_to_linear(gamma_db)
-    q = OutageQuery(c, p, R=R, gamma=gamma)
-    an = compute_anchors(q, cfg)
-    p_up, p_low = hypersphere_bounds(an, c.B)
-    method = args.method
-    if method == "auto":
-        method = "boundary" if c.B == 2 else "mc"
+def _curve_rows(geom, gammas_db, seed, outage_at=None) -> list:
+    """Outage-curve rows from a geometry solved once; each SNR point is a rescale."""
+    rows = []
+    for gdb in gammas_db:
+        gamma = db_to_linear(gdb)
+        res = (outage_at or geom.outage)(gamma)
+        rows.append([gdb, res.p_out, res.ci95[0], res.ci95[1], *geom.bounds(gamma), res.method, seed])
+    return rows
+
+
+def _outage_curve(c, p, R, gammas_db, method, cfg, angles, mc_samples, seed) -> list:
     if R >= c.m / c.B - 1e-12:
         warnings.warn(f"R={R} is at or above the alphabet limit m/B={c.m / c.B:g}; p_out=1")
-        return [gamma_db, 1.0, 1.0, 1.0, p_up, p_low, "limit", args.seed]
+        limit = OutageResult(1.0, (1.0, 1.0), "limit", 0)
+        return _curve_rows(OutageGeometry.solve(c, p, R, cfg), gammas_db, seed, lambda g: limit)
     if method == "boundary":
-        res = outage_from_boundary_2d(trace_boundary_2d(q, args.angles, cfg))
-    else:
-        res = outage_mc(q, args.mc_samples, seed=args.seed, cfg=cfg, cache=cache)
-    return [gamma_db, res.p_out, res.ci95[0], res.ci95[1], p_up, p_low, res.method, args.seed]
+        return _curve_rows(OutageGeometry.solve(c, p, R, cfg, n_angles=angles), gammas_db, seed)
+    cache = PolarMICache(precoders.apply(p, c), cfg) if c.B in (2, 3) else None
+    return _curve_rows(
+        OutageGeometry.solve(c, p, R, cfg), gammas_db, seed,
+        lambda g: outage_mc(OutageQuery(c, p, R=R, gamma=g), mc_samples, seed=seed, cfg=cfg,
+                            cache=cache),
+    )
 
 
 def cmd_outage(args) -> int:
     cfg = engine_from_args(args)
     gammas_db = parse_range(args.gamma_db)
-    rows = []
     if args.gaussian:
         if args.B is None or args.R is None:
             raise ConfigError("--gaussian outage needs --B and --R")
         if args.B != 2:
             raise ConfigError("deterministic gaussian outage is implemented for B=2")
-        for gdb in gammas_db:
-            gamma = db_to_linear(gdb)
-            res = outage_from_boundary_2d(gaussian_boundary_2d(args.R, gamma, args.angles))
-            an = gaussian_anchors(args.B, args.R, gamma)
-            p_up, p_low = hypersphere_bounds(an, args.B)
-            rows.append([gdb, res.p_out, res.p_out, res.p_out, p_up, p_low, res.method, args.seed])
+        rows = _curve_rows(OutageGeometry.gaussian(2, args.R, args.angles), gammas_db, args.seed)
         meta = {"seed": args.seed, "engine": "closed_form", "R": args.R}
     else:
         c = load_constellation(args)
         p = build_precoder(args, c.B)
         R = resolve_rate(args, c)
-        cache = None
-        wants_mc = args.method == "mc" or (args.method == "auto" and c.B == 3)
-        if wants_mc and c.B in (2, 3) and len(gammas_db) > 1 and R < c.m / c.B - 1e-12:
-            from .outage import PolarMICache
-
-            cache = PolarMICache(precoders.apply(p, c), cfg)
-        for gdb in gammas_db:
-            rows.append(_outage_row(c, p, R, gdb, args, cfg, cache=cache))
+        method = args.method
+        if method == "auto":
+            method = "boundary" if c.B == 2 else "mc"
+        rows = _outage_curve(c, p, R, gammas_db, method, cfg, args.angles, args.mc_samples, args.seed)
         meta = {
             "seed": args.seed,
             "engine": cfg.engine,
@@ -274,6 +277,10 @@ def cmd_outage(args) -> int:
     return 0
 
 
+def _trace_rows(trace) -> list:
+    return [[lam, rho, int(sat)] for lam, rho, sat in zip(trace.lambdas, trace.rhos, trace.saturated)]
+
+
 def cmd_boundary(args) -> int:
     cfg = engine_from_args(args)
     gamma = db_to_linear(args.gamma_db)
@@ -286,12 +293,8 @@ def cmd_boundary(args) -> int:
         p = build_precoder(args, c.B)
         q = OutageQuery(c, p, R=resolve_rate(args, c), gamma=gamma)
         trace = trace_boundary_2d(q, args.angles, cfg)
-    rows = [
-        [lam, rho, int(sat)]
-        for lam, rho, sat in zip(trace.lambdas, trace.rhos, trace.saturated)
-    ]
     meta = {"seed": args.seed, "engine": cfg.engine, "gamma_db": args.gamma_db, "R": trace.R}
-    write_table(args.out, ["lambda_rad", "rho", "saturated"], rows, meta, args.format)
+    write_table(args.out, ["lambda_rad", "rho", "saturated"], _trace_rows(trace), meta, args.format)
     return 0
 
 
@@ -319,7 +322,6 @@ def cmd_sweep(args) -> int:
     profile = sweep(
         c, c.B, R, grid=grid, cfg=cfg,
         include_product_distance=args.product_distance,
-        workers=args.threads,
     )
     meta = {"seed": args.seed, "engine": cfg.engine, "gh_order": cfg.gh_order, "R": R}
     write_table(
@@ -336,7 +338,7 @@ def cmd_optimize(args) -> int:
     cfg = engine_from_args(args)
     c = load_constellation(args)
     R = resolve_rate(args, c)
-    res = optimize(c, c.B, R, cfg, workers=args.threads)
+    res = optimize(c, c.B, R, cfg)
     meta = {
         "seed": args.seed,
         "engine": cfg.engine,
@@ -391,6 +393,10 @@ def cmd_expand(args) -> int:
 # Canned study recipes
 # ---------------------------------------------------------------------------
 
+def _out_path(outdir, stem, fmt):
+    return os.path.join(outdir, f"{stem}.{fmt}")
+
+
 def _recipe_sweeps(outdir, fmt, cfg, tag, names_rates, B, dpmin_for=()):
     for entry in names_rates:
         name, R = entry[0], entry[1]
@@ -402,7 +408,7 @@ def _recipe_sweeps(outdir, fmt, cfg, tag, names_rates, B, dpmin_for=()):
             include_product_distance=name in dpmin_for,
         )
         write_table(
-            os.path.join(outdir, f"{tag}_sweep_{name}.csv" if fmt == "csv" else f"{tag}_sweep_{name}.json"),
+            _out_path(outdir, f"{tag}_sweep_{name}", fmt),
             ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"],
             _sweep_rows(profile),
             {"recipe": tag, "constellation": name, "R": R, "seed": cfg.seed,
@@ -412,29 +418,13 @@ def _recipe_sweeps(outdir, fmt, cfg, tag, names_rates, B, dpmin_for=()):
 
 
 def _recipe_outage_curves(outdir, fmt, cfg, tag, entries, gammas_db, angles=257):
-    from .outage import PolarMICache
-
     for name, theta_deg, R in entries:
         c = constellations.build_named(name)
-        p = precoders.rotation2(math.radians(theta_deg)) if c.B == 2 else precoders.rotation3(
-            math.radians(theta_deg)
-        )
-        cache = None
-        if c.B == 3:
-            cache = PolarMICache(precoders.apply(p, c), cfg)
-        rows = []
-        for gdb in gammas_db:
-            gamma = db_to_linear(gdb)
-            q = OutageQuery(c, p, R=R, gamma=gamma)
-            an = compute_anchors(q, cfg)
-            p_up, p_low = hypersphere_bounds(an, c.B)
-            if c.B == 2:
-                res = outage_from_boundary_2d(trace_boundary_2d(q, angles, cfg))
-            else:
-                res = outage_mc(q, 200_000, seed=cfg.seed, cfg=cfg, cache=cache)
-            rows.append([gdb, res.p_out, res.ci95[0], res.ci95[1], p_up, p_low, res.method, cfg.seed])
+        p = make_precoder(c.B, math.radians(theta_deg))
+        method = "boundary" if c.B == 2 else "mc"
+        rows = _outage_curve(c, p, R, gammas_db, method, cfg, angles, 200_000, cfg.seed)
         write_table(
-            os.path.join(outdir, f"{tag}_outage_{name}_t{theta_deg:g}.csv" if fmt == "csv" else f"{tag}_outage_{name}_t{theta_deg:g}.json"),
+            _out_path(outdir, f"{tag}_outage_{name}_t{theta_deg:g}", fmt),
             ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"],
             rows,
             {"recipe": tag, "constellation": name, "theta_deg": theta_deg, "R": R, "seed": cfg.seed},
@@ -443,26 +433,18 @@ def _recipe_outage_curves(outdir, fmt, cfg, tag, entries, gammas_db, angles=257)
 
 
 def _recipe_bounds_curve(outdir, fmt, cfg, tag, name, theta_deg, R, gammas_db):
-    from .constellations import project
-    from .mutual_info import inv_mi_scalar
-    from .optimizer import ergodic_snr
-    from .outage import OutageAnchors
-
     c = constellations.build_named(name)
-    p = precoders.rotation2(math.radians(theta_deg)) if c.B == 2 else precoders.rotation3(
-        math.radians(theta_deg)
+    omega_x = precoders.apply(make_precoder(c.B, math.radians(theta_deg)), c)
+    # the ergodic SNR does not depend on the angle: it is solved on the
+    # unprecoded set at quadrature order <= 12, which keeps r3_64 to seconds
+    geom = OutageGeometry(
+        c.B, R, inv_mi_scalar(project(omega_x, 1), c.B * R, cfg),
+        ergodic_snr(c, c.B, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12))),
     )
-    # both anchor SNRs are gamma-invariant: solve once, scale per SNR point
-    s_axis = inv_mi_scalar(project(precoders.apply(p, c), 1), c.B * R, cfg)
-    s_erg = ergodic_snr(c, c.B, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12)))
-    rows = []
-    for gdb in gammas_db:
-        gamma = db_to_linear(gdb)
-        an = OutageAnchors(math.sqrt(s_axis / gamma), True, math.sqrt(s_erg / gamma), True)
-        p_up, p_low = hypersphere_bounds(an, c.B)
-        rows.append([gdb, "", "", "", p_up, p_low, "bounds_only", cfg.seed])
+    rows = [[gdb, "", "", "", *geom.bounds(db_to_linear(gdb)), "bounds_only", cfg.seed]
+            for gdb in gammas_db]
     write_table(
-        os.path.join(outdir, f"{tag}_bounds_{name}_t{theta_deg:g}.csv" if fmt == "csv" else f"{tag}_bounds_{name}_t{theta_deg:g}.json"),
+        _out_path(outdir, f"{tag}_bounds_{name}_t{theta_deg:g}", fmt),
         ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"],
         rows,
         {"recipe": tag, "constellation": name, "theta_deg": theta_deg, "R": R, "seed": cfg.seed},
@@ -471,17 +453,10 @@ def _recipe_bounds_curve(outdir, fmt, cfg, tag, name, theta_deg, R, gammas_db):
 
 
 def _gaussian_curve(outdir, fmt, tag, B, R, gammas_db, angles=257):
-    rows = []
-    for gdb in gammas_db:
-        gamma = db_to_linear(gdb)
-        res = outage_from_boundary_2d(gaussian_boundary_2d(R, gamma, angles))
-        an = gaussian_anchors(B, R, gamma)
-        p_up, p_low = hypersphere_bounds(an, B)
-        rows.append([gdb, res.p_out, res.p_out, res.p_out, p_up, p_low, res.method, 0])
     write_table(
-        os.path.join(outdir, f"{tag}_outage_gaussian.csv" if fmt == "csv" else f"{tag}_outage_gaussian.json"),
+        _out_path(outdir, f"{tag}_outage_gaussian", fmt),
         ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"],
-        rows,
+        _curve_rows(OutageGeometry.gaussian(B, R, angles), gammas_db, 0),
         {"recipe": tag, "input": "gaussian", "R": R},
         fmt,
     )
@@ -502,15 +477,10 @@ def cmd_reproduce(args) -> int:
         for theta in (0.0, 10.0, 27.0):
             c = constellations.build_named("r2_4")
             q = OutageQuery(c, precoders.rotation2(math.radians(theta)), R=0.9, gamma=db_to_linear(8.0))
-            trace = trace_boundary_2d(q, args.angles, cfg)
-            rows = [
-                [lam, rho, int(sat)]
-                for lam, rho, sat in zip(trace.lambdas, trace.rhos, trace.saturated)
-            ]
             write_table(
-                os.path.join(outdir, f"fig5_boundary_r2_4_t{theta:g}.csv" if fmt == "csv" else f"fig5_boundary_r2_4_t{theta:g}.json"),
+                _out_path(outdir, f"fig5_boundary_r2_4_t{theta:g}", fmt),
                 ["lambda_rad", "rho", "saturated"],
-                rows,
+                _trace_rows(trace_boundary_2d(q, args.angles, cfg)),
                 {"recipe": "fig5", "theta_deg": theta, "R": 0.9, "gamma_db": 8.0, "seed": cfg.seed},
                 fmt,
             )
@@ -580,7 +550,6 @@ def _add_common(p):
     p.add_argument("--gh-order", type=int, default=32)
     p.add_argument("--mc-samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="output file (stdout when omitted)")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--angles", type=int, default=513, help="boundary trace resolution")

@@ -191,17 +191,33 @@ def _cluster_real(col, tol):
 
 
 def _cluster_complex(col, tol):
-    reps, counts = [], []
-    for z in col:
-        for k, r in enumerate(reps):
-            if abs(z - r) <= tol:
-                counts[k] += 1
-                break
-        else:
-            reps.append(z)
-            counts.append(1)
-    order = np.lexsort((np.imag(reps), np.real(reps)))
-    return np.asarray(reps, dtype=complex)[order], np.asarray(counts, dtype=float)[order]
+    first, counts = group_points(col, tol)
+    reps = col[first]
+    order = np.lexsort((reps.imag, reps.real))
+    return reps[order], counts[order].astype(float)
+
+
+def group_points(points: np.ndarray, tol: float):
+    """Group the rows of `points` (real or complex) that coincide within tol.
+
+    Each real coordinate is clustered on its own by sorting and splitting
+    at gaps wider than tol; rows that share every coordinate cluster form
+    one group.  For point sets whose near-duplicates differ by rounding
+    noise and whose distinct points lie farther than tol apart, this is the
+    pairwise rule |a - b| <= tol.  Returns the index of each group's first
+    row and the group sizes, both in order of first appearance.
+    """
+    x = np.asarray(points).reshape(len(points), -1)
+    if np.iscomplexobj(x):
+        x = np.hstack([x.real, x.imag])
+    order = np.argsort(x, axis=0, kind="stable")
+    gaps = np.diff(np.take_along_axis(x, order, axis=0), axis=0) > tol
+    labels = np.empty(x.shape, dtype=np.intp)
+    np.put_along_axis(labels, order, np.vstack([np.zeros((1, x.shape[1]), np.intp),
+                                                np.cumsum(gaps, axis=0)]), axis=0)
+    _, first, counts = np.unique(labels, axis=0, return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    return first[by_first], counts[by_first]
 
 
 def check_symmetry(c: Constellation, tol: float = SYMMETRY_TOL) -> bool:

@@ -61,7 +61,7 @@ class MIEstimate:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Noise-expectation engine settings (JSON-mappable)."""
+    """Noise-expectation engine settings."""
 
     engine: str = "quadrature"
     gh_order: int = 32
@@ -69,24 +69,6 @@ class EngineConfig:
     seed: int = 0
     budget_ops: int = 1_000_000_000
     complex_chain: bool = True
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EngineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown engine config keys: {sorted(bad)}")
-        return cls(**d)
-
-    def to_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "gh_order": self.gh_order,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-            "budget_ops": self.budget_ops,
-            "complex_chain": self.complex_chain,
-        }
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -192,10 +174,6 @@ def _clip_bits(value, upper):
     return value
 
 
-def _noise_dims(c: Constellation) -> int:
-    return 2 * c.B if c.field == "complex" else c.B
-
-
 def mi_discrete(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DEFAULT_CONFIG) -> MIEstimate:
     """I(X;Y | alpha, gamma) in bits per symbol vector for a discrete input.
 
@@ -260,7 +238,8 @@ def mi_per_use_batch(
     """Vectorized mi_per_use over many fading points (bits per channel use).
 
     Quadrature only when it fits the budget; otherwise a per-point Monte
-    Carlo loop with common random numbers.
+    Carlo loop with common random numbers: every point reuses the draws of
+    a fresh generator seeded with cfg.seed, as `mi_discrete` does.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     if alphas.shape[1] != omega_x.B:
@@ -278,10 +257,10 @@ def mi_per_use_batch(
     if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
         nats = _quad_nats_many(pts, probs, al, gamma, cfg.gh_order)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        nats = np.array(
-            [_mc_nats(pts, probs, a, gamma, cfg.mc_samples, rng)[0] for a in al]
-        )
+        nats = np.array([
+            _mc_nats(pts, probs, a, gamma, cfg.mc_samples, np.random.default_rng(cfg.seed))[0]
+            for a in al
+        ])
     bits = nats / LN2
     np.clip(bits, 0.0, omega_x.m, out=bits)
     return bits / omega_x.B

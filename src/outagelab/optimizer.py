@@ -10,7 +10,6 @@ constellation expansion moves the inner bound.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,8 @@ class OptimizeResult:
     profile: SweepProfile
 
 
-def _make_precoder(B: int, theta: float):
+def make_precoder(B: int, theta: float):
+    """Single-angle precoder: `rotation2` for B=2, `rotation3` for B=3."""
     if B == 2:
         return precoders.rotation2(theta)
     if B == 3:
@@ -87,7 +87,7 @@ def default_grid(B: int, step_deg: float = 0.5) -> np.ndarray:
 def gamma_s_at(omega_z: Constellation, B: int, R: float, theta: float,
                cfg: EngineConfig = DEFAULT_CONFIG) -> float:
     """Axis-crossing SNR for one angle; inf when the rate saturates."""
-    omega_x = precoders.apply(_make_precoder(B, theta), omega_z)
+    omega_x = precoders.apply(make_precoder(B, theta), omega_z)
     sp = project(omega_x, 1)
     try:
         return inv_mi_scalar(sp, B * R, cfg)
@@ -102,7 +102,6 @@ def sweep(
     grid: "np.ndarray | None" = None,
     cfg: EngineConfig = DEFAULT_CONFIG,
     include_product_distance: bool = False,
-    workers: int = 1,
 ) -> SweepProfile:
     """gamma_s over an angle grid, plus the Gaussian floor it cannot beat."""
     if omega_z.B != B:
@@ -113,14 +112,7 @@ def sweep(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
 
-    def one(theta):
-        return gamma_s_at(omega_z, B, R, theta, cfg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gamma_s = np.array(list(pool.map(one, grid)))
-    else:
-        gamma_s = np.array([one(t) for t in grid])
+    gamma_s = np.array([gamma_s_at(omega_z, B, R, t, cfg) for t in grid])
     if not np.isfinite(gamma_s).any():
         raise SaturationError(
             f"rate R={R} is infeasible for {omega_z.name}: every angle saturates"
@@ -146,7 +138,6 @@ def optimize(
     coarse_step_deg: float = 0.5,
     refine_tol_deg: float = 0.05,
     interval_db: float = 0.05,
-    workers: int = 1,
 ) -> OptimizeResult:
     """Minimize gamma_s: coarse grid plus golden-section refinement.
 
@@ -154,7 +145,7 @@ def optimize(
     around the minimum staying within `interval_db` of it; disjoint ties
     are all listed in `intervals`.
     """
-    profile = sweep(omega_z, B, R, default_grid(B, coarse_step_deg), cfg, workers=workers)
+    profile = sweep(omega_z, B, R, default_grid(B, coarse_step_deg), cfg)
     i_min = int(np.nanargmin(np.where(profile.saturated, np.nan, profile.gamma_s)))
     lo = profile.grid[max(i_min - 1, 0)]
     hi = profile.grid[min(i_min + 1, len(profile.grid) - 1)]
@@ -270,6 +261,6 @@ def product_distance_profile(omega_z: Constellation, B: int, grid) -> np.ndarray
     grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.shape[0])
     for k, theta in enumerate(grid):
-        omega_x = precoders.apply(_make_precoder(B, theta), omega_z)
+        omega_x = precoders.apply(make_precoder(B, theta), omega_z)
         out[k] = min_product_distance(omega_x)
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import precoders
-from .constellations import Constellation, project
+from .constellations import Constellation, group_points, project
 from .mutual_info import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -30,6 +30,7 @@ from .search import solve_increasing
 
 Z95 = 1.959963984540054
 RAY_CAP_TOL = 1e-9
+GAMMA_REF = 0.5  # the SNR at which fading gains equal scaled gains sqrt(2*gamma)*alpha
 
 
 @dataclass(frozen=True)
@@ -152,18 +153,8 @@ def gaussian_anchors(B: int, R: float, gamma: float) -> OutageAnchors:
 
 def _ray_cap_bits(points: np.ndarray, direction: np.ndarray, M: int) -> float:
     """Large-radius MI limit along a ray: entropy of the merged faded points."""
-    t = points * direction
-    groups = []
-    counts = []
-    for row in t:
-        for g, _ in enumerate(groups):
-            if np.sum(np.abs(row - groups[g]) ** 2) <= RAY_CAP_TOL**2:
-                counts[g] += 1
-                break
-        else:
-            groups.append(row)
-            counts.append(1)
-    p = np.asarray(counts, dtype=float) / M
+    _, counts = group_points(points * direction, RAY_CAP_TOL)
+    p = counts / M
     return float(-np.sum(p * np.log2(p)))
 
 
@@ -294,6 +285,60 @@ def hypersphere_bounds(anchors: OutageAnchors, B: int) -> tuple:
     p_up = chi_square_cdf(anchors.alpha_o**2, B) if anchors.alpha_o_exists else 1.0
     p_low = chi_square_cdf(B * anchors.alpha_e**2, B) if anchors.alpha_e_exists else 0.0
     return p_up, p_low
+
+
+@dataclass(frozen=True)
+class OutageGeometry:
+    """SNR-free outage geometry of one precoded constellation at rate R.
+
+    The MI at fading point alpha and SNR gamma depends only on the scaled
+    gains u = sqrt(2*gamma)*alpha.  So the axis-crossing SNR
+    alpha_o^2*gamma, the ergodic SNR alpha_e^2*gamma and the B=2 boundary
+    u(lambda) are the same at every SNR: `solve` finds them once at
+    GAMMA_REF, where alpha = u, and each per-SNR quantity is a rescale.
+    An SNR of inf marks a missing anchor (explained by `note`).
+    """
+
+    B: int
+    R: float
+    axis_snr: float
+    ergodic_snr: float
+    note: str = ""
+    boundary: "BoundaryTrace | None" = None  # traced at GAMMA_REF
+
+    @classmethod
+    def solve(cls, omega_z: Constellation, precoder: Precoder, R: float,
+              cfg: EngineConfig = DEFAULT_CONFIG, n_angles: "int | None" = None) -> "OutageGeometry":
+        """Anchors, plus the B=2 boundary on `n_angles` rays when given."""
+        q = OutageQuery(omega_z, precoder, R, GAMMA_REF)
+        an = compute_anchors(q, cfg)
+        boundary = trace_boundary_2d(q, n_angles, cfg) if n_angles else None
+        return cls(omega_z.B, R, an.alpha_o**2 * GAMMA_REF, an.alpha_e**2 * GAMMA_REF,
+                   an.note, boundary)
+
+    @classmethod
+    def gaussian(cls, B: int, R: float, n_angles: "int | None" = None) -> "OutageGeometry":
+        """Closed-form geometry of an i.i.d. Gaussian input."""
+        an = gaussian_anchors(B, R, GAMMA_REF)
+        boundary = gaussian_boundary_2d(R, GAMMA_REF, n_angles) if n_angles else None
+        return cls(B, R, an.alpha_o**2 * GAMMA_REF, an.alpha_e**2 * GAMMA_REF, boundary=boundary)
+
+    def anchors(self, gamma: float) -> OutageAnchors:
+        return OutageAnchors(
+            math.sqrt(self.axis_snr / gamma), math.isfinite(self.axis_snr),
+            math.sqrt(self.ergodic_snr / gamma), math.isfinite(self.ergodic_snr), self.note,
+        )
+
+    def bounds(self, gamma: float) -> tuple:
+        """(p_up, p_low) at SNR gamma, as `hypersphere_bounds`."""
+        return hypersphere_bounds(self.anchors(gamma), self.B)
+
+    def outage(self, gamma: float) -> OutageResult:
+        """Boundary-integration outage at SNR gamma: rho(lambda) = u(lambda)/sqrt(2*gamma)."""
+        if self.boundary is None:
+            raise ValueError("the geometry was solved without a boundary trace")
+        b = self.boundary
+        return outage_from_boundary_2d(replace(b, rhos=b.rhos / math.sqrt(2.0 * gamma), gamma=gamma))
 
 
 class CacheAccuracyError(RuntimeError):
@@ -512,15 +557,12 @@ def diversity_bound(q: OutageQuery, gammas, cfg: EngineConfig = DEFAULT_CONFIG) 
     SaturationError (diversity loss) otherwise.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
-    omega_x = q.omega_x()
-    sp = project(omega_x, 1)
-    try:
-        s_star = inv_mi_scalar(sp, omega_x.B * q.R, cfg)
-    except SaturationError as exc:
+    geom = OutageGeometry.solve(q.omega_z, q.precoder, q.R, cfg)
+    if not math.isfinite(geom.axis_snr):
         raise SaturationError(
-            f"diversity loss: {exc} (outage decays slower than gamma^-{omega_x.B})"
-        ) from exc
-    p_up = np.array([chi_square_cdf(s_star / g, omega_x.B) for g in gammas])
+            f"diversity loss: {geom.note} (outage decays slower than gamma^-{geom.B})"
+        )
+    p_up = np.array([geom.bounds(g)[0] for g in gammas])
     top = gammas >= gammas.max() / 10.0
     slope = float(np.polyfit(np.log10(gammas[top]), np.log10(p_up[top]), 1)[0])
     return DiversityReport(gammas=gammas, p_up=p_up, slope_top_decade=slope)

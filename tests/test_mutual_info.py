@@ -269,6 +269,25 @@ def test_mi_per_use_batch_consistent(cfg, square27, gamma_8db):
         assert want == pytest.approx(single, abs=1e-12)
 
 
+def test_mc_fallback_monotone_along_a_ray(square27, gamma_8db):
+    # common random numbers: every row sees the same noise, so MI cannot
+    # step down along a ray the way independent draws would let it
+    mc = EngineConfig(engine="mc", mc_samples=20_000, seed=3)
+    radii = np.linspace(0.05, 3.0, 40)
+    mi = mi_per_use_batch(square27, radii[:, None] * np.array([0.8, 0.6]), gamma_8db, mc)
+    assert np.all(np.diff(mi) >= 0.0)
+
+
+def test_mc_fallback_rows_match_mi_discrete(square27, gamma_8db):
+    mc = EngineConfig(engine="mc", mc_samples=20_000, seed=3)
+    alphas = np.array([[1.0, 1.0], [0.3, 1.2], [2.0, 0.1]])
+    batch = mi_per_use_batch(square27, alphas, gamma_8db, mc)
+    for row, got in zip(alphas, batch):
+        est = mi_per_use(square27, ChannelSample(row, gamma_8db), mc)
+        assert est.method == "monte_carlo"
+        assert got == pytest.approx(est.value, rel=1e-12)
+
+
 def test_channel_sample_validation():
     with pytest.raises(ValueError):
         ChannelSample(np.array([-0.1, 1.0]), 1.0)

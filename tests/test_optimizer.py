@@ -98,14 +98,6 @@ def test_default_grid_ranges():
     assert math.degrees(g3[-1]) == pytest.approx(120.0)
 
 
-def test_sweep_threads_match_serial(cfg):
-    c = cs.build_named("r2_4")
-    grid = np.radians(np.arange(5.0, 41.0, 5.0))
-    a = sweep(c, 2, 0.9, grid=grid, cfg=cfg)
-    b = sweep(c, 2, 0.9, grid=grid, cfg=cfg, workers=4)
-    assert np.allclose(a.gamma_s, b.gamma_s)
-
-
 def test_expansion_compare_rows(cfg):
     rows = expansion_compare(
         [(cs.build_named("r2_4"), 0.9), (cs.build_named("r2_8"), 0.6)], 2, 0.9, cfg

@@ -9,8 +9,10 @@ from outagelab import constellations as cs
 from outagelab import precoders as pc
 from outagelab.mutual_info import ChannelSample, EngineConfig, SaturationError, mi_per_use
 from outagelab.outage import (
+    RAY_CAP_TOL,
     BoundaryTrace,
     OutageAnchors,
+    OutageGeometry,
     OutageQuery,
     PolarMICache,
     chi_square_cdf,
@@ -24,6 +26,7 @@ from outagelab.outage import (
     sample_rayleigh,
     trace_boundary_2d,
     wilson_ci,
+    _ray_cap_bits,
 )
 
 CHI2_1_2 = 0.264241117657115  # 1 - 2/e
@@ -273,3 +276,103 @@ def test_query_validation(gamma_8db):
         OutageQuery(
             cs.build_named("r2_4"), pc.rotation2(0.1), R=0.9, gamma=gamma_8db, fading="rician"
         )
+
+
+def db(x):
+    return 10.0 ** (x / 10.0)
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 27.0])
+def test_geometry_rescale_matches_per_snr_solves(cfg, theta_deg):
+    c, p = cs.build_named("r2_4"), pc.rotation2(math.radians(theta_deg))
+    geom = OutageGeometry.solve(c, p, 0.9, cfg, n_angles=129)
+    for gdb in (0.0, 8.0, 20.0):
+        q = OutageQuery(c, p, R=0.9, gamma=db(gdb))
+        direct, scaled = compute_anchors(q, cfg), geom.anchors(q.gamma)
+        assert (scaled.alpha_o_exists, scaled.alpha_e_exists) == (
+            direct.alpha_o_exists, direct.alpha_e_exists)
+        for got, want in ((scaled.alpha_o, direct.alpha_o), (scaled.alpha_e, direct.alpha_e)):
+            assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-6)
+        trace = trace_boundary_2d(q, 129, cfg)
+        assert np.array_equal(geom.boundary.saturated, trace.saturated)
+        active = ~trace.saturated
+        rhos = geom.boundary.rhos[active] / math.sqrt(2.0 * q.gamma)
+        np.testing.assert_allclose(rhos, trace.rhos[active], rtol=1e-4)
+        assert geom.outage(q.gamma).p_out == pytest.approx(
+            outage_from_boundary_2d(trace).p_out, rel=4e-4)
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 27.0])
+def test_geometry_rows_inside_bounds(cfg, theta_deg):
+    geom = OutageGeometry.solve(
+        cs.build_named("r2_4"), pc.rotation2(math.radians(theta_deg)), 0.9, cfg, n_angles=129)
+    for gdb in np.arange(0.0, 30.5, 2.0):
+        p_up, p_low = geom.bounds(db(gdb))
+        assert p_low <= geom.outage(db(gdb)).p_out <= p_up
+
+
+def test_gaussian_geometry_matches_closed_form():
+    geom = OutageGeometry.gaussian(2, 0.9, 129)
+    for gdb in (0.0, 8.0, 20.0):
+        gamma = db(gdb)
+        an = gaussian_anchors(2, 0.9, gamma)
+        assert geom.anchors(gamma).alpha_o == pytest.approx(an.alpha_o, rel=1e-12)
+        assert geom.anchors(gamma).alpha_e == pytest.approx(an.alpha_e, rel=1e-12)
+        want = outage_from_boundary_2d(gaussian_boundary_2d(0.9, gamma, 129)).p_out
+        assert geom.outage(gamma).p_out == pytest.approx(want, rel=4e-4)
+
+
+def first_match_groups(rows, tol):
+    """Reference for the ray-cap grouping: the pairwise loop `_ray_cap_bits`
+    ran before `group_points` (each row joins the first earlier group whose first member lies within
+    tol, else opens a new group), with the scan over groups done in numpy
+    so that 256-point alphabets stay fast; the arithmetic is the same."""
+    reps, first, counts = [], [], []
+    for i, row in enumerate(rows):
+        d2 = np.sum(np.abs(row - np.asarray(reps)) ** 2, axis=-1) if reps else np.empty(0)
+        hit = np.flatnonzero(d2 <= tol**2)
+        if hit.size:
+            counts[hit[0]] += 1
+        else:
+            reps.append(row)
+            first.append(i)
+            counts.append(1)
+    return np.array(first), np.array(counts)
+
+
+def loop_cluster_complex(col, tol):
+    """Reference for the complex projection: the loop `_cluster_complex` ran
+    before `group_points`."""
+    reps, counts = [], []
+    for z in col:
+        for k, r in enumerate(reps):
+            if abs(z - r) <= tol:
+                counts[k] += 1
+                break
+        else:
+            reps.append(z)
+            counts.append(1)
+    order = np.lexsort((np.imag(reps), np.real(reps)))
+    return np.asarray(reps, dtype=complex)[order], np.asarray(counts, dtype=float)[order]
+
+
+@pytest.mark.parametrize("name", ["r2_4", "r2_16", "c2_16", "c2_256"])
+def test_grouping_matches_loop(name):
+    c = cs.build_named(name)
+    lambdas = np.linspace(0.0, math.pi / 2.0, 129)
+    dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
+    for theta_deg in (0.0, 27.0, 30.5, 45.0):
+        omega_x = pc.apply(pc.rotation2(math.radians(theta_deg)), c)
+        for d in dirs:
+            want_first, want_counts = first_match_groups(omega_x.points * d, RAY_CAP_TOL)
+            got_first, got_counts = cs.group_points(omega_x.points * d, RAY_CAP_TOL)
+            assert np.array_equal(got_first, want_first)
+            assert np.array_equal(got_counts, want_counts)
+            p = want_counts / c.M
+            assert _ray_cap_bits(omega_x.points, d, c.M) == float(-np.sum(p * np.log2(p)))
+        if c.field == "complex":
+            for axis in (1, 2):
+                values, counts = loop_cluster_complex(omega_x.points[:, axis - 1], cs.DEDUP_TOL)
+                sp = cs.project(omega_x, axis)
+                assert np.array_equal(sp.values, values)
+                assert np.array_equal(sp.probs, counts / c.M)

@@ -1,0 +1,34 @@
+"""The benchmark's tracer must keep working against the library.
+
+`perfbench/tracing.py` wraps public functions by their positional
+signatures; a changed signature makes every traced call fail.  This runs
+one traced outage curve and checks that the geometry is solved once.
+"""
+
+import sys
+from pathlib import Path
+
+from outagelab import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_outage_call(tmp_path):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["outage", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "27",
+                       "--method", "boundary", "--angles", "65", "--gamma-db", "0:20:5",
+                       "--out", str(tmp_path / "o.csv")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["cli.calls"] == 1
+    assert metrics["outage.trace_calls"] == 1
+    assert metrics["outage.anchor_calls"] == 1
