@@ -18,6 +18,7 @@ from .mutual_info import (
     MIEstimate,
     SaturationError,
     faded_min_distance,
+    gaussian_floor,
     inv_mi_scalar,
     mi_discrete,
     mi_gaussian,
@@ -42,7 +43,6 @@ from .outage import (
 )
 from .optimizer import (
     expansion_compare,
-    gaussian_floor,
     optimize,
     product_distance_profile,
     sweep,

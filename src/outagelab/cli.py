@@ -34,7 +34,6 @@ from .mutual_info import (
 )
 from .optimizer import (
     default_grid,
-    ergodic_snr,
     expansion_compare,
     make_precoder,
     optimize,
@@ -46,6 +45,7 @@ from .outage import (
     OutageResult,
     PolarMICache,
     compute_anchors,
+    ergodic_snr,
     gaussian_anchors,
     gaussian_boundary_2d,
     hypersphere_bounds,

@@ -51,12 +51,15 @@ class ProjectionSet:
     """Distinct 1-D coordinate values of a constellation along one axis.
 
     `probs[k]` is the probability mass merged into `values[k]` (multiple
-    points projecting onto the same coordinate accumulate).
+    points projecting onto the same coordinate accumulate).  `real_base`,
+    when present, is the same axis projection of the constellation's real
+    base, for the two-channel reduction of the scalar mutual information.
     """
 
     values: np.ndarray
     probs: np.ndarray
     dedup_tolerance: float
+    real_base: "ProjectionSet | None" = None
 
     @property
     def size(self) -> int:
@@ -138,8 +141,8 @@ def _separable_real_base(factor: Constellation, B: int) -> "Constellation | None
     real value set against itself (independent real/imaginary parts).
     """
     vals = factor.points[:, 0]
-    re = _dedup_real(vals.real, DEDUP_TOL)
-    im = _dedup_real(vals.imag, DEDUP_TOL)
+    re = _levels(vals.real)
+    im = _levels(vals.imag)
     if len(re) * len(im) != vals.size:
         return None
     if len(re) != len(im) or np.max(np.abs(re - im)) > DEDUP_TOL:
@@ -152,49 +155,29 @@ def _separable_real_base(factor: Constellation, B: int) -> "Constellation | None
     return cartesian_product(base1d, B)
 
 
-def _dedup_real(values: np.ndarray, tol: float):
-    order = np.argsort(values)
-    v = values[order]
-    groups = [[v[0]]]
-    for x in v[1:]:
-        if x - groups[-1][-1] <= tol:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    return np.array([float(np.mean(g)) for g in groups])
+def _levels(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct real values, each the mean of the values merged into it."""
+    v = np.sort(values)
+    first, counts = group_points(v, DEDUP_TOL)
+    return np.add.reduceat(v, first) / counts
 
 
 def project(c: Constellation, axis: int, tol: float = DEDUP_TOL) -> ProjectionSet:
-    """Distinct coordinate values along `axis` (1-based), merged within tol."""
+    """Distinct coordinate values along `axis` (1-based), merged within tol.
+
+    Values come sorted (complex ones by real, then imaginary part); the
+    projection of the constellation's real base rides along as `real_base`.
+    """
     if not 1 <= axis <= c.B:
         raise ValueError(f"axis must be in 1..{c.B}")
+    base = project(c.real_base, axis, tol) if c.real_base is not None else None
     col = c.points[:, axis - 1]
-    if c.field == "complex":
-        values, counts = _cluster_complex(col, tol)
-    else:
-        values, counts = _cluster_real(col, tol)
-    probs = counts / c.M
-    return ProjectionSet(values=values, probs=probs, dedup_tolerance=tol)
-
-
-def _cluster_real(col, tol):
-    order = np.argsort(col)
-    v = col[order]
-    reps, counts = [v[0]], [1]
-    for x in v[1:]:
-        if x - reps[-1] <= tol:
-            counts[-1] += 1
-        else:
-            reps.append(x)
-            counts.append(1)
-    return np.asarray(reps, dtype=float), np.asarray(counts, dtype=float)
-
-
-def _cluster_complex(col, tol):
+    if c.field == "real":
+        col = np.sort(col)  # each group is then represented by its least value
     first, counts = group_points(col, tol)
     reps = col[first]
     order = np.lexsort((reps.imag, reps.real))
-    return reps[order], counts[order].astype(float)
+    return ProjectionSet(reps[order], counts[order] / c.M, tol, base)
 
 
 def group_points(points: np.ndarray, tol: float):

@@ -7,9 +7,14 @@ pairwise distance differences, so the noise expectation runs over B real
 dimensions; complex constellations run over 2B (the symbol is stacked into
 real and imaginary halves that see the same fading gain).
 
-The expectation over the noise is evaluated with a tensor-product
-Gauss-Hermite rule by default, falling back to seeded Monte Carlo whenever
-|alphabet|^2 * order^dims would exceed the configured operation budget.
+Every discrete flavour -- vector, per-use, batch and scalar projection --
+goes through one evaluator, `_evaluate`.  A complex input carrying a
+`real_base` (a constellation or an axis projection with independent real
+and imaginary parts) is reduced exactly to twice its real base at half the
+SNR.  The noise expectation is then a tensor-product Gauss-Hermite rule,
+or seeded Monte Carlo (a fresh generator per fading row, so rows share
+common random numbers) whenever |alphabet|^2 * order^dims would exceed the
+configured operation budget.  The result is clipped to [0, H(X)].
 Everything is computed in nats internally and reported in bits.
 """
 
@@ -23,7 +28,8 @@ from .constellations import Constellation, ProjectionSet
 from .search import BracketError, solve_increasing
 
 LN2 = math.log(2.0)
-_MEM_CAP = 30_000_000  # floats held by one quadrature work block
+_MEM_CAP = 2_000_000  # floats held by one quadrature work block
+_UNIT_GAIN = np.ones((1, 1))  # the scalar channel's fading row
 
 
 class SaturationError(ValueError):
@@ -94,15 +100,23 @@ def _gh_grid(order: int, dims: int):
     return nodes, weights
 
 
-def _stacked(points: np.ndarray, alpha: np.ndarray):
-    """Real work representation: complex (M,B) becomes real (M,2B)."""
-    if np.iscomplexobj(points):
-        pts = np.hstack([points.real, points.imag])
-        al = np.concatenate([alpha, alpha])
+@lru_cache(maxsize=64)
+def _alphabet(x: "Constellation | ProjectionSet"):
+    """Real work form of a constellation or an axis projection.
+
+    Returns points (M, D), their probabilities, the entropy H(X) in bits
+    and whether the points are complex: complex (M, B) points are stacked
+    into real (M, 2B), whose two halves see the same fading gains.  Both
+    classes hash by identity, so an inverse solve builds this once; the
+    cached arrays are shared and must not be written to.
+    """
+    if isinstance(x, ProjectionSet):
+        pts, probs, H = x.values[:, None], x.probs, x.entropy_bits()
     else:
-        pts = np.asarray(points, dtype=float)
-        al = np.asarray(alpha, dtype=float)
-    return pts, al
+        pts, probs, H = x.points, np.full(x.M, 1.0 / x.M), x.m
+    if np.iscomplexobj(pts):
+        return np.hstack([pts.real, pts.imag]), probs, H, True
+    return np.asarray(pts, dtype=float), probs, H, False
 
 
 def _quad_nats_many(points, probs, alphas, gamma, order):
@@ -166,12 +180,36 @@ def _mc_nats(points, probs, alpha, gamma, n, rng, chunk=131_072):
     return mean, math.sqrt(var / n)
 
 
-def _clip_bits(value, upper):
-    if -1e-6 < value < 0.0:
-        return 0.0
-    if upper < value < upper + 1e-6:
-        return upper
-    return value
+def _evaluate(x: "Constellation | ProjectionSet", alphas: np.ndarray, gamma: float,
+              cfg: EngineConfig):
+    """I(X;Y) in bits per symbol vector for each fading row of `alphas`.
+
+    The one path behind every discrete MI flavour.  It applies the complex
+    chain rule (twice the real base at half the SNR) when `x` carries a
+    `real_base` and cfg.complex_chain is set, chooses quadrature or Monte
+    Carlo by the operation budget, and clips the evaluated alphabet's MI to
+    [0, H].  Returns the values, the method, the per-row standard errors
+    and the node or sample count.
+    """
+    scale = 1.0
+    if cfg.complex_chain and x.real_base is not None:
+        x, gamma, scale = x.real_base, gamma / 2.0, 2.0
+    pts, probs, H, stacked = _alphabet(x)
+    if stacked:
+        alphas = np.hstack([alphas, alphas])
+    M, D = pts.shape
+    if cfg.engine == "quadrature" and M * M * cfg.gh_order**D <= cfg.budget_ops:
+        nats = _quad_nats_many(pts, probs, alphas, gamma, cfg.gh_order)
+        se = np.zeros_like(nats)
+        method, count = "quadrature", cfg.gh_order**D
+    else:
+        nats, se = np.array([
+            _mc_nats(pts, probs, a, gamma, cfg.mc_samples, np.random.default_rng(cfg.seed))
+            for a in alphas
+        ]).T
+        method, count = "monte_carlo", cfg.mc_samples
+    bits = (nats / LN2).clip(0.0, H)
+    return scale * bits, method, scale * se / LN2, count
 
 
 def mi_discrete(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DEFAULT_CONFIG) -> MIEstimate:
@@ -185,36 +223,8 @@ def mi_discrete(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DE
     alpha = np.asarray(s.alpha, dtype=float)
     if alpha.shape != (omega_x.B,):
         raise ValueError(f"alpha must have length B={omega_x.B}")
-    if omega_x.field == "complex" and cfg.complex_chain and omega_x.real_base is not None:
-        inner = mi_discrete(omega_x.real_base, ChannelSample(alpha, s.gamma / 2.0), cfg)
-        return MIEstimate(
-            value=_clip_bits(2.0 * inner.value, omega_x.m),
-            units="per_symbol_vector",
-            method=inner.method,
-            std_error=2.0 * inner.std_error,
-            nodes_or_samples=inner.nodes_or_samples,
-        )
-    pts, al = _stacked(omega_x.points, alpha)
-    probs = np.full(omega_x.M, 1.0 / omega_x.M)
-    M, D = pts.shape
-    ops = M * M * cfg.gh_order**D
-    if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
-        nats = _quad_nats_many(pts, probs, al[None, :], s.gamma, cfg.gh_order)[0]
-        return MIEstimate(
-            value=_clip_bits(nats / LN2, omega_x.m),
-            units="per_symbol_vector",
-            method="quadrature",
-            nodes_or_samples=cfg.gh_order**D,
-        )
-    rng = np.random.default_rng(cfg.seed)
-    nats, se = _mc_nats(pts, probs, al, s.gamma, cfg.mc_samples, rng)
-    return MIEstimate(
-        value=_clip_bits(nats / LN2, omega_x.m),
-        units="per_symbol_vector",
-        method="monte_carlo",
-        std_error=se / LN2,
-        nodes_or_samples=cfg.mc_samples,
-    )
+    bits, method, se, count = _evaluate(omega_x, alpha[None, :], s.gamma, cfg)
+    return MIEstimate(float(bits[0]), "per_symbol_vector", method, float(se[0]), count)
 
 
 def mi_per_use(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DEFAULT_CONFIG) -> MIEstimate:
@@ -244,26 +254,7 @@ def mi_per_use_batch(
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     if alphas.shape[1] != omega_x.B:
         raise ValueError(f"alphas must have {omega_x.B} columns")
-    if omega_x.field == "complex" and cfg.complex_chain and omega_x.real_base is not None:
-        return 2.0 * mi_per_use_batch(omega_x.real_base, alphas, gamma / 2.0, cfg)
-    pts, _ = _stacked(omega_x.points, np.zeros(omega_x.B))
-    if omega_x.field == "complex":
-        al = np.hstack([alphas, alphas])
-    else:
-        al = alphas
-    probs = np.full(omega_x.M, 1.0 / omega_x.M)
-    M, D = pts.shape
-    ops = M * M * cfg.gh_order**D
-    if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
-        nats = _quad_nats_many(pts, probs, al, gamma, cfg.gh_order)
-    else:
-        nats = np.array([
-            _mc_nats(pts, probs, a, gamma, cfg.mc_samples, np.random.default_rng(cfg.seed))[0]
-            for a in al
-        ])
-    bits = nats / LN2
-    np.clip(bits, 0.0, omega_x.m, out=bits)
-    return bits / omega_x.B
+    return _evaluate(omega_x, alphas, gamma, cfg)[0] / omega_x.B
 
 
 def mi_gaussian(s: ChannelSample, B: int | None = None) -> MIEstimate:
@@ -279,10 +270,16 @@ def mi_gaussian(s: ChannelSample, B: int | None = None) -> MIEstimate:
     return MIEstimate(value=value, units="per_channel_use", method="closed_form")
 
 
-def _projection_points(sp: ProjectionSet):
-    if sp.is_complex:
-        return np.stack([sp.values.real, sp.values.imag], axis=1)
-    return np.asarray(sp.values, dtype=float)[:, None]
+def gaussian_floor(B: int, R: float, field: str = "real") -> float:
+    """Least scalar SNR at which a Gaussian input carries B*R bits.
+
+    With B=1 this is the per-block SNR at which it carries R bits per use.
+    """
+    if field == "real":
+        return (2.0 ** (2 * B * R) - 1.0) / 2.0
+    if field == "complex":
+        return 2.0 ** (B * R) - 1.0
+    raise ValueError(f"unknown field {field!r}")
 
 
 def mi_scalar(sp: ProjectionSet, snr: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
@@ -295,15 +292,7 @@ def mi_scalar(sp: ProjectionSet, snr: float, cfg: EngineConfig = DEFAULT_CONFIG)
         raise ValueError("snr must be >= 0")
     if snr == 0.0:
         return 0.0
-    pts = _projection_points(sp)
-    S, D = pts.shape
-    ops = S * S * cfg.gh_order**D
-    if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
-        nats = _quad_nats_many(pts, sp.probs, np.ones((1, D)), snr, cfg.gh_order)[0]
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        nats, _ = _mc_nats(pts, sp.probs, np.ones(D), snr, cfg.mc_samples, rng)
-    return max(nats / LN2, 0.0)
+    return float(_evaluate(sp, _UNIT_GAIN, snr, cfg)[0][0])
 
 
 def inv_mi_scalar(sp: ProjectionSet, target_bits: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
@@ -333,8 +322,7 @@ def mmse_scalar(sp: ProjectionSet, snr: float, cfg: EngineConfig = DEFAULT_CONFI
     """MMSE of estimating the projected input from the scalar channel output."""
     if snr < 0:
         raise ValueError("snr must be >= 0")
-    pts = _projection_points(sp)
-    p = sp.probs
+    pts, p, _, _ = _alphabet(sp)
     mean = (p[:, None] * pts).sum(axis=0)
     if snr == 0.0:
         return float((p[:, None] * (pts - mean) ** 2).sum())

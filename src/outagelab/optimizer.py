@@ -20,28 +20,11 @@ from .mutual_info import (
     DEFAULT_CONFIG,
     EngineConfig,
     SaturationError,
+    gaussian_floor,
     inv_mi_scalar,
-    mi_per_use_batch,
 )
-from .search import golden_min, solve_increasing
-
-
-def gaussian_floor(B: int, R: float, field: str = "real") -> float:
-    """Least scalar SNR at which a Gaussian input carries B*R bits."""
-    if field == "real":
-        return (2.0 ** (2 * B * R) - 1.0) / 2.0
-    if field == "complex":
-        return 2.0 ** (B * R) - 1.0
-    raise ValueError(f"unknown field {field!r}")
-
-
-def gaussian_ergodic_floor(R: float, field: str = "real") -> float:
-    """Least per-block SNR at which a Gaussian input carries R bits per use."""
-    if field == "real":
-        return (2.0 ** (2 * R) - 1.0) / 2.0
-    if field == "complex":
-        return 2.0**R - 1.0
-    raise ValueError(f"unknown field {field!r}")
+from .outage import ergodic_snr
+from .search import golden_min
 
 
 @dataclass(frozen=True)
@@ -186,25 +169,6 @@ def optimize(
     )
 
 
-def ergodic_snr(omega_z: Constellation, B: int, R: float,
-                cfg: EngineConfig = DEFAULT_CONFIG) -> float:
-    """Per-block SNR alpha_e^2*gamma at which the equal-gains MI reaches R.
-
-    Independent of the precoding angle (orthogonal transformations keep
-    all pairwise distances), so it is computed without a precoder.
-    """
-    cap = omega_z.m / B
-    if R >= cap - 1e-12:
-        raise SaturationError(f"R={R} is at or above the alphabet limit m/B={cap:.6g}")
-    ones = np.ones(B)
-
-    def f(c):
-        return float(mi_per_use_batch(omega_z, (c * ones)[None, :], 1.0, cfg)[0])
-
-    c_star = solve_increasing(f, R, x_start=0.05, rel_tol=1e-6)
-    return c_star**2
-
-
 @dataclass(frozen=True)
 class ExpansionRow:
     name: str
@@ -238,7 +202,7 @@ def expansion_compare(candidates, B: int, R: float,
         res = optimize(omega_z, B, R, cfg)
         floor = gaussian_floor(B, R, omega_z.field)
         se = ergodic_snr(omega_z, B, R, cfg)
-        se_floor = gaussian_ergodic_floor(R, omega_z.field)
+        se_floor = gaussian_floor(1, R, omega_z.field)
         rows.append(
             ExpansionRow(
                 name=omega_z.name,

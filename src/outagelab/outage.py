@@ -22,6 +22,7 @@ from .mutual_info import (
     DEFAULT_CONFIG,
     EngineConfig,
     SaturationError,
+    gaussian_floor,
     inv_mi_scalar,
     mi_per_use_batch,
 )
@@ -110,45 +111,52 @@ def wilson_ci(k: int, n: int, z: float = Z95) -> tuple:
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
+def ergodic_snr(omega_x: Constellation, B: int, R: float,
+                cfg: EngineConfig = DEFAULT_CONFIG) -> float:
+    """Per-block SNR alpha_e^2*gamma at which the equal-gains MI reaches R.
+
+    Solved once at GAMMA_REF by bisection of the full vector MI; it does
+    not depend on the SNR, nor on an orthogonal precoder (which keeps all
+    pairwise distances).  Raises SaturationError at the alphabet limit.
+    """
+    cap = omega_x.m / B
+    if R >= cap - 1e-12:
+        raise SaturationError(f"R >= alphabet limit m/B = {cap:.6g}")
+    ones = np.ones(B)
+
+    def f(c):
+        return float(mi_per_use_batch(omega_x, (c * ones)[None, :], GAMMA_REF, cfg)[0])
+
+    return solve_increasing(f, R, x_start=0.05, rel_tol=1e-6) ** 2 * GAMMA_REF
+
+
 def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> OutageAnchors:
     """Solve for alpha_o on the axis and alpha_e on the ergodic line.
 
     alpha_o comes from the inverse scalar MI of the axis projection at
-    B*R bits; alpha_e from bisection of the full vector MI along the
-    equal-gains ray at R bits per use.
+    B*R bits; alpha_e from the ergodic SNR, alpha_e = sqrt(s/gamma).
     """
     omega_x = q.omega_x()
     B = omega_x.B
-    note = ""
-    sp = project(omega_x, 1)
+    notes = []
     try:
-        s_star = inv_mi_scalar(sp, B * q.R, cfg)
-        alpha_o = math.sqrt(s_star / q.gamma)
-        alpha_o_exists = True
+        s_star = inv_mi_scalar(project(omega_x, 1), B * q.R, cfg)
+        alpha_o, alpha_o_exists = math.sqrt(s_star / q.gamma), True
     except SaturationError as exc:
         alpha_o, alpha_o_exists = math.inf, False
-        note = str(exc)
-
-    cap = omega_x.m / B
-    if q.R >= cap - 1e-12:
+        notes.append(str(exc))
+    try:
+        alpha_e, alpha_e_exists = math.sqrt(ergodic_snr(omega_x, B, q.R, cfg) / q.gamma), True
+    except SaturationError as exc:
         alpha_e, alpha_e_exists = math.inf, False
-        note = (note + "; " if note else "") + f"R >= alphabet limit m/B = {cap:.6g}"
-    else:
-        ones = np.ones(B)
-
-        def f(c):
-            return float(mi_per_use_batch(omega_x, (c * ones)[None, :], q.gamma, cfg)[0])
-
-        alpha_e = solve_increasing(f, q.R, x_start=0.05, rel_tol=1e-6)
-        alpha_e_exists = True
-    return OutageAnchors(alpha_o, alpha_o_exists, alpha_e, alpha_e_exists, note)
+        notes.append(str(exc))
+    return OutageAnchors(alpha_o, alpha_o_exists, alpha_e, alpha_e_exists, "; ".join(notes))
 
 
 def gaussian_anchors(B: int, R: float, gamma: float) -> OutageAnchors:
     """Closed-form anchors for an i.i.d. Gaussian input alphabet."""
-    alpha_o = math.sqrt((4.0 ** (B * R) - 1.0) / (2.0 * gamma))
-    alpha_e = math.sqrt((4.0**R - 1.0) / (2.0 * gamma))
-    return OutageAnchors(alpha_o, True, alpha_e, True)
+    return OutageAnchors(math.sqrt(gaussian_floor(B, R) / gamma), True,
+                         math.sqrt(gaussian_floor(1, R) / gamma), True)
 
 
 def _ray_cap_bits(points: np.ndarray, direction: np.ndarray, M: int) -> float:

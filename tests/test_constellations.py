@@ -165,6 +165,87 @@ def test_real_base_detection():
     assert {tuple(p) for p in np.round(base.points, 12).tolist()} == want
 
 
+def loop_cluster(col, tol):
+    """Reference for `project`: the loops it ran before `group_points`.
+
+    Real coordinates are sorted and each joins the group whose least value
+    lies within tol; complex ones join the first earlier group within tol,
+    and the groups are then sorted by real, then imaginary part.
+    """
+    if not np.iscomplexobj(col):
+        v = np.sort(col)
+        reps, counts = [v[0]], [1]
+        for x in v[1:]:
+            if x - reps[-1] <= tol:
+                counts[-1] += 1
+            else:
+                reps.append(x)
+                counts.append(1)
+        return np.asarray(reps, dtype=float), np.asarray(counts, dtype=float)
+    reps, counts = [], []
+    for z in col:
+        for k, r in enumerate(reps):
+            if abs(z - r) <= tol:
+                counts[k] += 1
+                break
+        else:
+            reps.append(z)
+            counts.append(1)
+    order = np.lexsort((np.imag(reps), np.real(reps)))
+    return np.asarray(reps, dtype=complex)[order], np.asarray(counts, dtype=float)[order]
+
+
+def _precoded(c, theta_deg):
+    if c.B == 1:
+        return c
+    p = precoders.rotation2 if c.B == 2 else precoders.rotation3
+    return precoders.apply(p(math.radians(theta_deg)), c)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_SHAPE))
+def test_projection_matches_loop(name):
+    c = cs.build_named(name)
+    for theta_deg in (0.0, 27.0, 30.5, 45.0):
+        omega_x = _precoded(c, theta_deg)
+        for axis in range(1, c.B + 1):
+            values, counts = loop_cluster(omega_x.points[:, axis - 1], cs.DEDUP_TOL)
+            sp = cs.project(omega_x, axis)
+            assert np.array_equal(sp.values, values)
+            assert np.array_equal(sp.probs, counts / c.M)
+            if c.real_base is None:
+                assert sp.real_base is None
+            else:
+                want = cs.project(omega_x.real_base, axis)
+                assert np.array_equal(sp.real_base.values, want.values)
+                assert np.array_equal(sp.real_base.probs, want.probs)
+
+
+def loop_levels(values, tol):
+    """Reference for the real-base detection: the loop it ran before
+    `group_points` (sorted values, chained within tol, group means)."""
+    v = np.sort(values)
+    groups = [[v[0]]]
+    for x in v[1:]:
+        if x - groups[-1][-1] <= tol:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    return np.array([float(np.mean(g)) for g in groups])
+
+
+@pytest.mark.parametrize("factor,base", [("qam4", True), ("qam16_grid", True),
+                                         ("qam8_star", False), ("cross_qam32", False)])
+def test_separable_real_base_matches_loop(factor, base):
+    f = cs.build_named(factor)
+    got = cs._separable_real_base(f, 2)
+    if not base:
+        assert got is None
+        return
+    levels = loop_levels(f.points[:, 0].real, cs.DEDUP_TOL)
+    want = cs.cartesian_product(cs.make_constellation("re", levels[:, None], "real"), 2)
+    assert np.array_equal(got.points, want.points)
+
+
 def test_json_roundtrip_real(tmp_path):
     c = cs.build_named("r2_8")
     d = cs.to_dict(c)

@@ -295,3 +295,28 @@ def test_channel_sample_validation():
         ChannelSample(np.array([1.0, 1.0]), 0.0)
     s = ChannelSample(np.array([1.0, 1.0]), 2.0)
     assert s.sigma2 == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_mc_vector_and_batch_agree_at_low_snr(seed):
+    # one evaluator, one clip: the vector MI is B times the per-use batch
+    # value and never negative, even where MC noise dominates the estimate
+    c = cs.build_named("r2_4")
+    mc = EngineConfig(engine="mc", mc_samples=2000, seed=seed)
+    alpha = np.array([0.01, 0.01])
+    est = mi_discrete(c, ChannelSample(alpha, 0.01), mc)
+    assert est.method == "monte_carlo"
+    assert est.value >= 0.0
+    assert est.value == c.B * mi_per_use_batch(c, alpha[None, :], 0.01, mc)[0]
+
+
+def test_projection_chain_rule_equals_direct_stack():
+    c = pc.apply(pc.rotation2(math.radians(27)), cs.build_named("c2_16"))
+    sp = cs.project(c, 1)
+    assert sp.is_complex and sp.real_base is not None
+    assert not sp.real_base.is_complex and sp.real_base.size == 4
+    matched = EngineConfig(gh_order=16)
+    for snr in (0.3, 2.5, 17.0):
+        chain = mi_scalar(sp, snr, matched)
+        direct = mi_scalar(sp, snr, replace(matched, complex_chain=False))
+        assert abs(chain - direct) < 1e-10

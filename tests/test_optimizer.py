@@ -13,7 +13,6 @@ from outagelab.optimizer import (
     ergodic_snr,
     expansion_compare,
     gamma_s_at,
-    gaussian_ergodic_floor,
     gaussian_floor,
     optimize,
     product_distance_profile,
@@ -28,7 +27,7 @@ def test_gaussian_floor_values():
         GAUSS_FLOOR_B2_R09_DB, abs=1e-6
     )
     assert gaussian_floor(2, 1.8, "complex") == pytest.approx(2**3.6 - 1)
-    assert gaussian_ergodic_floor(0.9) == pytest.approx((2**1.8 - 1) / 2)
+    assert gaussian_floor(1, 0.9) == pytest.approx((2**1.8 - 1) / 2)
     with pytest.raises(ValueError):
         gaussian_floor(2, 0.9, "quaternion")
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outagelab import constellations as cs
+from outagelab import optimizer
 from outagelab import precoders as pc
 from outagelab.mutual_info import ChannelSample, EngineConfig, SaturationError, mi_per_use
 from outagelab.outage import (
@@ -18,6 +19,7 @@ from outagelab.outage import (
     chi_square_cdf,
     compute_anchors,
     diversity_bound,
+    ergodic_snr,
     gaussian_anchors,
     gaussian_boundary_2d,
     hypersphere_bounds,
@@ -107,6 +109,15 @@ def test_anchor_saturation_flags(cfg, gamma_8db):
     assert not an.alpha_o_exists and math.isinf(an.alpha_o)
     assert an.alpha_e_exists
     assert "projection" in an.note
+
+
+def test_one_ergodic_solve(q27, cfg):
+    # the optimizer's ergodic SNR, the anchors' alpha_e and the geometry
+    # all come from one solve at GAMMA_REF, whatever the query's SNR
+    assert optimizer.ergodic_snr is ergodic_snr
+    s = ergodic_snr(q27.omega_x(), 2, 0.9, cfg)
+    assert compute_anchors(q27, cfg).alpha_e == math.sqrt(s / q27.gamma)
+    assert OutageGeometry.solve(q27.omega_z, q27.precoder, 0.9, cfg).ergodic_snr == s
 
 
 def test_trace_endpoints_and_ergodic_point(q27, cfg):

@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` wraps public functions by their positional
 signatures; a changed signature makes every traced call fail.  This runs
-one traced outage curve and checks that the geometry is solved once.
+one traced outage curve and checks that the geometry is solved once, and
+one traced complex sweep, whose scalar MI the tracer must still see.
 """
 
 import sys
@@ -13,7 +14,8 @@ from outagelab import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_outage_call(tmp_path):
+def traced(argv):
+    """Run one CLI call under perfbench's tracer; return its layer metrics."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracing
@@ -22,13 +24,25 @@ def test_traced_outage_call(tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        rc = cli.main(["outage", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "27",
-                       "--method", "boundary", "--angles", "65", "--gamma-db", "0:20:5",
-                       "--out", str(tmp_path / "o.csv")])
+        rc = cli.main(argv)
     finally:
         tracer.uninstall()
     assert rc == 0
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["cli.calls"] == 1
+    return metrics
+
+
+def test_traced_outage_call(tmp_path):
+    metrics = traced(["outage", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "27",
+                      "--method", "boundary", "--angles", "65", "--gamma-db", "0:20:5",
+                      "--out", str(tmp_path / "o.csv")])
     assert metrics["outage.trace_calls"] == 1
     assert metrics["outage.anchor_calls"] == 1
+
+
+def test_traced_complex_sweep_call(tmp_path):
+    metrics = traced(["sweep", "--constellation", "c2_16", "--R", "1.8",
+                      "--theta-grid", "10:20:10", "--out", str(tmp_path / "s.csv")])
+    assert metrics["mutual_info.inv_solves"] == 2
+    assert metrics["mutual_info.scalar_evals_per_inv_solve"] > 0
