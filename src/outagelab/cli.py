@@ -397,6 +397,16 @@ def _out_path(outdir, stem, fmt):
     return os.path.join(outdir, f"{stem}.{fmt}")
 
 
+def _write_sweep(outdir, fmt, tag, name, R, order, seed, profile):
+    write_table(
+        _out_path(outdir, f"{tag}_sweep_{name}", fmt),
+        ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"],
+        _sweep_rows(profile),
+        {"recipe": tag, "constellation": name, "R": R, "seed": seed, "gh_order": order},
+        fmt,
+    )
+
+
 def _recipe_sweeps(outdir, fmt, cfg, tag, names_rates, B, dpmin_for=()):
     for entry in names_rates:
         name, R = entry[0], entry[1]
@@ -407,14 +417,7 @@ def _recipe_sweeps(outdir, fmt, cfg, tag, names_rates, B, dpmin_for=()):
             c, B, R, grid=default_grid(B, step_deg), cfg=run_cfg,
             include_product_distance=name in dpmin_for,
         )
-        write_table(
-            _out_path(outdir, f"{tag}_sweep_{name}", fmt),
-            ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"],
-            _sweep_rows(profile),
-            {"recipe": tag, "constellation": name, "R": R, "seed": cfg.seed,
-             "gh_order": order},
-            fmt,
-        )
+        _write_sweep(outdir, fmt, tag, name, R, order, cfg.seed, profile)
 
 
 def _recipe_outage_curves(outdir, fmt, cfg, tag, entries, gammas_db, angles=257):
@@ -511,18 +514,19 @@ def cmd_reproduce(args) -> int:
         _recipe_bounds_curve(outdir, fmt, cfg, "fig8", "c2_64",
                              round(math.degrees(opt64.theta_opt), 2), 1.8, gammas_db)
     elif target == "fig9":
-        _recipe_sweeps(outdir, fmt, cfg, "fig9",
-                       [("r3_8", 0.9), ("r3_16", 0.9), ("r3_64", 0.9)], 3)
-        opt = optimize(constellations.build_named("r3_8"), 3, 0.9, cfg)
+        # the optimizer's coarse profile is the 0.5-degree sweep table
+        theta = {}
+        for name in ("r3_8", "r3_16", "r3_64"):
+            opt = optimize(constellations.build_named(name), 3, 0.9, cfg)
+            _write_sweep(outdir, fmt, "fig9", name, 0.9, cfg.gh_order, cfg.seed, opt.profile)
+            theta[name] = round(math.degrees(opt.theta_opt), 2)
         _recipe_outage_curves(
             outdir, fmt, cfg, "fig9",
-            [("r3_8", 0.0, 0.9), ("r3_8", round(math.degrees(opt.theta_opt), 2), 0.9)],
+            [("r3_8", 0.0, 0.9), ("r3_8", theta["r3_8"], 0.9)],
             list(np.arange(0.0, 20.5, 4.0)),
         )
         for name in ("r3_16", "r3_64"):
-            optn = optimize(constellations.build_named(name), 3, 0.9, cfg)
-            _recipe_bounds_curve(outdir, fmt, cfg, "fig9", name,
-                                 round(math.degrees(optn.theta_opt), 2), 0.9, gammas_db)
+            _recipe_bounds_curve(outdir, fmt, cfg, "fig9", name, theta[name], 0.9, gammas_db)
     else:
         raise ConfigError(f"unknown reproduce target {target!r}")
     print(f"wrote {target} data to {outdir}/")

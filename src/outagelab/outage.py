@@ -33,6 +33,13 @@ Z95 = 1.959963984540054
 RAY_CAP_TOL = 1e-9
 GAMMA_REF = 0.5  # the SNR at which fading gains equal scaled gains sqrt(2*gamma)*alpha
 
+# The MI interpolation cache (PolarMICache): a log(1+u) cube per B
+CACHE_SHAPE = {2: (21.0, 20), 3: (15.0, 10)}  # B -> (u_max, highest build gh_order)
+CACHE_AXIS_POINTS = 33  # per axis; refined once to 65
+CACHE_TOL_BITS = 1e-3  # validated error, and the band around R evaluated directly
+CACHE_VALIDATE_POINTS = 1000
+CACHE_SEED = 0
+
 
 @dataclass(frozen=True)
 class OutageQuery:
@@ -211,14 +218,17 @@ def trace_boundary_2d(
 
 
 def gaussian_boundary_2d(R: float, gamma: float, n_angles: int = 513) -> BoundaryTrace:
-    """Outage boundary for an i.i.d. Gaussian input, B=2 (closed-form MI)."""
+    """Outage boundary for an i.i.d. Gaussian input, B=2, in closed form.
+
+    On the ray (c, s) = (cos lambda, sin lambda) the MI equals R where
+    (1 + x c^2)(1 + x s^2) = 2^(4R) with x = 2*gamma*rho^2, a quadratic in x
+    whose positive root is written here without cancellation.
+    """
     lambdas = np.linspace(0.0, math.pi / 2.0, n_angles)
-    dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
-
-    def mi_batch(alphas):
-        return 0.5 * np.mean(np.log2(1.0 + 2.0 * gamma * alphas**2), axis=1)
-
-    rhos = _vector_bisect_rays(mi_batch, dirs, R)
+    K = 2.0 ** (4.0 * R) - 1.0
+    cs2 = (np.cos(lambdas) * np.sin(lambdas)) ** 2
+    x = 2.0 * K / (1.0 + np.sqrt(1.0 + 4.0 * cs2 * K))
+    rhos = np.sqrt(x / (2.0 * gamma))
     return BoundaryTrace(lambdas, rhos, np.zeros(n_angles, dtype=bool), R, gamma)
 
 
@@ -354,166 +364,95 @@ class CacheAccuracyError(RuntimeError):
 
 
 class PolarMICache:
-    """Per-use MI interpolated on a gamma-free grid of scaled fading gains.
+    """Per-use MI interpolated on an SNR-free grid of scaled fading gains.
 
     The MI at fading point alpha and SNR gamma depends only on the scaled
-    gains u = sqrt(2*gamma)*alpha, so the surface is tabulated once in
-    u-space and then serves every SNR.  B=2 uses polar coordinates
-    (angle, |u|); B=3 uses a cube over v_b = log(1+u_b), whose axis-aligned
-    resolution tracks the narrow near-axis structure that a spherical grid
-    would need quadratically many directions to resolve.  Interpolation is
-    separable Catmull-Rom.
+    gains u = sqrt(2*gamma)*alpha, so the surface is tabulated once at
+    GAMMA_REF, where alpha = u, and then serves every SNR.  The grid is a
+    cube of CACHE_AXIS_POINTS points per axis over v_b = log(1+u_b) up to
+    the u_max of CACHE_SHAPE; its axis-aligned resolution tracks the
+    narrow near-axis structure of the surface.  Interpolation is separable
+    Catmull-Rom.
 
-    Lookups beyond the grid exploit monotonicity (MI never decreases when
-    any gain grows): the clamped-edge value is a lower bound, so a
-    threshold comparison is already settled unless that bound lies below
-    the threshold; only those samples fall back to direct evaluation.
-    Construction validates against direct evaluation at random points
-    (refining the grid once if needed) so the interpolation error stays
-    below `tol_bits`.
+    Construction validates against direct evaluation at CACHE_VALIDATE_POINTS
+    uniform points and refines the grid once (33 -> 65 points per axis) if
+    the maximum error exceeds CACHE_TOL_BITS.  The name is historical: the
+    B=2 surface was once tabulated on a polar grid.
     """
 
-    def __init__(
-        self,
-        omega_x: Constellation,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        n_dir: "int | None" = None,
-        n_rad: "int | None" = None,
-        n_axis: "int | None" = None,
-        u_max: "float | None" = None,
-        build_order: "int | None" = None,
-        validate: bool = True,
-        n_validate: int = 1000,
-        tol_bits: float = 1e-3,
-        seed: int = 0,
-    ):
-        B = omega_x.B
-        if B not in (2, 3):
+    def __init__(self, omega_x: Constellation, cfg: EngineConfig = DEFAULT_CONFIG):
+        if omega_x.B not in CACHE_SHAPE:
             raise ValueError("the MI cache supports B in {2, 3}")
         self.omega_x = omega_x
-        self.B = B
-        self.u_max = u_max if u_max is not None else (21.0 if B == 2 else 15.0)
-        if build_order is None:
-            build_order = min(cfg.gh_order, 20) if B == 2 else min(cfg.gh_order, 10)
-        self.cfg = replace(cfg, gh_order=build_order)
-        if B == 2:
-            self._sizes = [n_dir or 193, n_rad or 161]
-        else:
-            self._sizes = [n_axis or 33] * 3
+        self.B = omega_x.B
+        self.u_max, order = CACHE_SHAPE[self.B]
+        self.cfg = replace(cfg, gh_order=min(cfg.gh_order, order))
+        self._sizes = [CACHE_AXIS_POINTS] * self.B
         self._build()
-        if validate:
-            err = self._validate(n_validate, seed)
-            if err > tol_bits:
-                self._sizes = [2 * (n - 1) + 1 for n in self._sizes]
-                self._build()
-                err = self._validate(n_validate, seed + 1)
-                if err > tol_bits:
-                    raise CacheAccuracyError(
-                        f"interpolation error {err:.2e} bits exceeds {tol_bits:.1e}"
-                    )
-            self.validation_error_bits = err
+        err = self._validate(CACHE_SEED)
+        if err > CACHE_TOL_BITS:
+            self._sizes = [2 * (n - 1) + 1 for n in self._sizes]
+            self._build()
+            err = self._validate(CACHE_SEED + 1)
+            if err > CACHE_TOL_BITS:
+                raise CacheAccuracyError(
+                    f"interpolation error {err:.2e} bits exceeds {CACHE_TOL_BITS:.1e}"
+                )
+        self.validation_error_bits = err
 
     def _build(self):
-        if self.B == 2:
-            self.grids = [
-                np.linspace(0.0, math.pi / 2.0, self._sizes[0]),
-                np.linspace(0.0, self.u_max, self._sizes[1]),
-            ]
-            lam, u = np.meshgrid(*self.grids, indexing="ij")
-            scaled = np.stack([u * np.cos(lam), u * np.sin(lam)], axis=-1).reshape(-1, 2)
-        else:
-            v_max = math.log1p(self.u_max)
-            self.grids = [np.linspace(0.0, v_max, n) for n in self._sizes]
-            mesh = np.meshgrid(*self.grids, indexing="ij")
-            scaled = np.expm1(np.stack([m.ravel() for m in mesh], axis=-1))
-        # alpha = u/sqrt(2) at gamma = 1 reproduces any (alpha, gamma) pair
-        vals = mi_per_use_batch(self.omega_x, scaled / math.sqrt(2.0), 1.0, self.cfg)
+        self.axis = np.linspace(0.0, math.log1p(self.u_max), self._sizes[0])
+        mesh = np.meshgrid(*([self.axis] * self.B), indexing="ij")
+        scaled = np.expm1(np.stack([m.ravel() for m in mesh], axis=-1))
+        vals = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
         self.values = vals.reshape(self._sizes)
-
-    def _coords(self, scaled):
-        """Warped grid coordinates, inside mask, and edge-clamped coords."""
-        if self.B == 2:
-            u = np.sqrt(np.sum(scaled**2, axis=1))
-            lam = np.clip(np.arctan2(scaled[:, 1], scaled[:, 0]), 0.0, math.pi / 2.0)
-            inside = u <= self.u_max
-            return [lam, np.minimum(u, self.u_max)], inside
-        v = np.log1p(scaled)
-        v_max = self.grids[0][-1]
-        inside = (v <= v_max).all(axis=1)
-        v = np.minimum(v, v_max)
-        return [v[:, 0], v[:, 1], v[:, 2]], inside
 
     def mi(self, alphas: np.ndarray, gamma: float, threshold: "float | None" = None) -> np.ndarray:
         """Per-use MI at each fading point (rows of `alphas`) at SNR gamma.
 
-        Out-of-grid points take the clamped-edge value when that already
-        settles a comparison against `threshold`, and are evaluated
-        directly otherwise.  With no threshold every out-of-grid point is
-        evaluated directly.
+        With no threshold every out-of-grid point is evaluated directly.
+        With a threshold, the values only need to decide `mi < threshold`,
+        so a point is evaluated directly when the interpolation cannot
+        settle that: an in-grid value within CACHE_TOL_BITS of the
+        threshold, or an out-of-grid clamped-edge value below it (MI never
+        decreases when a gain grows, so the edge value is a lower bound).
         """
         alphas = np.asarray(alphas, dtype=float)
-        scaled = alphas * math.sqrt(2.0 * gamma)
-        coords, inside = self._coords(scaled)
-        out = self._interp(coords)
-        overflow = ~inside
-        if overflow.any():
-            if threshold is None:
-                direct = overflow
-            else:
-                direct = overflow & (out < threshold)
-            if direct.any():
-                out[direct] = mi_per_use_batch(
-                    self.omega_x, alphas[direct], gamma, self.cfg
-                )
-        return out
-
-    @staticmethod
-    def _cr_weights(t):
-        # Catmull-Rom basis at fraction t, taps at offsets -1, 0, 1, 2
-        t2 = t * t
-        t3 = t2 * t
-        return (
-            -0.5 * t3 + t2 - 0.5 * t,
-            1.5 * t3 - 2.5 * t2 + 1.0,
-            -1.5 * t3 + 2.0 * t2 + 0.5 * t,
-            0.5 * t3 - 0.5 * t2,
-        )
-
-    def _interp(self, coords):
-        """Separable cubic interpolation on the uniform warped grid."""
-        idxs, wlists = [], []
-        for grid, x in zip(self.grids, coords):
-            step = grid[1] - grid[0]
-            idx = np.clip((x / step).astype(int), 0, grid.shape[0] - 2)
-            frac = np.clip((x - grid[idx]) / step, 0.0, 1.0)
-            idxs.append(idx)
-            wlists.append(self._cr_weights(frac))
-        ndim = len(self.grids)
-        out = np.zeros(coords[0].shape[0])
-        for offsets in np.ndindex(*([4] * ndim)):
-            w = wlists[0][offsets[0]].copy()
-            gather = [np.clip(idxs[0] - 1 + offsets[0], 0, self.grids[0].shape[0] - 1)]
-            for d in range(1, ndim):
-                w *= wlists[d][offsets[d]]
-                gather.append(
-                    np.clip(idxs[d] - 1 + offsets[d], 0, self.grids[d].shape[0] - 1)
-                )
-            out += w * self.values[tuple(gather)]
-        return out
-
-    def _validate(self, n_validate, seed):
-        rng = np.random.default_rng(seed)
-        if self.B == 2:
-            dirs = rng.normal(size=(n_validate, 2))
-            dirs = np.abs(dirs) / np.linalg.norm(dirs, axis=1, keepdims=True)
-            u = rng.uniform(0.0, 0.98 * self.u_max, n_validate)
-            scaled = dirs * u[:, None]
+        v = np.log1p(alphas * math.sqrt(2.0 * gamma))
+        inside = (v <= self.axis[-1]).all(axis=1)
+        out = self._interp(np.minimum(v, self.axis[-1]))
+        if threshold is None:
+            direct = ~inside
         else:
-            scaled = rng.uniform(0.0, 0.98 * self.u_max, (n_validate, 3))
-        alphas = scaled / math.sqrt(2.0)
-        direct = mi_per_use_batch(self.omega_x, alphas, 1.0, self.cfg)
-        interp = self.mi(alphas, 1.0)
-        return float(np.max(np.abs(direct - interp)))
+            direct = np.where(inside, np.abs(out - threshold) <= CACHE_TOL_BITS, out < threshold)
+        if direct.any():
+            out[direct] = mi_per_use_batch(self.omega_x, alphas[direct], gamma, self.cfg)
+        return out
+
+    def _interp(self, v):
+        """Separable Catmull-Rom interpolation on the uniform cube; rows of v are points."""
+        n = self.axis.shape[0]
+        x = v.T / self.axis[1]
+        idx = np.clip(x.astype(int), 0, n - 2)
+        t = np.clip(x - idx, 0.0, 1.0)
+        t2, t3 = t * t, t * t * t
+        # weights and grid indices of the taps at offsets -1, 0, 1, 2: shape (4, B, rows)
+        w = np.stack([-0.5 * t3 + t2 - 0.5 * t, 1.5 * t3 - 2.5 * t2 + 1.0,
+                      -1.5 * t3 + 2.0 * t2 + 0.5 * t, 0.5 * t3 - 0.5 * t2])
+        taps = np.clip(idx + np.arange(-1, 3)[:, None, None], 0, n - 1)
+        dims = np.arange(self.B)
+        out = np.zeros(v.shape[0])
+        for offsets in np.ndindex(*([4] * self.B)):
+            o = np.array(offsets)
+            out += np.prod(w[o, dims], axis=0) * self.values[tuple(taps[o, dims])]
+        return out
+
+    def _validate(self, seed):
+        """Maximum interpolation error at uniform points of the u-cube."""
+        rng = np.random.default_rng(seed)
+        scaled = rng.uniform(0.0, 0.98 * self.u_max, (CACHE_VALIDATE_POINTS, self.B))
+        direct = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
+        return float(np.max(np.abs(direct - self.mi(scaled, GAMMA_REF))))
 
 
 def outage_mc(
@@ -522,13 +461,14 @@ def outage_mc(
     seed: int = 0,
     cfg: EngineConfig = DEFAULT_CONFIG,
     cache: "PolarMICache | None" = None,
-    cache_kwargs: "dict | None" = None,
 ) -> OutageResult:
     """Monte Carlo outage probability with a Wilson 95% interval.
 
     Draws n i.i.d. unit-Rayleigh fading vectors and counts per-use MI
-    below R.  For B in {2, 3} the MI comes from a polar interpolation
-    cache; other dimensions evaluate directly (slow for large n).
+    below R.  For B in {2, 3} the MI comes from the scaled-gain cache
+    (built here unless `cache` is given), which evaluates directly every
+    sample it cannot place on the right side of R; other dimensions
+    evaluate every sample directly (slow for large n).
     """
     if n < 1000:
         raise ValueError("outage_mc needs n >= 1000")
@@ -541,7 +481,7 @@ def outage_mc(
     alphas = sample_rayleigh(rng, n, B)
     if B in (2, 3):
         if cache is None:
-            cache = PolarMICache(omega_x, cfg, **(cache_kwargs or {}))
+            cache = PolarMICache(omega_x, cfg)
         mi = cache.mi(alphas, q.gamma, threshold=q.R)
     else:
         mi = mi_per_use_batch(omega_x, alphas, q.gamma, cfg)

@@ -215,7 +215,7 @@ def test_cache_validates_below_tolerance(q27, cfg):
 def test_cache_serves_multiple_snrs(q27, cfg):
     from outagelab.mutual_info import mi_per_use_batch
 
-    cache = PolarMICache(q27.omega_x(), cfg, validate=False)
+    cache = PolarMICache(q27.omega_x(), cfg)
     alphas = np.array([[0.4, 0.9], [1.2, 0.1], [0.7, 0.7]])
     for gamma in (0.5, q27.gamma, 40.0):
         direct = mi_per_use_batch(q27.omega_x(), alphas, gamma, cache.cfg)
@@ -225,7 +225,7 @@ def test_cache_serves_multiple_snrs(q27, cfg):
 def test_cache_out_of_range_falls_back_to_direct(q27, cfg):
     from outagelab.mutual_info import mi_per_use_batch
 
-    cache = PolarMICache(q27.omega_x(), cfg, validate=False)
+    cache = PolarMICache(q27.omega_x(), cfg)
     gamma = 1000.0
     alphas = np.array([[3.0, 2.0], [0.002, 0.001]])
     got = cache.mi(alphas, gamma)  # no threshold: overflow evaluated directly
@@ -238,14 +238,34 @@ def test_cache_out_of_range_falls_back_to_direct(q27, cfg):
     assert settled[0] >= 0.9
 
 
+def test_cache_refines_once(cfg):
+    # r2_8 at 5 degrees misses the tolerance on the 33-point cube
+    omega_x = pc.apply(pc.rotation2(math.radians(5)), cs.build_named("r2_8"))
+    cache = PolarMICache(omega_x, cfg)
+    assert cache._sizes == [65, 65]
+    assert cache.validation_error_bits < 1e-3
+
+
+def test_cache_evaluates_margin_band_directly(q27, cfg):
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import CACHE_TOL_BITS
+
+    cache = PolarMICache(q27.omega_x(), cfg)
+    alphas = sample_rayleigh(np.random.default_rng(0), 20_000, 2)
+    for gamma in (1.0, q27.gamma, 40.0):
+        interp = cache.mi(alphas, gamma)
+        band = np.abs(interp - q27.R) <= CACHE_TOL_BITS
+        assert band.any()
+        got = cache.mi(alphas, gamma, threshold=q27.R)
+        direct = mi_per_use_batch(q27.omega_x(), alphas[band], gamma, cache.cfg)
+        np.testing.assert_array_equal(got[band], direct)
+
+
 def test_b3_outage_between_bounds(cfg, gamma_8db):
     q = OutageQuery(
         cs.build_named("r3_8"), pc.rotation3(math.radians(30)), R=0.5, gamma=gamma_8db
     )
-    res = outage_mc(
-        q, 20_000, seed=5, cfg=cfg,
-        cache_kwargs={"n_axis": 17, "validate": False},
-    )
+    res = outage_mc(q, 20_000, seed=5, cfg=cfg)
     an = compute_anchors(q, cfg)
     p_up, p_low = hypersphere_bounds(an, 3)
     half = (res.ci95[1] - res.ci95[0]) / 2

@@ -2,8 +2,9 @@
 
 `perfbench/tracing.py` wraps public functions by their positional
 signatures; a changed signature makes every traced call fail.  This runs
-one traced outage curve and checks that the geometry is solved once, and
-one traced complex sweep, whose scalar MI the tracer must still see.
+one traced outage curve and checks that the geometry is solved once, one
+traced Monte Carlo curve, whose cache attributes the tracer reads, and one
+traced complex sweep, whose scalar MI the tracer must still see.
 """
 
 import sys
@@ -39,6 +40,15 @@ def test_traced_outage_call(tmp_path):
                       "--out", str(tmp_path / "o.csv")])
     assert metrics["outage.trace_calls"] == 1
     assert metrics["outage.anchor_calls"] == 1
+
+
+def test_traced_mc_outage_call(tmp_path):
+    metrics = traced(["outage", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "27",
+                      "--method", "mc", "--mc-samples", "2000", "--gamma-db", "0:20:2",
+                      "--out", str(tmp_path / "m.csv")])
+    assert metrics["outage.cache_builds"] == 1
+    assert metrics["outage.cache_grid_points"] == 33 * 33
+    assert metrics["outage.cache_direct_rows"] > 0
 
 
 def test_traced_complex_sweep_call(tmp_path):
