@@ -14,10 +14,16 @@ and imaginary parts) is reduced exactly to twice its real base at half the
 SNR.  The noise expectation is then a tensor-product Gauss-Hermite rule,
 or seeded Monte Carlo (a fresh generator per fading row, so rows share
 common random numbers) whenever |alphabet|^2 * order^dims would exceed the
-configured operation budget.  The result is clipped to [0, H(X)].
-Everything is computed in nats internally and reported in bits.
+configured operation budget (a fallback logged at INFO on the
+"outagelab" logger).  The result is clipped to [0, H(X)].  Everything is
+computed in nats internally and reported in bits.
+
+Inverse scalar solves of many projections (`inv_mi_scalar_many`, behind
+every angle sweep) bisect in lock-step: each bisection step is one kernel
+call over a stack of equal-size alphabets, one alphabet and SNR per row.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,10 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from .constellations import Constellation, ProjectionSet
-from .search import BracketError, solve_increasing
+from .search import solve_increasing
 
 LN2 = math.log(2.0)
+_log = logging.getLogger("outagelab")
 _MEM_CAP = 2_000_000  # floats held by one quadrature work block
+# floats per work block when every row has its own alphabet (a lock-step
+# sweep): larger blocks save no call overhead but raise peak memory
+_STACK_CAP = 16_384
 _UNIT_GAIN = np.ones((1, 1))  # the scalar channel's fading row
 
 
@@ -122,33 +132,45 @@ def _alphabet(x: "Constellation | ProjectionSet"):
 def _quad_nats_many(points, probs, alphas, gamma, order):
     """I(X;Y) in nats for each fading row of `alphas` (quadrature engine).
 
-    `points` (M, D) and `alphas` (A, D) are already real/stacked.
+    `points` (M, D) and `alphas` (A, D) are already real/stacked, and
+    `gamma` is one SNR.  A stack of equal-size alphabets, one per row,
+    comes as points (A, M, D), probs (A, M) and gamma (A,).  Every row sums
+    over the same node and point blocks whatever its company, so a row's
+    value does not depend on the rows evaluated with it.
     """
-    M, D = points.shape
+    shared = points.ndim == 2
+    if shared:
+        points, probs = points[None], probs[None]
+    _, M, D = points.shape
     A = alphas.shape[0]
     nodes, w = _gh_grid(order, D)
     K = nodes.shape[0]
-    dz = points[:, None, :] - points[None, :, :]
     logp = np.log(probs)
-    sqg = math.sqrt(gamma)
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (A,))
     out = np.empty(A)
 
     i_chunk = max(1, min(M, _MEM_CAP // (M * K)))
-    a_chunk = max(1, _MEM_CAP // (i_chunk * M * K))
+    a_chunk = max(1, (_MEM_CAP if shared else _STACK_CAP) // (i_chunk * M * K))
     for a0 in range(0, A, a_chunk):
-        al = alphas[a0 : a0 + a_chunk]
+        rows = slice(a0, a0 + a_chunk)
+        own = slice(0, 1) if shared else rows
+        al = alphas[rows]
+        g = gamma[rows, None, None, None]
         acc = np.zeros(al.shape[0])
         for i0 in range(0, M, i_chunk):
-            d = al[:, None, None, :] * dz[None, i0 : i0 + i_chunk]
+            dz = points[own, i0 : i0 + i_chunk, None, :] - points[own, None, :, :]
+            d = al[:, None, None, :] * dz
             d2 = np.einsum("aijd,aijd->aij", d, d)
             e = np.tensordot(d, nodes, axes=([3], [1]))
-            e *= -2.0 * sqg
-            e -= gamma * d2[..., None]
-            e += logp[None, None, :, None]
+            e *= -2.0 * np.sqrt(g)
+            e -= g * d2[..., None]
+            e += logp[own, None, :, None]
             mx = e.max(axis=2)
-            np.exp(e - mx[:, :, None, :], out=e)
+            e -= mx[:, :, None, :]
+            np.exp(e, out=e)
             L = mx + np.log(e.sum(axis=2))
-            acc -= np.einsum("i,aik,k->a", probs[i0 : i0 + i_chunk], L, w)
+            p = np.broadcast_to(probs[own, i0 : i0 + i_chunk], L.shape[:2])
+            acc -= np.einsum("ai,aik,k->a", p, L, w)
         out[a0 : a0 + al.shape[0]] = acc
     return out
 
@@ -180,32 +202,51 @@ def _mc_nats(points, probs, alpha, gamma, n, rng, chunk=131_072):
     return mean, math.sqrt(var / n)
 
 
-def _evaluate(x: "Constellation | ProjectionSet", alphas: np.ndarray, gamma: float,
-              cfg: EngineConfig):
+def _form(x: "Constellation | ProjectionSet", cfg: EngineConfig):
+    """The work form `_evaluate` runs on for `x`, with its chain-rule flag.
+
+    `_alphabet` of x's `real_base` when cfg.complex_chain is set and x has
+    one (flag True), else of x itself (flag False).
+    """
+    if cfg.complex_chain and x.real_base is not None:
+        return _alphabet(x.real_base) + (True,)
+    return _alphabet(x) + (False,)
+
+
+def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
     """I(X;Y) in bits per symbol vector for each fading row of `alphas`.
 
-    The one path behind every discrete MI flavour.  It applies the complex
-    chain rule (twice the real base at half the SNR) when `x` carries a
-    `real_base` and cfg.complex_chain is set, chooses quadrature or Monte
-    Carlo by the operation budget, and clips the evaluated alphabet's MI to
-    [0, H].  Returns the values, the method, the per-row standard errors
-    and the node or sample count.
+    The one path behind every discrete MI flavour.  `form` is `_form` of
+    one alphabet, or of equal-size alphabets stacked per row (points
+    (A, M, D), probs (A, M), H (A,)) with `gamma` then one SNR per row.  It
+    applies the complex chain rule (twice the real base at half the SNR),
+    chooses quadrature or Monte Carlo by the operation budget (logging a
+    fallback), and clips each evaluated alphabet's MI to [0, H].  Returns
+    the values, the method, the per-row standard errors and the node or
+    sample count.
     """
+    pts, probs, H, stacked, chain = form
+    per_row = pts.ndim == 3
     scale = 1.0
-    if cfg.complex_chain and x.real_base is not None:
-        x, gamma, scale = x.real_base, gamma / 2.0, 2.0
-    pts, probs, H, stacked = _alphabet(x)
+    if chain:
+        gamma, scale = gamma / 2.0, 2.0
     if stacked:
         alphas = np.hstack([alphas, alphas])
-    M, D = pts.shape
-    if cfg.engine == "quadrature" and M * M * cfg.gh_order**D <= cfg.budget_ops:
+    M, D = pts.shape[-2:]
+    ops = M * M * cfg.gh_order**D
+    if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
         nats = _quad_nats_many(pts, probs, alphas, gamma, cfg.gh_order)
         se = np.zeros_like(nats)
         method, count = "quadrature", cfg.gh_order**D
     else:
+        if cfg.engine == "quadrature":
+            _log.info("quadrature on a %d-point alphabet in %d dimensions needs %d operations, "
+                      "above budget_ops=%d: Monte Carlo with %d samples instead",
+                      M, D, ops, cfg.budget_ops, cfg.mc_samples)
+        rows = (zip(pts, probs, alphas, gamma) if per_row
+                else ((pts, probs, a, gamma) for a in alphas))
         nats, se = np.array([
-            _mc_nats(pts, probs, a, gamma, cfg.mc_samples, np.random.default_rng(cfg.seed))
-            for a in alphas
+            _mc_nats(*row, cfg.mc_samples, np.random.default_rng(cfg.seed)) for row in rows
         ]).T
         method, count = "monte_carlo", cfg.mc_samples
     bits = (nats / LN2).clip(0.0, H)
@@ -223,7 +264,7 @@ def mi_discrete(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DE
     alpha = np.asarray(s.alpha, dtype=float)
     if alpha.shape != (omega_x.B,):
         raise ValueError(f"alpha must have length B={omega_x.B}")
-    bits, method, se, count = _evaluate(omega_x, alpha[None, :], s.gamma, cfg)
+    bits, method, se, count = _evaluate(_form(omega_x, cfg), alpha[None, :], s.gamma, cfg)
     return MIEstimate(float(bits[0]), "per_symbol_vector", method, float(se[0]), count)
 
 
@@ -254,7 +295,7 @@ def mi_per_use_batch(
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     if alphas.shape[1] != omega_x.B:
         raise ValueError(f"alphas must have {omega_x.B} columns")
-    return _evaluate(omega_x, alphas, gamma, cfg)[0] / omega_x.B
+    return _evaluate(_form(omega_x, cfg), alphas, gamma, cfg)[0] / omega_x.B
 
 
 def mi_gaussian(s: ChannelSample, B: int | None = None) -> MIEstimate:
@@ -292,7 +333,7 @@ def mi_scalar(sp: ProjectionSet, snr: float, cfg: EngineConfig = DEFAULT_CONFIG)
         raise ValueError("snr must be >= 0")
     if snr == 0.0:
         return 0.0
-    return float(_evaluate(sp, _UNIT_GAIN, snr, cfg)[0][0])
+    return float(_evaluate(_form(sp, cfg), _UNIT_GAIN, snr, cfg)[0][0])
 
 
 def inv_mi_scalar(sp: ProjectionSet, target_bits: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
@@ -300,22 +341,56 @@ def inv_mi_scalar(sp: ProjectionSet, target_bits: float, cfg: EngineConfig = DEF
 
     Raises SaturationError when the target is not below the projection's
     entropy: the scalar channel can never carry that rate, which is the
-    diversity-loss condition for the full system.
+    diversity-loss condition for the full system.  The one-row case of
+    `inv_mi_scalar_many`.
     """
-    if target_bits <= 0:
-        raise ValueError("target_bits must be positive")
     cap = sp.entropy_bits()
     if target_bits >= cap - 1e-9:
         raise SaturationError(
             f"target {target_bits:.6g} bits >= {cap:.6g} bits achievable by the "
             f"{sp.size}-point axis projection"
         )
-    try:
-        return solve_increasing(
-            lambda x: mi_scalar(sp, x, cfg), target_bits, x_start=1e-4, rel_tol=1e-6
+    snr = float(inv_mi_scalar_many([sp], target_bits, cfg)[0])
+    if math.isinf(snr):
+        raise SaturationError(
+            f"no bracket: the scalar MI of the {sp.size}-point axis projection stays "
+            f"below target={target_bits:.6g} bits"
         )
-    except BracketError as exc:
-        raise SaturationError(str(exc)) from exc
+    return snr
+
+
+def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """`inv_mi_scalar` of every projection in `sps`; inf where it saturates.
+
+    A projection saturates when the target is within 1e-9 bits of its
+    entropy or its solve finds no bracket.  The others are solved in
+    lock-step, one solve and one kernel call per bisection step for each
+    group of equal-size alphabets under the same chain-rule scale; every
+    row bisects exactly as it would alone.
+    """
+    if target_bits <= 0:
+        raise ValueError("target_bits must be positive")
+    out = np.full(len(sps), math.inf)
+    groups = {}
+    for k, sp in enumerate(sps):
+        if target_bits < sp.entropy_bits() - 1e-9:
+            form = _form(sp, cfg)
+            groups.setdefault((form[0].shape, form[4]), []).append((k, form))
+    for members in groups.values():
+        rows = [k for k, _ in members]
+        pts, probs, H = (np.stack([form[i] for _, form in members]) for i in range(3))
+        stacked, chain = members[0][1][3:]
+
+        def f(snr):  # called only by this group's solve, right below
+            live = np.flatnonzero(~np.isnan(snr))
+            bits = np.full(snr.shape, np.nan)
+            form = (pts[live], probs[live], H[live], stacked, chain)
+            bits[live] = _evaluate(form, np.ones((live.size, 1)), snr[live], cfg)[0]
+            return bits
+
+        out[rows] = solve_increasing(f, np.full(len(rows), float(target_bits)),
+                                     x_start=1e-4, rel_tol=1e-6)
+    return out
 
 
 def mmse_scalar(sp: ProjectionSet, snr: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:

@@ -21,7 +21,7 @@ from .mutual_info import (
     EngineConfig,
     SaturationError,
     gaussian_floor,
-    inv_mi_scalar,
+    inv_mi_scalar_many,
 )
 from .outage import ergodic_snr
 from .search import golden_min
@@ -70,12 +70,8 @@ def default_grid(B: int, step_deg: float = 0.5) -> np.ndarray:
 def gamma_s_at(omega_z: Constellation, B: int, R: float, theta: float,
                cfg: EngineConfig = DEFAULT_CONFIG) -> float:
     """Axis-crossing SNR for one angle; inf when the rate saturates."""
-    omega_x = precoders.apply(make_precoder(B, theta), omega_z)
-    sp = project(omega_x, 1)
-    try:
-        return inv_mi_scalar(sp, B * R, cfg)
-    except SaturationError:
-        return math.inf
+    sp = project(precoders.apply(make_precoder(B, theta), omega_z), 1)
+    return float(inv_mi_scalar_many([sp], B * R, cfg)[0])
 
 
 def sweep(
@@ -86,7 +82,12 @@ def sweep(
     cfg: EngineConfig = DEFAULT_CONFIG,
     include_product_distance: bool = False,
 ) -> SweepProfile:
-    """gamma_s over an angle grid, plus the Gaussian floor it cannot beat."""
+    """gamma_s over an angle grid, plus the Gaussian floor it cannot beat.
+
+    Every angle is projected first; the inverse solves then run in
+    lock-step over the whole grid (`inv_mi_scalar_many`), each angle
+    giving exactly its `gamma_s_at` value.
+    """
     if omega_z.B != B:
         raise ValueError(f"constellation has B={omega_z.B}, expected {B}")
     if grid is None:
@@ -95,7 +96,8 @@ def sweep(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
 
-    gamma_s = np.array([gamma_s_at(omega_z, B, R, t, cfg) for t in grid])
+    sps = [project(precoders.apply(make_precoder(B, t), omega_z), 1) for t in grid]
+    gamma_s = inv_mi_scalar_many(sps, B * R, cfg)
     if not np.isfinite(gamma_s).any():
         raise SaturationError(
             f"rate R={R} is infeasible for {omega_z.name}: every angle saturates"

@@ -134,7 +134,10 @@ def ergodic_snr(omega_x: Constellation, B: int, R: float,
     def f(c):
         return float(mi_per_use_batch(omega_x, (c * ones)[None, :], GAMMA_REF, cfg)[0])
 
-    return solve_increasing(f, R, x_start=0.05, rel_tol=1e-6) ** 2 * GAMMA_REF
+    u = solve_increasing(f, R, x_start=0.05, rel_tol=1e-6)
+    if math.isinf(u):
+        raise SaturationError(f"no bracket: the equal-gains MI stays below R = {R:.6g}")
+    return u**2 * GAMMA_REF
 
 
 def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> OutageAnchors:

@@ -1,40 +1,58 @@
-"""Scalar bracketing/bisection and golden-section search."""
+"""Lock-step bracketing/bisection and golden-section search."""
 
 import math
+
+import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-class BracketError(RuntimeError):
-    """Raised when doubling fails to straddle the target value."""
-
-
 def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80):
-    """Solve f(x) = target for a nondecreasing f on [0, inf).
+    """Solve f(x) = target for a nondecreasing f on [0, inf), row by row.
 
-    Brackets the root by doubling from `x_start`, then bisects until the
-    bracket width is below `rel_tol` relative to the upper edge.
-    Assumes f(0) <= target; no derivative needed.
+    Each row brackets its root by doubling from `x_start`, then bisects
+    until its bracket is narrower than `rel_tol` relative to the upper
+    edge, and stops on its own; a row still below its target after
+    `max_doublings` doublings is saturated and solves to inf.  Assumes
+    f(0) <= target; no derivative needed.
+
+    A scalar `target` is the one-row case: f takes and returns floats and
+    the result is a float.  An array `target` solves every row in
+    lock-step: f takes the array of the rows' next points, nan in rows
+    already finished, and returns their values (ignored in those rows).
     """
-    lo = 0.0
-    hi = float(x_start)
-    n = 0
-    while f(hi) < target:
-        lo = hi
-        hi *= 2.0
-        n += 1
-        if n > max_doublings:
-            raise BracketError(
-                f"no bracket below x={hi:.3g}: f appears to saturate under target={target:.6g}"
-            )
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    one_row = np.ndim(target) == 0
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    if one_row:
+        f_scalar = f
+
+        def f(x):
+            return np.array([f_scalar(float(x[0]))])
+
+    lo = np.zeros(target.shape)
+    hi = np.full(target.shape, float(x_start))
+    doublings = np.zeros(target.shape, dtype=int)
+    bracketing = np.ones(target.shape, dtype=bool)
+    live = np.ones(target.shape, dtype=bool)
+    x = hi.copy()
+    while live.any():
+        below = np.asarray(f(np.where(live, x, np.nan))) < target
+        grow = live & bracketing & below
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        doublings[grow] += 1
+        failed = grow & (doublings > max_doublings)
+        hi[failed] = np.inf
+        live &= ~failed
+        split = live & ~bracketing
+        lo[split & below] = x[split & below]
+        hi[split & ~below] = x[split & ~below]
+        bracketing &= below
+        live &= bracketing | (hi - lo > rel_tol * hi)
+        x = np.where(bracketing, hi, 0.5 * (lo + hi))
+    root = 0.5 * (lo + hi)
+    return float(root[0]) if one_row else root
 
 
 def golden_min(f, a, b, tol):

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -320,3 +321,18 @@ def test_projection_chain_rule_equals_direct_stack():
         chain = mi_scalar(sp, snr, matched)
         direct = mi_scalar(sp, snr, replace(matched, complex_chain=False))
         assert abs(chain - direct) < 1e-10
+
+
+def test_mc_fallback_is_logged_once(caplog):
+    c64 = cs.build_named("c2_64")  # 64^2 * 32^4 operations exceed the default budget
+    s = ChannelSample(np.array([1.0, 0.8]), 4.0)
+    with caplog.at_level(logging.INFO, logger="outagelab"):
+        est = mi_discrete(c64, s, EngineConfig(mc_samples=2000))
+    assert est.method == "monte_carlo"
+    assert [r.levelno for r in caplog.records] == [logging.INFO]
+    assert "budget_ops" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="outagelab"):
+        mi_discrete(c64, s, EngineConfig(engine="mc", mc_samples=2000))
+        mi_discrete(cs.build_named("r2_4"), s)
+    assert caplog.records == []

@@ -43,6 +43,37 @@ def test_sweep_square_profile(cfg):
     assert np.all(finite >= prof.gamma_floor)
     i_min = int(np.nanargmin(np.where(prof.saturated, np.nan, prof.gamma_s)))
     assert abs(prof.grid_deg[i_min] - 27.5) <= 2.5
+    # the lock-step sweep gives each angle exactly its one-row solve
+    assert prof.gamma_s.tolist() == [gamma_s_at(c, 2, 0.9, t, cfg) for t in grid]
+
+
+def test_mc_sweep_equals_one_row_solves():
+    mc = EngineConfig(engine="mc", mc_samples=2000)
+    c = cs.build_named("r2_4")
+    grid = np.radians(np.arange(0.0, 90.5, 9.0))
+    prof = sweep(c, 2, 0.9, grid=grid, cfg=mc)
+    assert prof.saturated[[0, 5, 10]].all()
+    assert prof.gamma_s.tolist() == [gamma_s_at(c, 2, 0.9, t, mc) for t in grid]
+
+
+# gamma_s as the per-angle scalar solver computed it before sweeps were
+# solved in lock-step, as repr literals: every value must stay bit-identical
+PINNED_GAMMA_S = [
+    ("r2_4", 0.9, 27.0, 32, 8.109353125000002),
+    ("r2_16", 0.9, 44.0, 32, 5.784126562500001),
+    ("r3_8", 0.9, 50.75, 32, 31.3255875),
+    ("c2_16", 1.8, 10.7, 32, 74.241625),  # chain rule: the 4-point real base
+    ("c2_64", 2.7, 20.0, 8, 67.571675),  # no real base: a complex, 2-D projection
+]
+
+
+@pytest.mark.parametrize("name,R,deg,order,value", PINNED_GAMMA_S)
+def test_gamma_s_bit_identical(name, R, deg, order, value):
+    c = cs.build_named(name)
+    cfg = EngineConfig(gh_order=order)
+    assert gamma_s_at(c, c.B, R, math.radians(deg), cfg) == value
+    grid = np.radians([deg - 1.0, deg, deg + 1.0])
+    assert sweep(c, c.B, R, grid=grid, cfg=cfg).gamma_s[1] == value
 
 
 def test_sweep_symmetric_about_45(cfg):

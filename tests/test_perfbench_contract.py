@@ -4,7 +4,8 @@
 signatures; a changed signature makes every traced call fail.  This runs
 one traced outage curve and checks that the geometry is solved once, one
 traced Monte Carlo curve, whose cache attributes the tracer reads, and one
-traced complex sweep, whose scalar MI the tracer must still see.
+traced complex sweep, whose angles the tracer must see solved in one
+lock-step solve.
 """
 
 import sys
@@ -54,5 +55,10 @@ def test_traced_mc_outage_call(tmp_path):
 def test_traced_complex_sweep_call(tmp_path):
     metrics = traced(["sweep", "--constellation", "c2_16", "--R", "1.8",
                       "--theta-grid", "10:20:10", "--out", str(tmp_path / "s.csv")])
-    assert metrics["mutual_info.inv_solves"] == 2
-    assert metrics["mutual_info.scalar_evals_per_inv_solve"] > 0
+    # both angles project to a 4-point real base: one batched solve, no
+    # per-angle inverse solves or one-row scalar evaluations
+    assert metrics["search.solves"] == 1
+    assert metrics["search.f_evals_per_solve"] > 0
+    assert metrics["optimizer.gamma_s_evals"] == 0
+    assert metrics["mutual_info.inv_solves"] == 0
+    assert metrics["mutual_info.scalar_evals"] == 0
