@@ -18,6 +18,21 @@ configured operation budget (a fallback logged at INFO on the
 "outagelab" logger).  The result is clipped to [0, H(X)].  Everything is
 computed in nats internally and reported in bits.
 
+The quadrature sums the transmitted point only over symmetry-orbit
+representatives, each weighted by its orbit's probability; the sum over
+the received-side points stays full.  Two maps commute with the noise,
+the Gauss-Hermite grid and every fading gain diag(alpha), so the points
+they exchange contribute equal terms: negation x -> -x, and, on a complex
+alphabet stacked into real and imaginary halves under the same gains, the
+quarter turn (re, im) -> (-im, re), i.e. x -> j*x.  The quarter turn is
+never tried on a real form, where unequal gains break it.  A stacked form
+takes the quarter turn when the alphabet is invariant under it; otherwise,
+and on every real form, negation is tried.  An alphabet invariant under
+neither (some image lies more than 1e-9 from every point of equal
+probability) falls back to the full sum, every point its own
+representative.  The orbits are found once per alphabet; the Monte Carlo
+fallback still draws from every point.
+
 Inverse scalar solves of many projections (`inv_mi_scalar_many`, behind
 every angle sweep) bisect in lock-step: each bisection step is one kernel
 call over a stack of equal-size alphabets, one alphabet and SNR per row.
@@ -27,6 +42,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +56,7 @@ _MEM_CAP = 2_000_000  # floats held by one quadrature work block
 # sweep): larger blocks save no call overhead but raise peak memory
 _STACK_CAP = 16_384
 _UNIT_GAIN = np.ones((1, 1))  # the scalar channel's fading row
+_ORBIT_TOL = 1e-9  # largest coordinate gap between a point's image and its match
 
 
 class SaturationError(ValueError):
@@ -110,38 +127,103 @@ def _gh_grid(order: int, dims: int):
     return nodes, weights
 
 
+class _Form(NamedTuple):
+    """Real work form of an alphabet, as the evaluator and the kernel take it.
+
+    points (M, D) and probs (M,), the entropy H in bits, whether the points
+    are complex ones stacked into real (M, 2B) halves that see the same
+    fading gains, the symmetry-orbit representatives reps (R, D) with their
+    orbit masses rep_w (R,), and whether the form is a complex input's real
+    base under the chain rule.  A lock-step stack of equal-shape forms holds
+    every array with a leading row axis.
+    """
+
+    points: np.ndarray
+    probs: np.ndarray
+    H: "float | np.ndarray"
+    stacked: bool
+    reps: np.ndarray
+    rep_w: np.ndarray
+    chain: bool = False
+
+
+_ROW_FIELDS = ("points", "probs", "H", "reps", "rep_w")
+
+
 @lru_cache(maxsize=64)
-def _alphabet(x: "Constellation | ProjectionSet"):
+def _alphabet(x: "Constellation | ProjectionSet") -> _Form:
     """Real work form of a constellation or an axis projection.
 
-    Returns points (M, D), their probabilities, the entropy H(X) in bits
-    and whether the points are complex: complex (M, B) points are stacked
-    into real (M, 2B), whose two halves see the same fading gains.  Both
-    classes hash by identity, so an inverse solve builds this once; the
-    cached arrays are shared and must not be written to.
+    Both classes hash by identity, so an inverse solve builds this (and
+    finds its orbits) once; the cached arrays are shared and must not be
+    written to.
     """
     if isinstance(x, ProjectionSet):
         pts, probs, H = x.values[:, None], x.probs, x.entropy_bits()
     else:
         pts, probs, H = x.points, np.full(x.M, 1.0 / x.M), x.m
-    if np.iscomplexobj(pts):
-        return np.hstack([pts.real, pts.imag]), probs, H, True
-    return np.asarray(pts, dtype=float), probs, H, False
+    stacked = np.iscomplexobj(pts)
+    pts = np.hstack([pts.real, pts.imag]) if stacked else np.asarray(pts, dtype=float)
+    return _Form(pts, probs, H, stacked, *_orbits(pts, probs, stacked))
 
 
-def _quad_nats_many(points, probs, alphas, gamma, order):
+def _orbits(pts, probs, stacked):
+    """Orbit representatives (R, D) of the alphabet and their orbit masses (R,).
+
+    The map is the quarter turn of a stacked form if it holds, else
+    negation (see the module docstring); each orbit is represented by its
+    lowest-index point.  Without either map every point represents itself.
+    """
+    M, D = pts.shape
+    h = D // 2
+    maps = [(lambda p: np.hstack([-p[:, h:], p[:, :h]]), 4)] if stacked else []
+    for image, period in maps + [(np.negative, 2)]:
+        match = _match(pts, probs, image(pts))
+        if match is not None:
+            break
+    else:
+        return pts, probs
+    rep, step = np.arange(M), match
+    for _ in range(period - 1):  # the orbit of i is i, match[i], match[match[i]], ...
+        rep = np.minimum(rep, step)
+        step = match[step]
+    reps = np.flatnonzero(rep == np.arange(M))
+    return pts[reps], np.bincount(rep, weights=probs, minlength=M)[reps]
+
+
+def _match(pts, probs, image, block=128):
+    """Index of the point each row of `image` lands on, or None if one misses."""
+    M = pts.shape[0]
+    match = np.empty(M, dtype=np.intp)
+    for i0 in range(0, M, block):
+        gap = np.abs(image[i0 : i0 + block, None, :] - pts[None, :, :]).max(axis=2)
+        j = gap.argmin(axis=1)
+        if gap[np.arange(j.size), j].max() > _ORBIT_TOL:
+            return None
+        match[i0 : i0 + block] = j
+    if np.bincount(match, minlength=M).max() > 1 or not np.array_equal(probs[match], probs):
+        return None
+    return match
+
+
+def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     """I(X;Y) in nats for each fading row of `alphas` (quadrature engine).
 
-    `points` (M, D) and `alphas` (A, D) are already real/stacked, and
-    `gamma` is one SNR.  A stack of equal-size alphabets, one per row,
-    comes as points (A, M, D), probs (A, M) and gamma (A,).  Every row sums
+    `points` (M, D) with `probs` (M,) is the alphabet and `alphas` (A, D)
+    the fading rows, already real/stacked; `gamma` is one SNR.  The outer
+    sum over the transmitted point runs over `reps` (R, D) weighted by
+    `rep_w` (R,): orbit representatives and their orbit masses, or the
+    points and their probabilities themselves for the full sum.  A stack of
+    equal-size alphabets, one per row, comes as points (A, M, D), probs
+    (A, M), reps (A, R, D), rep_w (A, R) and gamma (A,).  Every row sums
     over the same node and point blocks whatever its company, so a row's
     value does not depend on the rows evaluated with it.
     """
     shared = points.ndim == 2
     if shared:
-        points, probs = points[None], probs[None]
+        points, probs, reps, rep_w = points[None], probs[None], reps[None], rep_w[None]
     _, M, D = points.shape
+    R = reps.shape[1]
     A = alphas.shape[0]
     nodes, w = _gh_grid(order, D)
     K = nodes.shape[0]
@@ -149,7 +231,7 @@ def _quad_nats_many(points, probs, alphas, gamma, order):
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (A,))
     out = np.empty(A)
 
-    i_chunk = max(1, min(M, _MEM_CAP // (M * K)))
+    i_chunk = max(1, min(R, _MEM_CAP // (M * K)))
     a_chunk = max(1, (_MEM_CAP if shared else _STACK_CAP) // (i_chunk * M * K))
     for a0 in range(0, A, a_chunk):
         rows = slice(a0, a0 + a_chunk)
@@ -157,8 +239,8 @@ def _quad_nats_many(points, probs, alphas, gamma, order):
         al = alphas[rows]
         g = gamma[rows, None, None, None]
         acc = np.zeros(al.shape[0])
-        for i0 in range(0, M, i_chunk):
-            dz = points[own, i0 : i0 + i_chunk, None, :] - points[own, None, :, :]
+        for i0 in range(0, R, i_chunk):
+            dz = reps[own, i0 : i0 + i_chunk, None, :] - points[own, None, :, :]
             d = al[:, None, None, :] * dz
             d2 = np.einsum("aijd,aijd->aij", d, d)
             e = np.tensordot(d, nodes, axes=([3], [1]))
@@ -169,7 +251,7 @@ def _quad_nats_many(points, probs, alphas, gamma, order):
             e -= mx[:, :, None, :]
             np.exp(e, out=e)
             L = mx + np.log(e.sum(axis=2))
-            p = np.broadcast_to(probs[own, i0 : i0 + i_chunk], L.shape[:2])
+            p = np.broadcast_to(rep_w[own, i0 : i0 + i_chunk], L.shape[:2])
             acc -= np.einsum("ai,aik,k->a", p, L, w)
         out[a0 : a0 + al.shape[0]] = acc
     return out
@@ -202,30 +284,30 @@ def _mc_nats(points, probs, alpha, gamma, n, rng, chunk=131_072):
     return mean, math.sqrt(var / n)
 
 
-def _form(x: "Constellation | ProjectionSet", cfg: EngineConfig):
-    """The work form `_evaluate` runs on for `x`, with its chain-rule flag.
+def _form(x: "Constellation | ProjectionSet", cfg: EngineConfig) -> _Form:
+    """The work form `_evaluate` runs on for `x`.
 
     `_alphabet` of x's `real_base` when cfg.complex_chain is set and x has
-    one (flag True), else of x itself (flag False).
+    one (with `chain` set), else of x itself.
     """
     if cfg.complex_chain and x.real_base is not None:
-        return _alphabet(x.real_base) + (True,)
-    return _alphabet(x) + (False,)
+        return _alphabet(x.real_base)._replace(chain=True)
+    return _alphabet(x)
 
 
 def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
     """I(X;Y) in bits per symbol vector for each fading row of `alphas`.
 
     The one path behind every discrete MI flavour.  `form` is `_form` of
-    one alphabet, or of equal-size alphabets stacked per row (points
-    (A, M, D), probs (A, M), H (A,)) with `gamma` then one SNR per row.  It
+    one alphabet, or of equal-shape alphabets stacked per row (a leading
+    row axis on every array) with `gamma` then one SNR per row.  It
     applies the complex chain rule (twice the real base at half the SNR),
     chooses quadrature or Monte Carlo by the operation budget (logging a
     fallback), and clips each evaluated alphabet's MI to [0, H].  Returns
     the values, the method, the per-row standard errors and the node or
     sample count.
     """
-    pts, probs, H, stacked, chain = form
+    pts, probs, H, stacked, reps, rep_w, chain = form
     per_row = pts.ndim == 3
     scale = 1.0
     if chain:
@@ -235,7 +317,7 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
     M, D = pts.shape[-2:]
     ops = M * M * cfg.gh_order**D
     if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
-        nats = _quad_nats_many(pts, probs, alphas, gamma, cfg.gh_order)
+        nats = _quad_nats_many(pts, probs, reps, rep_w, alphas, gamma, cfg.gh_order)
         se = np.zeros_like(nats)
         method, count = "quadrature", cfg.gh_order**D
     else:
@@ -365,8 +447,8 @@ def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONF
     A projection saturates when the target is within 1e-9 bits of its
     entropy or its solve finds no bracket.  The others are solved in
     lock-step, one solve and one kernel call per bisection step for each
-    group of equal-size alphabets under the same chain-rule scale; every
-    row bisects exactly as it would alone.
+    group of equal-size alphabets with as many orbit representatives, under
+    the same chain-rule scale; every row bisects exactly as it would alone.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
@@ -375,16 +457,16 @@ def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONF
     for k, sp in enumerate(sps):
         if target_bits < sp.entropy_bits() - 1e-9:
             form = _form(sp, cfg)
-            groups.setdefault((form[0].shape, form[4]), []).append((k, form))
+            groups.setdefault((form.points.shape, len(form.reps), form.chain), []).append((k, form))
     for members in groups.values():
         rows = [k for k, _ in members]
-        pts, probs, H = (np.stack([form[i] for _, form in members]) for i in range(3))
-        stacked, chain = members[0][1][3:]
+        stack = members[0][1]._replace(
+            **{n: np.stack([getattr(form, n) for _, form in members]) for n in _ROW_FIELDS})
 
         def f(snr):  # called only by this group's solve, right below
             live = np.flatnonzero(~np.isnan(snr))
             bits = np.full(snr.shape, np.nan)
-            form = (pts[live], probs[live], H[live], stacked, chain)
+            form = stack._replace(**{n: getattr(stack, n)[live] for n in _ROW_FIELDS})
             bits[live] = _evaluate(form, np.ones((live.size, 1)), snr[live], cfg)[0]
             return bits
 
@@ -397,7 +479,8 @@ def mmse_scalar(sp: ProjectionSet, snr: float, cfg: EngineConfig = DEFAULT_CONFI
     """MMSE of estimating the projected input from the scalar channel output."""
     if snr < 0:
         raise ValueError("snr must be >= 0")
-    pts, p, _, _ = _alphabet(sp)
+    form = _alphabet(sp)
+    pts, p = form.points, form.probs
     mean = (p[:, None] * pts).sum(axis=0)
     if snr == 0.0:
         return float((p[:, None] * (pts - mean) ** 2).sum())

@@ -378,9 +378,12 @@ class PolarMICache:
     Catmull-Rom.
 
     Construction validates against direct evaluation at CACHE_VALIDATE_POINTS
-    uniform points and refines the grid once (33 -> 65 points per axis) if
-    the maximum error exceeds CACHE_TOL_BITS.  The name is historical: the
-    B=2 surface was once tabulated on a polar grid.
+    points and refines the grid once (33 -> 65 points per axis) if the
+    maximum error exceeds CACHE_TOL_BITS.  The points are drawn uniformly in
+    v over the cube up to 0.98*u_max, not uniformly in u: most of the
+    u-cube is saturated, so v-sampling puts far more points on the
+    transition where outage decisions are made.  The name is historical:
+    the B=2 surface was once tabulated on a polar grid.
     """
 
     def __init__(self, omega_x: Constellation, cfg: EngineConfig = DEFAULT_CONFIG):
@@ -450,10 +453,15 @@ class PolarMICache:
             out += np.prod(w[o, dims], axis=0) * self.values[tuple(taps[o, dims])]
         return out
 
-    def _validate(self, seed):
-        """Maximum interpolation error at uniform points of the u-cube."""
+    def _validation_gains(self, seed):
+        """CACHE_VALIDATE_POINTS scaled-gain rows drawn uniformly in v = log(1+u)."""
         rng = np.random.default_rng(seed)
-        scaled = rng.uniform(0.0, 0.98 * self.u_max, (CACHE_VALIDATE_POINTS, self.B))
+        v = rng.uniform(0.0, math.log1p(0.98 * self.u_max), (CACHE_VALIDATE_POINTS, self.B))
+        return np.expm1(v)
+
+    def _validate(self, seed):
+        """Maximum interpolation error at the validation points of `seed`."""
+        scaled = self._validation_gains(seed)
         direct = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
         return float(np.max(np.abs(direct - self.mi(scaled, GAMMA_REF))))
 

@@ -92,12 +92,6 @@ def identity(B: int) -> Precoder:
     return _finish(B, np.eye(B), {"kind": "identity"})
 
 
-def eigenphases(p: Precoder) -> np.ndarray:
-    """Phases of the circulant eigenvalues, recovered by DFT of the first row."""
-    lam = np.fft.fft(p.matrix[0])
-    return np.angle(lam)
-
-
 def apply(p: Precoder, c: Constellation) -> Constellation:
     """Precoded constellation P applied to every point of c.
 

@@ -14,8 +14,12 @@ from outagelab.mutual_info import (
     ChannelSample,
     EngineConfig,
     SaturationError,
+    _alphabet,
+    _form,
+    _quad_nats_many,
     faded_min_distance,
     inv_mi_scalar,
+    inv_mi_scalar_many,
     mi_discrete,
     mi_gaussian,
     mi_lowsnr_approx,
@@ -336,3 +340,88 @@ def test_mc_fallback_is_logged_once(caplog):
         mi_discrete(c64, s, EngineConfig(engine="mc", mc_samples=2000))
         mi_discrete(cs.build_named("r2_4"), s)
     assert caplog.records == []
+
+
+def orbit_and_full_bits(form, alpha, gamma):
+    """The kernel over the form's orbit representatives and over every point."""
+    M, D = form.points.shape
+    order = max(2, min(32, int((4e6 / M**2) ** (1 / D))))
+    al = np.asarray(alpha, dtype=float)[None, :]
+    if form.stacked:
+        al = np.hstack([al, al])
+    orbit = _quad_nats_many(form.points, form.probs, form.reps, form.rep_w, al, gamma, order)
+    full = _quad_nats_many(form.points, form.probs, form.points, form.probs, al, gamma, order)
+    return orbit[0] / LN2, full[0] / LN2
+
+
+ORBIT_ANGLES_DEG = (0.0, 10.7, 27.0, 45.0, 63.4)
+
+
+@pytest.mark.parametrize("name", cs.registry_names())
+def test_orbit_kernel_equals_full_sum(name):
+    c = cs.build_named(name)
+    forms = [_alphabet(c)]
+    if c.B > 1:
+        rotation = pc.rotation2 if c.B == 2 else pc.rotation3
+        for deg in ORBIT_ANGLES_DEG:
+            sp = cs.project(pc.apply(rotation(math.radians(deg)), c), 1)
+            forms += [_alphabet(sp)] + ([_alphabet(sp.real_base)] if sp.real_base else [])
+    for form in forms:
+        M = form.points.shape[0]
+        # r3_16 (five cyclic-shift orbits plus the origin) is not centrally
+        # symmetric; every other registry set is
+        if name == "r3_16":
+            assert len(form.reps) == M
+        else:
+            assert len(form.reps) <= math.ceil(M / 2)
+        assert form.rep_w.sum() == pytest.approx(1.0, abs=1e-12)
+        alpha = [1.0, 0.3, 0.7][: c.B] if form is forms[0] else [1.0]
+        orbit, full = orbit_and_full_bits(form, alpha, 2.0)
+        assert abs(orbit - full) < 1e-12
+
+
+def test_orbits_of_complex_and_real_forms():
+    c64 = _alphabet(cs.build_named("c2_64"))  # no real base: stacked (64, 4)
+    assert c64.stacked and len(c64.reps) == 16
+    np.testing.assert_array_equal(c64.rep_w, np.full(16, 4 / 64))
+    c16 = cs.build_named("c2_16")
+    assert len(_form(c16, EngineConfig(complex_chain=False)).reps) == 4
+    chain = _form(c16, EngineConfig())  # the 4-point real base: negation only
+    assert chain.chain and not chain.stacked and len(chain.reps) == 2
+    # a quarter turn maps the rotated square onto itself, but it does not
+    # commute with unequal gains on a real form, so only negation is used
+    r24 = _alphabet(pc.apply(pc.rotation2(math.radians(27)), cs.build_named("r2_4")))
+    assert not r24.stacked and len(r24.reps) == 2
+    np.testing.assert_array_equal(r24.rep_w, [0.5, 0.5])
+    # a complex projection symmetric under negation but not the quarter turn
+    sp = cs.ProjectionSet(np.array([-1.0 - 0.5j, 1.0 + 0.5j]), np.array([0.5, 0.5]), 1e-6)
+    assert len(_alphabet(sp).reps) == 1
+
+
+def test_orbits_fall_back_to_the_full_sum():
+    tri = cs.from_dict({"name": "tri", "B": 2, "field": "real",
+                        "points": [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]]})
+    uneven = cs.ProjectionSet(np.array([-1.0, 1.0]), np.array([0.3, 0.7]), 1e-6)
+    for x in (tri, uneven):
+        form = _alphabet(x)
+        np.testing.assert_array_equal(form.reps, form.points)
+        np.testing.assert_array_equal(form.rep_w, form.probs)
+    s = ChannelSample(np.array([1.0, 0.3]), 2.0)
+    orbit, full = orbit_and_full_bits(_alphabet(tri), s.alpha, s.gamma)
+    assert orbit == full
+
+
+def test_mixed_lockstep_group_rows_match_alone():
+    cfg = EngineConfig(gh_order=16)
+    r24 = cs.build_named("r2_4")
+    sps = [cs.project(pc.apply(pc.rotation2(math.radians(d)), r24), 1) for d in (27.0, 45.0, 0.0, 31.0)]
+    sps += [
+        # equal shapes, unequal orbit counts: 4 representatives, then 2
+        cs.ProjectionSet(np.array([-1.2, -0.2, 0.4, 1.0]), np.full(4, 0.25), 1e-6),
+        cs.ProjectionSet(np.array([-1.0, -0.3, 0.3, 1.0]), np.array([0.3, 0.2, 0.2, 0.3]), 1e-6),
+        cs.project(pc.apply(pc.rotation2(math.radians(10.7)), cs.build_named("c2_16")), 1),
+    ]
+    assert len({len(_form(sp, cfg).reps) for sp in sps if sp.size == 4}) == 2
+    got = inv_mi_scalar_many(sps, 0.9, cfg)
+    assert np.isfinite(got).all()
+    assert got.tolist() == [inv_mi_scalar_many([sp], 0.9, cfg)[0] for sp in sps]

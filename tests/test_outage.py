@@ -212,6 +212,20 @@ def test_cache_validates_below_tolerance(q27, cfg):
     assert cache.validation_error_bits < 1e-3
 
 
+def test_cache_validation_samples_the_transition(q27, cfg):
+    # uniform in u, 2.2% of the points lay below 0.9 of the 1-bit cap and
+    # 92% within 1e-3 bits of it; uniform in log(1+u) the share is 19.2%
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import CACHE_SEED, CACHE_VALIDATE_POINTS, GAMMA_REF
+
+    cache = PolarMICache(q27.omega_x(), cfg)
+    gains = cache._validation_gains(CACHE_SEED)
+    assert gains.shape == (CACHE_VALIDATE_POINTS, 2)
+    assert gains.min() >= 0.0 and gains.max() <= 0.98 * cache.u_max
+    mi = mi_per_use_batch(q27.omega_x(), gains, GAMMA_REF, cache.cfg)
+    assert np.mean(mi < 0.9) > 0.15
+
+
 def test_cache_serves_multiple_snrs(q27, cfg):
     from outagelab.mutual_info import mi_per_use_batch
 
