@@ -117,39 +117,3 @@ def apply(p: Precoder, c: Constellation) -> Constellation:
         real_base=base,
     )
 
-
-def from_dict(d: dict) -> Precoder:
-    """Build a precoder from its JSON description (angles in degrees)."""
-    kind = d.get("kind")
-    B = int(d.get("B", 2))
-    if kind == "rotation2":
-        return rotation2(math.radians(float(d["theta_deg"])))
-    if kind == "rotation3":
-        return rotation3(
-            math.radians(float(d["theta_deg"])), lambda0_sign=int(d.get("lambda0_sign", 1))
-        )
-    if kind == "circulant":
-        phases = [math.radians(float(x)) for x in d.get("phases_deg", [])]
-        return circulant_from_phases(
-            B,
-            phases,
-            lambda0_sign=int(d.get("lambda0_sign", 1)),
-            lambda_half_sign=d.get("lambda_half_sign"),
-        )
-    raise ValueError(f"unknown precoder kind {kind!r}")
-
-
-def to_dict(p: Precoder) -> dict:
-    kind = p.params["kind"]
-    out = {"B": p.B, "kind": kind}
-    if kind == "rotation2":
-        out["theta_deg"] = math.degrees(p.params["theta"])
-    elif kind == "rotation3":
-        out["theta_deg"] = math.degrees(p.params["theta1"])
-        out["lambda0_sign"] = p.params["lambda0_sign"]
-    elif kind == "circulant":
-        out["phases_deg"] = [math.degrees(x) for x in p.params["phases"]]
-        out["lambda0_sign"] = p.params["lambda0_sign"]
-        if "lambda_half_sign" in p.params:
-            out["lambda_half_sign"] = p.params["lambda_half_sign"]
-    return out

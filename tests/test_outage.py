@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +275,90 @@ def test_cache_evaluates_margin_band_directly(q27, cfg):
         got = cache.mi(alphas, gamma, threshold=q27.R)
         direct = mi_per_use_batch(q27.omega_x(), alphas[band], gamma, cache.cfg)
         np.testing.assert_array_equal(got[band], direct)
+
+
+def keys_kernel(s):
+    """Keys' cubic convolution kernel with a = -1/2, as a function of tap distance."""
+    s = np.abs(s)
+    near = 1.5 * s**3 - 2.5 * s**2 + 1.0
+    far = -0.5 * s**3 + 2.5 * s**2 - 4.0 * s + 2.0
+    return np.where(s <= 1.0, near, np.where(s < 2.0, far, 0.0))
+
+
+def catmull_rom_oracle(values, h, v):
+    """Tap-by-tap tensor-product Catmull-Rom with edge-clamped taps; rows of v are points."""
+    n, B = values.shape[0], values.ndim
+    x = np.clip(v / h, 0.0, n - 1.0)
+    base = np.minimum(np.floor(x).astype(int), n - 2)
+    out = np.zeros(v.shape[0])
+    for offsets in itertools.product(range(-1, 3), repeat=B):
+        tap = base + np.array(offsets)
+        weight = np.prod(keys_kernel(x - tap), axis=1)
+        out += weight * values[tuple(np.clip(tap, 0, n - 1).T)]
+    return out
+
+
+def synthetic_cache(B, n, seed):
+    """A PolarMICache over a random cube of n points per axis, with no MI build."""
+    from outagelab.outage import _catmull_rom_table
+
+    cache = PolarMICache.__new__(PolarMICache)
+    cache.B = B
+    cache.axis = np.linspace(0.0, 2.5, n)
+    cache.values = np.random.default_rng(seed).uniform(-1.0, 1.0, (n,) * B)
+    cache._coef = _catmull_rom_table(cache.values)
+    return cache
+
+
+def interpolation_points(cache, rng, rows):
+    """Interior points, every grid node, points on the upper faces and beyond the cube."""
+    B, top = cache.B, cache.axis[-1]
+    interior = rng.uniform(0.0, top, (rows, B))
+    nodes = np.stack(np.meshgrid(*([cache.axis] * B), indexing="ij"), axis=-1).reshape(-1, B)
+    face = rng.uniform(0.0, top, (200, B))
+    face[np.arange(200), rng.integers(0, B, 200)] = top
+    beyond = rng.uniform(0.0, 2.0 * top, (200, B))
+    beyond[:, 0] = rng.uniform(top, 2.0 * top, 200)
+    return interior, nodes, face, beyond
+
+
+@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
+def test_cache_interpolation_matches_tap_oracle(B, n):
+    cache = synthetic_cache(B, n, seed=B)
+    h = cache.axis[1]
+    interior, nodes, face, beyond = interpolation_points(cache, np.random.default_rng(B), 5000)
+    for v in (interior, face, beyond):
+        np.testing.assert_allclose(cache._interp(v), catmull_rom_oracle(cache.values, h, v),
+                                   rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(cache._interp(nodes), cache.values.ravel(), rtol=0.0, atol=1e-12)
+
+
+def test_cache_interpolation_blocks(monkeypatch):
+    from outagelab import outage
+
+    # more rows than one block of _MEM_CAP gathered floats (31,250 rows at B=3)
+    cache = synthetic_cache(3, 6, seed=7)
+    v = np.random.default_rng(7).uniform(0.0, 1.1 * cache.axis[-1], (40_000, 3))
+    whole = cache._interp(v)
+    np.testing.assert_allclose(whole, catmull_rom_oracle(cache.values, cache.axis[1], v),
+                               rtol=0.0, atol=1e-12)
+    # ragged blocks of 7 rows give the same values
+    monkeypatch.setattr(outage, "_MEM_CAP", 7 * 4**3)
+    np.testing.assert_array_equal(cache._interp(v[:100]), whole[:100])
+
+
+# outage counts of r2_4 at 27 degrees, R = 0.9, seed 0, 100k samples, as the
+# tap-by-tap interpolation decided them: the table lookup must not flip one
+PINNED_MC_COUNTS = [(0.0, 93384), (10.0, 8591), (20.0, 103)]
+
+
+def test_mc_outage_counts_pinned(q27, cfg):
+    cache = PolarMICache(q27.omega_x(), cfg)
+    n = 100_000
+    for gdb, count in PINNED_MC_COUNTS:
+        q = replace(q27, gamma=10 ** (gdb / 10))
+        res = outage_mc(q, n, seed=0, cfg=cfg, cache=cache)
+        assert res.p_out == count / n
 
 
 def test_b3_outage_between_bounds(cfg, gamma_8db):

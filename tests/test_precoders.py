@@ -122,16 +122,3 @@ def test_apply_complex_acts_on_parts():
     assert out.real_base is not None
     assert np.allclose(out.real_base.points, c.real_base.points @ p.matrix.T)
 
-
-def test_dict_roundtrip():
-    for d in (
-        {"B": 2, "kind": "rotation2", "theta_deg": 27.0},
-        {"B": 3, "kind": "rotation3", "theta_deg": 40.0},
-        {"B": 5, "kind": "circulant", "phases_deg": [10.0, -60.0]},
-        {"B": 4, "kind": "circulant", "phases_deg": [33.0], "lambda_half_sign": -1},
-    ):
-        p = pc.from_dict(d)
-        q = pc.from_dict(pc.to_dict(p))
-        assert np.allclose(p.matrix, q.matrix, atol=1e-12)
-    with pytest.raises(ValueError):
-        pc.from_dict({"B": 2, "kind": "dft"})
