@@ -130,6 +130,10 @@ def resolve_rate(args, c) -> float:
 # Output writing
 # ---------------------------------------------------------------------------
 
+CURVE_COLUMNS = ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"]
+SWEEP_COLUMNS = ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"]
+
+
 def _config_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -267,13 +271,7 @@ def cmd_outage(args) -> int:
             "mc_samples": cfg.mc_samples,
             "R": R,
         }
-    write_table(
-        args.out,
-        ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"],
-        rows,
-        meta,
-        args.format,
-    )
+    write_table(args.out, CURVE_COLUMNS, rows, meta, args.format)
     return 0
 
 
@@ -324,13 +322,7 @@ def cmd_sweep(args) -> int:
         include_product_distance=args.product_distance,
     )
     meta = {"seed": args.seed, "engine": cfg.engine, "gh_order": cfg.gh_order, "R": R}
-    write_table(
-        args.out,
-        ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"],
-        _sweep_rows(profile),
-        meta,
-        args.format,
-    )
+    write_table(args.out, SWEEP_COLUMNS, _sweep_rows(profile), meta, args.format)
     return 0
 
 
@@ -348,13 +340,7 @@ def cmd_optimize(args) -> int:
         "gamma_s_opt_db": f"{linear_to_db(res.gamma_s_opt):.6f}",
         "interval_deg": f"{res.near_optimal_interval[0]:.6f}:{res.near_optimal_interval[1]:.6f}",
     }
-    write_table(
-        args.out,
-        ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"],
-        _sweep_rows(res.profile),
-        meta,
-        args.format,
-    )
+    write_table(args.out, SWEEP_COLUMNS, _sweep_rows(res.profile), meta, args.format)
     print(
         f"theta_opt_deg={math.degrees(res.theta_opt):.4f} "
         f"gamma_s_db={linear_to_db(res.gamma_s_opt):.4f} "
@@ -393,143 +379,112 @@ def cmd_expand(args) -> int:
 # Canned study recipes
 # ---------------------------------------------------------------------------
 
-def _out_path(outdir, stem, fmt):
-    return os.path.join(outdir, f"{stem}.{fmt}")
+OPT = "opt"  # a step angle: the target's memoised optimum
+GAMMAS_DB = list(np.arange(0.0, 20.5, 2.0))
 
-
-def _write_sweep(outdir, fmt, tag, name, R, order, seed, profile):
-    write_table(
-        _out_path(outdir, f"{tag}_sweep_{name}", fmt),
-        ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"],
-        _sweep_rows(profile),
-        {"recipe": tag, "constellation": name, "R": R, "seed": seed, "gh_order": order},
-        fmt,
-    )
-
-
-def _recipe_sweeps(outdir, fmt, cfg, tag, names_rates, B, dpmin_for=()):
-    for entry in names_rates:
-        name, R = entry[0], entry[1]
-        step_deg, order = (entry[2], entry[3]) if len(entry) > 2 else (0.5, cfg.gh_order)
-        c = constellations.build_named(name)
-        run_cfg = dataclasses.replace(cfg, gh_order=order)
-        profile = sweep(
-            c, B, R, grid=default_grid(B, step_deg), cfg=run_cfg,
-            include_product_distance=name in dpmin_for,
-        )
-        _write_sweep(outdir, fmt, tag, name, R, order, cfg.seed, profile)
-
-
-def _recipe_outage_curves(outdir, fmt, cfg, tag, entries, gammas_db, angles=257):
-    for name, theta_deg, R in entries:
-        c = constellations.build_named(name)
-        p = make_precoder(c.B, math.radians(theta_deg))
-        method = "boundary" if c.B == 2 else "mc"
-        rows = _outage_curve(c, p, R, gammas_db, method, cfg, angles, 200_000, cfg.seed)
-        write_table(
-            _out_path(outdir, f"{tag}_outage_{name}_t{theta_deg:g}", fmt),
-            ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"],
-            rows,
-            {"recipe": tag, "constellation": name, "theta_deg": theta_deg, "R": R, "seed": cfg.seed},
-            fmt,
-        )
-
-
-def _recipe_bounds_curve(outdir, fmt, cfg, tag, name, theta_deg, R, gammas_db):
-    c = constellations.build_named(name)
-    omega_x = precoders.apply(make_precoder(c.B, math.radians(theta_deg)), c)
-    # the ergodic SNR does not depend on the angle: it is solved on the
-    # unprecoded set at quadrature order <= 12, which keeps r3_64 to seconds
-    geom = OutageGeometry(
-        c.B, R, inv_mi_scalar(project(omega_x, 1), c.B * R, cfg),
-        ergodic_snr(c, c.B, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12))),
-    )
-    rows = [[gdb, "", "", "", *geom.bounds(db_to_linear(gdb)), "bounds_only", cfg.seed]
-            for gdb in gammas_db]
-    write_table(
-        _out_path(outdir, f"{tag}_bounds_{name}_t{theta_deg:g}", fmt),
-        ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"],
-        rows,
-        {"recipe": tag, "constellation": name, "theta_deg": theta_deg, "R": R, "seed": cfg.seed},
-        fmt,
-    )
-
-
-def _gaussian_curve(outdir, fmt, tag, B, R, gammas_db, angles=257):
-    write_table(
-        _out_path(outdir, f"{tag}_outage_gaussian", fmt),
-        ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"],
-        _curve_rows(OutageGeometry.gaussian(B, R, angles), gammas_db, 0),
-        {"recipe": tag, "input": "gaussian", "R": R},
-        fmt,
-    )
+# Each target runs its steps (kind, constellation, R, theta_deg | OPT, options)
+# in order, each writing `{target}_{stem}.{format}`.  Kinds: `sweep` of gamma_s
+# (options step_deg, gh_order, dpmin); `boundary` at gamma_db on --angles rays;
+# `curve` over gammas_db (default GAMMAS_DB) on 257 boundary rays for B=2, else
+# 200k Monte Carlo samples; `bounds` only, with the angle-free ergodic SNR solved
+# on the unprecoded set at gh_order <= 12 (keeps r3_64 to seconds); `gaussian`,
+# the B=2 Gaussian-input curve.  An OPT angle is round(degrees(theta_opt), 2) of
+# `optimize` at the step's step_deg and gh_order, run once per target; a sweep
+# at OPT writes that optimiser's coarse profile.
+RECIPES = {
+    "fig4": [
+        ("sweep", "r2_4", 0.9, None, {}),
+        ("sweep", "r2_8", 0.9, None, {"dpmin": True}),
+        ("sweep", "r2_16", 0.9, None, {}),
+    ],
+    "fig5": [("boundary", "r2_4", 0.9, theta, {"gamma_db": 8.0}) for theta in (0.0, 10.0, 27.0)],
+    "fig6": [
+        ("curve", "r2_4", 0.9, 0.0, {}),
+        ("curve", "r2_4", 0.9, 27.0, {}),
+        ("curve", "r2_8", 0.9, 0.0, {}),
+        ("curve", "r2_8", 0.9, OPT, {}),
+        ("curve", "r2_16", 0.9, 0.0, {}),
+        ("curve", "r2_16", 0.9, OPT, {}),
+        ("gaussian", None, 0.9, None, {}),
+    ],
+    "fig7": [
+        ("sweep", "c2_16", 1.8, None, {}),
+        ("sweep", "c2_64", 1.8, None, {"step_deg": 1.0, "gh_order": 16}),
+    ],
+    "fig8": [
+        ("curve", "c2_16", 1.8, 0.0, {}),
+        ("curve", "c2_16", 1.8, OPT, {}),
+        ("bounds", "c2_64", 1.8, OPT, {"step_deg": 1.0, "gh_order": 16}),
+    ],
+    "fig9": [
+        ("sweep", "r3_8", 0.9, OPT, {}),
+        ("sweep", "r3_16", 0.9, OPT, {}),
+        ("sweep", "r3_64", 0.9, OPT, {}),
+        ("curve", "r3_8", 0.9, 0.0, {"gammas_db": list(np.arange(0.0, 20.5, 4.0))}),
+        ("curve", "r3_8", 0.9, OPT, {"gammas_db": list(np.arange(0.0, 20.5, 4.0))}),
+        ("bounds", "r3_16", 0.9, OPT, {}),
+        ("bounds", "r3_64", 0.9, OPT, {}),
+    ],
+}
 
 
 def cmd_reproduce(args) -> int:
     cfg = engine_from_args(args)
     outdir = args.out or "results"
     os.makedirs(outdir, exist_ok=True)
-    fmt = args.format
-    target = args.target
-    gammas_db = list(np.arange(0.0, 20.5, 2.0))
-    if target == "fig4":
-        _recipe_sweeps(outdir, fmt, cfg, "fig4",
-                       [("r2_4", 0.9), ("r2_8", 0.9), ("r2_16", 0.9)], 2,
-                       dpmin_for=("r2_8",))
-    elif target == "fig5":
-        for theta in (0.0, 10.0, 27.0):
-            c = constellations.build_named("r2_4")
-            q = OutageQuery(c, precoders.rotation2(math.radians(theta)), R=0.9, gamma=db_to_linear(8.0))
-            write_table(
-                _out_path(outdir, f"fig5_boundary_r2_4_t{theta:g}", fmt),
-                ["lambda_rad", "rho", "saturated"],
-                _trace_rows(trace_boundary_2d(q, args.angles, cfg)),
-                {"recipe": "fig5", "theta_deg": theta, "R": 0.9, "gamma_db": 8.0, "seed": cfg.seed},
-                fmt,
+    tag, seed = args.target, cfg.seed
+    optima = {}
+
+    def write(stem, columns, rows, meta):
+        path = os.path.join(outdir, f"{tag}_{stem}.{args.format}")
+        write_table(path, columns, rows, {"recipe": tag, **meta}, args.format)
+
+    for kind, name, R, theta, opts in RECIPES[tag]:
+        gammas_db = opts.get("gammas_db", GAMMAS_DB)
+        if kind == "gaussian":
+            rows = _curve_rows(OutageGeometry.gaussian(2, R, 257), gammas_db, 0)
+            write("outage_gaussian", CURVE_COLUMNS, rows, {"input": "gaussian", "R": R})
+            continue
+        c = constellations.build_named(name)
+        step_deg, order = opts.get("step_deg", 0.5), opts.get("gh_order", cfg.gh_order)
+        run_cfg = dataclasses.replace(cfg, gh_order=order)
+        opt = None
+        if theta == OPT:
+            key = (name, R, step_deg, order)
+            if key not in optima:
+                optima[key] = optimize(c, c.B, R, run_cfg, coarse_step_deg=step_deg)
+            opt = optima[key]
+            theta = round(math.degrees(opt.theta_opt), 2)
+        if kind == "sweep":
+            profile = opt.profile if opt else sweep(
+                c, c.B, R, grid=default_grid(c.B, step_deg), cfg=run_cfg,
+                include_product_distance=opts.get("dpmin", False),
             )
-    elif target == "fig6":
-        opt8 = optimize(constellations.build_named("r2_8"), 2, 0.9, cfg)
-        opt16 = optimize(constellations.build_named("r2_16"), 2, 0.9, cfg)
-        entries = [
-            ("r2_4", 0.0, 0.9),
-            ("r2_4", 27.0, 0.9),
-            ("r2_8", 0.0, 0.9),
-            ("r2_8", round(math.degrees(opt8.theta_opt), 2), 0.9),
-            ("r2_16", 0.0, 0.9),
-            ("r2_16", round(math.degrees(opt16.theta_opt), 2), 0.9),
-        ]
-        _recipe_outage_curves(outdir, fmt, cfg, "fig6", entries, gammas_db)
-        _gaussian_curve(outdir, fmt, "fig6", 2, 0.9, gammas_db)
-    elif target == "fig7":
-        _recipe_sweeps(outdir, fmt, cfg, "fig7",
-                       [("c2_16", 1.8), ("c2_64", 1.8, 1.0, 16)], 2)
-    elif target == "fig8":
-        opt = optimize(constellations.build_named("c2_16"), 2, 1.8, cfg)
-        entries = [("c2_16", 0.0, 1.8), ("c2_16", round(math.degrees(opt.theta_opt), 2), 1.8)]
-        _recipe_outage_curves(outdir, fmt, cfg, "fig8", entries, gammas_db)
-        opt64 = optimize(
-            constellations.build_named("c2_64"), 2, 1.8,
-            dataclasses.replace(cfg, gh_order=16), coarse_step_deg=1.0,
-        )
-        _recipe_bounds_curve(outdir, fmt, cfg, "fig8", "c2_64",
-                             round(math.degrees(opt64.theta_opt), 2), 1.8, gammas_db)
-    elif target == "fig9":
-        # the optimizer's coarse profile is the 0.5-degree sweep table
-        theta = {}
-        for name in ("r3_8", "r3_16", "r3_64"):
-            opt = optimize(constellations.build_named(name), 3, 0.9, cfg)
-            _write_sweep(outdir, fmt, "fig9", name, 0.9, cfg.gh_order, cfg.seed, opt.profile)
-            theta[name] = round(math.degrees(opt.theta_opt), 2)
-        _recipe_outage_curves(
-            outdir, fmt, cfg, "fig9",
-            [("r3_8", 0.0, 0.9), ("r3_8", theta["r3_8"], 0.9)],
-            list(np.arange(0.0, 20.5, 4.0)),
-        )
-        for name in ("r3_16", "r3_64"):
-            _recipe_bounds_curve(outdir, fmt, cfg, "fig9", name, theta[name], 0.9, gammas_db)
-    else:
-        raise ConfigError(f"unknown reproduce target {target!r}")
-    print(f"wrote {target} data to {outdir}/")
+            write(f"sweep_{name}", SWEEP_COLUMNS, _sweep_rows(profile),
+                  {"constellation": name, "R": R, "seed": seed, "gh_order": order})
+            continue
+        p = make_precoder(c.B, math.radians(theta))
+        if kind == "boundary":
+            q = OutageQuery(c, p, R=R, gamma=db_to_linear(opts["gamma_db"]))
+            write(f"boundary_{name}_t{theta:g}", ["lambda_rad", "rho", "saturated"],
+                  _trace_rows(trace_boundary_2d(q, args.angles, cfg)),
+                  {"theta_deg": theta, "R": R, "gamma_db": opts["gamma_db"], "seed": seed})
+            continue
+        if kind == "curve":
+            stem = "outage"
+            method = "boundary" if c.B == 2 else "mc"
+            rows = _outage_curve(c, p, R, gammas_db, method, cfg, 257, 200_000, seed)
+        else:  # bounds
+            stem = "bounds"
+            geom = OutageGeometry(
+                c.B, R, inv_mi_scalar(project(precoders.apply(p, c), 1), c.B * R, cfg),
+                ergodic_snr(c, c.B, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12))),
+            )
+            rows = [[gdb, "", "", "", *geom.bounds(db_to_linear(gdb)), "bounds_only", seed]
+                    for gdb in gammas_db]
+        write(f"{stem}_{name}_t{theta:g}", CURVE_COLUMNS, rows,
+              {"constellation": name, "theta_deg": theta, "R": R, "seed": seed})
+    print(f"wrote {tag} data to {outdir}/")
     return 0
 
 
@@ -601,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("reproduce", help="run a canned study configuration")
-    p.add_argument("target", choices=("fig4", "fig5", "fig6", "fig7", "fig8", "fig9"))
+    p.add_argument("target", choices=sorted(RECIPES))
     _add_common(p)
     p.set_defaults(func=cmd_reproduce)
 

@@ -13,10 +13,10 @@ goes through one evaluator, `_evaluate`.  A complex input carrying a
 and imaginary parts) is reduced exactly to twice its real base at half the
 SNR.  The noise expectation is then a tensor-product Gauss-Hermite rule,
 or seeded Monte Carlo (a fresh generator per fading row, so rows share
-common random numbers) whenever |alphabet|^2 * order^dims would exceed the
-configured operation budget (a fallback logged at INFO on the
-"outagelab" logger).  The result is clipped to [0, H(X)].  Everything is
-computed in nats internally and reported in bits.
+common random numbers) whenever its work, orbit representatives (below) *
+|alphabet| * order^dims, would exceed the configured operation budget (a
+fallback logged at INFO on the "outagelab" logger).  The result is clipped
+to [0, H(X)].  Everything is computed in nats internally and reported in bits.
 
 The quadrature sums the transmitted point only over symmetry-orbit
 representatives, each weighted by its orbit's probability; the sum over
@@ -315,16 +315,16 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
     if stacked:
         alphas = np.hstack([alphas, alphas])
     M, D = pts.shape[-2:]
-    ops = M * M * cfg.gh_order**D
+    ops = reps.shape[-2] * M * cfg.gh_order**D
     if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
         nats = _quad_nats_many(pts, probs, reps, rep_w, alphas, gamma, cfg.gh_order)
         se = np.zeros_like(nats)
         method, count = "quadrature", cfg.gh_order**D
     else:
         if cfg.engine == "quadrature":
-            _log.info("quadrature on a %d-point alphabet in %d dimensions needs %d operations, "
-                      "above budget_ops=%d: Monte Carlo with %d samples instead",
-                      M, D, ops, cfg.budget_ops, cfg.mc_samples)
+            _log.info("quadrature on a %d-point alphabet with %d orbit representatives in %d "
+                      "dimensions needs %d operations, above budget_ops=%d: Monte Carlo with "
+                      "%d samples instead", M, reps.shape[-2], D, ops, cfg.budget_ops, cfg.mc_samples)
         rows = (zip(pts, probs, alphas, gamma) if per_row
                 else ((pts, probs, a, gamma) for a in alphas))
         nats, se = np.array([

@@ -21,7 +21,6 @@ from . import precoders
 from .constellations import Constellation, group_points, project
 from .mutual_info import (
     DEFAULT_CONFIG,
-    _MEM_CAP,
     EngineConfig,
     SaturationError,
     gaussian_floor,
@@ -41,6 +40,9 @@ CACHE_AXIS_POINTS = 33  # per axis; refined once to 65
 CACHE_TOL_BITS = 1e-3  # validated error, and the band around R evaluated directly
 CACHE_VALIDATE_POINTS = 1000
 CACHE_SEED = 0
+# gathered floats per lookup block (2 MB); depending on heap layout, a single
+# 100k-point block could hand ~20 MB back to the kernel per call and refault it
+_LOOKUP_CAP = 262_144
 # Catmull-Rom (Keys, a = -1/2): row k holds the t^k coefficient of the
 # weights of the taps at offsets -1, 0, 1, 2
 _CATMULL_ROM = np.array([
@@ -59,15 +61,12 @@ class OutageQuery:
     precoder: Precoder
     R: float
     gamma: float
-    fading: str = "rayleigh_unit"
 
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError("R must be positive")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.fading != "rayleigh_unit":
-            raise ValueError(f"unsupported fading law {self.fading!r}")
         if self.precoder.B != self.omega_z.B:
             raise ValueError("precoder and constellation dimensions differ")
 
@@ -186,33 +185,14 @@ def _ray_cap_bits(points: np.ndarray, direction: np.ndarray, M: int) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _vector_bisect_rays(mi_batch, dirs, R, rel_tol=1e-4, max_doublings=60):
-    """Per-ray radius where MI crosses R, bisected simultaneously for all rays."""
-    n = dirs.shape[0]
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    for _ in range(max_doublings):
-        vals = mi_batch(dirs * hi[:, None])
-        low = vals < R
-        if not low.any():
-            break
-        lo[low] = hi[low]
-        hi[low] *= 2.0
-    else:
-        raise RuntimeError("ray bracketing failed despite a cap above R")
-    while np.max((hi - lo) / hi) > rel_tol:
-        mid = 0.5 * (lo + hi)
-        vals = mi_batch(dirs * mid[:, None])
-        below = vals < R
-        lo[below] = mid[below]
-        hi[~below] = mid[~below]
-    return 0.5 * (lo + hi)
-
-
 def trace_boundary_2d(
     q: OutageQuery, n_angles: int = 513, cfg: EngineConfig = DEFAULT_CONFIG
 ) -> BoundaryTrace:
-    """Outage boundary rho(lambda) for B=2 on a uniform grid over [0, pi/2]."""
+    """Outage boundary rho(lambda) for B=2 on a uniform grid over [0, pi/2].
+
+    Rays whose MI cap exceeds R are solved in lock-step (doubling from 1,
+    bisection to 1e-4 relative); the others, and unbracketed rays, saturate.
+    """
     omega_x = q.omega_x()
     if omega_x.B != 2:
         raise ValueError("boundary tracing is defined for B = 2")
@@ -221,13 +201,17 @@ def trace_boundary_2d(
     caps = np.array(
         [_ray_cap_bits(omega_x.points, d, omega_x.M) / omega_x.B for d in dirs]
     )
-    saturated = caps <= q.R + 1e-12
     rhos = np.full(n_angles, math.inf)
-    active = ~saturated
-    if active.any():
-        mi_batch = lambda alphas: mi_per_use_batch(omega_x, alphas, q.gamma, cfg)
-        rhos[active] = _vector_bisect_rays(mi_batch, dirs[active], q.R)
-    return BoundaryTrace(lambdas, rhos, saturated, q.R, q.gamma)
+    active = np.flatnonzero(caps > q.R + 1e-12)
+    if active.size:
+        def f(r):  # MI along the live rays at radii r (nan in finished rays)
+            live = np.flatnonzero(~np.isnan(r))
+            vals = np.full(r.shape, np.nan)
+            vals[live] = mi_per_use_batch(omega_x, dirs[active[live]] * r[live, None], q.gamma, cfg)
+            return vals
+
+        rhos[active] = solve_increasing(f, np.full(active.size, q.R), x_start=1.0, rel_tol=1e-4)
+    return BoundaryTrace(lambdas, rhos, ~np.isfinite(rhos), q.R, q.gamma)
 
 
 def gaussian_boundary_2d(R: float, gamma: float, n_angles: int = 513) -> BoundaryTrace:
@@ -404,7 +388,7 @@ class PolarMICache:
     Catmull-Rom (Keys, a = -1/2), tabulated once per cube: `_coef` holds the
     4^B power-basis coefficients of every cell's patch in one row, so a
     lookup gathers one row per point and runs Horner's rule, in blocks of at
-    most _MEM_CAP (2M) gathered floats.  The table takes 8*(4*(n-1))^B
+    most _LOOKUP_CAP gathered floats.  The table takes 8*(4*(n-1))^B
     bytes: 131 KB for B=2 at 33 points and 524 KB at 65; 16.8 MB for B=3 at
     33 points (a 65-point B=3 cube would take 134 MB).
 
@@ -479,7 +463,7 @@ class PolarMICache:
         t = np.clip(x - idx, 0.0, 1.0)
         cell = np.ravel_multi_index(tuple(idx), (n - 1,) * B)
         out = np.empty(v.shape[0])
-        step = max(1, _MEM_CAP // 4**B)
+        step = max(1, _LOOKUP_CAP // 4**B)
         for lo in range(0, v.shape[0], step):
             hi = min(lo + step, v.shape[0])
             c = np.take(self._coef, cell[lo:hi], axis=0).reshape((hi - lo,) + (4,) * B)

@@ -181,10 +181,22 @@ def test_reproduce_fig4_and_fig5(tmp_path):
         "fig4_sweep_r2_16.csv", "fig4_sweep_r2_4.csv", "fig4_sweep_r2_8.csv"
     ]
     meta, header, rows = read_csv(out / "fig4_sweep_r2_8.csv")
-    assert header[2] == "gamma_floor_db"
+    # byte identity of the recipe outputs rests on the header key order
+    assert list(meta)[2:] == ["recipe", "constellation", "R", "seed", "gh_order"]
+    assert [meta[k] for k in list(meta)[2:]] == ["fig4", "r2_8", "0.9", "0", "32"]
+    assert header == cli.SWEEP_COLUMNS
     assert any(r[3] != "" for r in rows)  # d_pmin column filled for r2_8
     assert cli.main(["reproduce", "fig5", "--out", str(out), "--angles", "65"]) == 0
-    assert (out / "fig5_boundary_r2_4_t27.csv").exists()
+    assert sorted(f for f in os.listdir(out) if f.startswith("fig5")) == [
+        "fig5_boundary_r2_4_t0.csv", "fig5_boundary_r2_4_t10.csv", "fig5_boundary_r2_4_t27.csv"
+    ]
+    meta, header, rows = read_csv(out / "fig5_boundary_r2_4_t27.csv")
+    assert list(meta)[2:] == ["recipe", "theta_deg", "R", "gamma_db", "seed"]
+    assert [meta[k] for k in list(meta)[2:]] == ["fig5", "27.0", "0.9", "8.0", "0"]
+    assert header == ["lambda_rad", "rho", "saturated"] and len(rows) == 65
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    target = next(a for a in sub.choices["reproduce"]._actions if a.dest == "target")
+    assert list(target.choices) == sorted(cli.RECIPES)
 
 
 def test_parse_range_errors():

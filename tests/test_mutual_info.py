@@ -266,6 +266,14 @@ def test_budget_triggers_mc_fallback(square27, gamma_8db):
     assert est.std_error > 0
 
 
+def test_budget_counts_orbit_representatives(gamma_8db):
+    # the r2_4 kernel sums 2 negation representatives against 4 points:
+    # 2 * 4 * 32^2 = 8,192 operations fit a 10,000 budget (4^2 * 32^2 would not)
+    s = ChannelSample(np.array([1.0, 0.7]), gamma_8db)
+    assert mi_discrete(cs.build_named("r2_4"), s, EngineConfig(budget_ops=10_000)).method == "quadrature"
+    assert mi_discrete(cs.build_named("r2_4"), s, EngineConfig(budget_ops=8_191)).method == "monte_carlo"
+
+
 def test_mi_per_use_batch_consistent(cfg, square27, gamma_8db):
     alphas = np.array([[1.0, 1.0], [0.3, 1.2], [0.0, 0.0]])
     batch = mi_per_use_batch(square27, alphas, gamma_8db, cfg)
@@ -328,7 +336,7 @@ def test_projection_chain_rule_equals_direct_stack():
 
 
 def test_mc_fallback_is_logged_once(caplog):
-    c64 = cs.build_named("c2_64")  # 64^2 * 32^4 operations exceed the default budget
+    c64 = cs.build_named("c2_64")  # 16 * 64 * 32^4 operations exceed the default budget
     s = ChannelSample(np.array([1.0, 0.8]), 4.0)
     with caplog.at_level(logging.INFO, logger="outagelab"):
         est = mi_discrete(c64, s, EngineConfig(mc_samples=2000))

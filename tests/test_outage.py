@@ -139,6 +139,26 @@ def test_trace_theta0_has_saturated_axes(cfg, gamma_8db):
     assert math.isinf(tr.rhos[0])
 
 
+def test_trace_ray_without_bracket_is_saturated(cfg, gamma_8db, monkeypatch):
+    # the lambda = 0 ray of the unrotated square merges its points pairwise,
+    # so its MI stays at 0.5 bits per use; a cap reported above R sends it
+    # to the solver, which finds no bracket and must leave it in outage
+    from outagelab import outage
+
+    def cap_bits(points, direction, M):
+        return 2.0 if direction.min() == 0.0 else _ray_cap_bits(points, direction, M)
+
+    q0 = OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.0), R=0.9, gamma=gamma_8db)
+    plain = trace_boundary_2d(q0, 65, cfg)
+    monkeypatch.setattr(outage, "_ray_cap_bits", cap_bits)
+    tr = trace_boundary_2d(q0, 65, cfg)
+    assert math.isinf(tr.rhos[0]) and tr.saturated[0]
+    # every other ray solves exactly as it does without the failing one
+    assert np.array_equal(tr.rhos[1:], plain.rhos[1:])
+    assert np.array_equal(tr.saturated[1:], plain.saturated[1:])
+    assert math.isfinite(outage_from_boundary_2d(tr).p_out)
+
+
 def test_outage_from_boundary_degenerate_traces():
     n = 129
     lam = np.linspace(0, math.pi / 2, n)
@@ -336,14 +356,14 @@ def test_cache_interpolation_matches_tap_oracle(B, n):
 def test_cache_interpolation_blocks(monkeypatch):
     from outagelab import outage
 
-    # more rows than one block of _MEM_CAP gathered floats (31,250 rows at B=3)
+    # more rows than one block of _LOOKUP_CAP gathered floats (4,096 rows at B=3)
     cache = synthetic_cache(3, 6, seed=7)
     v = np.random.default_rng(7).uniform(0.0, 1.1 * cache.axis[-1], (40_000, 3))
     whole = cache._interp(v)
     np.testing.assert_allclose(whole, catmull_rom_oracle(cache.values, cache.axis[1], v),
                                rtol=0.0, atol=1e-12)
     # ragged blocks of 7 rows give the same values
-    monkeypatch.setattr(outage, "_MEM_CAP", 7 * 4**3)
+    monkeypatch.setattr(outage, "_LOOKUP_CAP", 7 * 4**3)
     np.testing.assert_array_equal(cache._interp(v[:100]), whole[:100])
 
 
@@ -403,10 +423,6 @@ def test_query_validation(gamma_8db):
         OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.1), R=0.9, gamma=0.0)
     with pytest.raises(ValueError):
         OutageQuery(cs.build_named("r3_8"), pc.rotation2(0.1), R=0.9, gamma=gamma_8db)
-    with pytest.raises(ValueError):
-        OutageQuery(
-            cs.build_named("r2_4"), pc.rotation2(0.1), R=0.9, gamma=gamma_8db, fading="rician"
-        )
 
 
 def db(x):
