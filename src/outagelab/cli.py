@@ -13,6 +13,7 @@ projection saturation (diversity loss).
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -514,7 +515,9 @@ def _add_common(p):
     p.add_argument("--angles", type=int, default=513, help="boundary trace resolution")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once: parsing keeps no state in it, so calls share it."""
     ap = argparse.ArgumentParser(prog="outagelab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -188,7 +188,10 @@ def group_points(points: np.ndarray, tol: float):
     one group.  For point sets whose near-duplicates differ by rounding
     noise and whose distinct points lie farther than tol apart, this is the
     pairwise rule |a - b| <= tol.  Returns the index of each group's first
-    row and the group sizes, both in order of first appearance.
+    row and the group sizes, both in order of first appearance.  A row's
+    group key is one integer, its cluster labels in mixed radix, so the
+    product of the per-column cluster counts must stay below 2^63 (every
+    registry set is far below; numpy raises ValueError otherwise).
     """
     x = np.asarray(points).reshape(len(points), -1)
     if np.iscomplexobj(x):
@@ -198,7 +201,8 @@ def group_points(points: np.ndarray, tol: float):
     labels = np.empty(x.shape, dtype=np.intp)
     np.put_along_axis(labels, order, np.vstack([np.zeros((1, x.shape[1]), np.intp),
                                                 np.cumsum(gaps, axis=0)]), axis=0)
-    _, first, counts = np.unique(labels, axis=0, return_index=True, return_counts=True)
+    key = np.ravel_multi_index(labels.T, labels.max(axis=0) + 1)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
     by_first = np.argsort(first)
     return first[by_first], counts[by_first]
 

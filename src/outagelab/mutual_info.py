@@ -36,6 +36,13 @@ fallback still draws from every point.
 Inverse scalar solves of many projections (`inv_mi_scalar_many`, behind
 every angle sweep) bisect in lock-step: each bisection step is one kernel
 call over a stack of equal-size alphabets, one alphabet and SNR per row.
+No input of variance P carries more than the Gaussian one, at most
+(D/2)*log2(1 + 2*snr*P/D) bits with D = 1 for a real projection and 2 for
+a complex one.  So a projection's MI is below the target T at any SNR
+below the Gaussian one, D*(2^(2T/D) - 1)/(2P), and each solve's bracket
+starts from half of it (the 1/2 is a margin for quadrature and Monte Carlo
+error); the doubling steps it skips would only have found values below T,
+so every root is the same float as when doubling from the solver's start.
 """
 
 import logging
@@ -441,6 +448,17 @@ def inv_mi_scalar(sp: ProjectionSet, target_bits: float, cfg: EngineConfig = DEF
     return snr
 
 
+def _gaussian_snr(sp: ProjectionSet, bits: float) -> float:
+    """Scalar SNR at which a Gaussian input of the projection's variance carries `bits`.
+
+    No input of that variance carries more, so the projection's own MI
+    stays below `bits` at every smaller SNR.
+    """
+    v, p = sp.values, sp.probs
+    power = float(p @ np.abs(v - p @ v) ** 2)
+    return gaussian_floor(1, bits, "complex" if sp.is_complex else "real") / power
+
+
 def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """`inv_mi_scalar` of every projection in `sps`; inf where it saturates.
 
@@ -449,13 +467,19 @@ def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONF
     lock-step, one solve and one kernel call per bisection step for each
     group of equal-size alphabets with as many orbit representatives, under
     the same chain-rule scale; every row bisects exactly as it would alone.
+    Each row's bracket starts at half its Gaussian SNR (`_gaussian_snr`),
+    below which its MI is provably under the target: the 1/2 is a margin
+    for quadrature and Monte Carlo error, and the roots are the ones that
+    doubling from `x_start` would find.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
     out = np.full(len(sps), math.inf)
+    below = np.zeros(len(sps))
     groups = {}
     for k, sp in enumerate(sps):
         if target_bits < sp.entropy_bits() - 1e-9:
+            below[k] = 0.5 * _gaussian_snr(sp, target_bits)
             form = _form(sp, cfg)
             groups.setdefault((form.points.shape, len(form.reps), form.chain), []).append((k, form))
     for members in groups.values():
@@ -471,7 +495,7 @@ def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONF
             return bits
 
         out[rows] = solve_increasing(f, np.full(len(rows), float(target_bits)),
-                                     x_start=1e-4, rel_tol=1e-6)
+                                     x_start=1e-4, rel_tol=1e-6, x_below=below[rows])
     return out
 
 

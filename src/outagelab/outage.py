@@ -409,6 +409,7 @@ class PolarMICache:
         self.u_max, order = CACHE_SHAPE[self.B]
         self.cfg = replace(cfg, gh_order=min(cfg.gh_order, order))
         self._sizes = [CACHE_AXIS_POINTS] * self.B
+        self._draws = None  # (seed, n, gains) of the last `rayleigh` call
         self._build()
         err = self._validate(CACHE_SEED)
         if err > CACHE_TOL_BITS:
@@ -428,6 +429,19 @@ class PolarMICache:
         vals = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
         self.values = vals.reshape(self._sizes)
         self._coef = _catmull_rom_table(self.values)
+
+    def rayleigh(self, seed: int, n: int) -> np.ndarray:
+        """`sample_rayleigh(np.random.default_rng(seed), n, B)`, read-only.
+
+        An outage curve shares one cache between its SNR points, which all
+        take the same draws (common random numbers), so the last draws are
+        kept here and drawn once per curve; they go when the cache does.
+        """
+        if self._draws is None or self._draws[:2] != (seed, n):
+            gains = sample_rayleigh(np.random.default_rng(seed), n, self.B)
+            gains.setflags(write=False)
+            self._draws = (seed, n, gains)
+        return self._draws[2]
 
     def mi(self, alphas: np.ndarray, gamma: float, threshold: "float | None" = None) -> np.ndarray:
         """Per-use MI at each fading point (rows of `alphas`) at SNR gamma.
@@ -498,8 +512,9 @@ def outage_mc(
     Draws n i.i.d. unit-Rayleigh fading vectors and counts per-use MI
     below R.  For B in {2, 3} the MI comes from the scaled-gain cache
     (built here unless `cache` is given), which evaluates directly every
-    sample it cannot place on the right side of R; other dimensions
-    evaluate every sample directly (slow for large n).
+    sample it cannot place on the right side of R, and keeps the draws for
+    the next call with the same seed and n; other dimensions evaluate every
+    sample directly (slow for large n).
     """
     if n < 1000:
         raise ValueError("outage_mc needs n >= 1000")
@@ -508,13 +523,12 @@ def outage_mc(
     if q.R >= omega_x.m / B - 1e-12:
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
         return OutageResult(1.0, (1.0, 1.0), "mc", n, seed=seed)
-    rng = np.random.default_rng(seed)
-    alphas = sample_rayleigh(rng, n, B)
     if B in (2, 3):
         if cache is None:
             cache = PolarMICache(omega_x, cfg)
-        mi = cache.mi(alphas, q.gamma, threshold=q.R)
+        mi = cache.mi(cache.rayleigh(seed, n), q.gamma, threshold=q.R)
     else:
+        alphas = sample_rayleigh(np.random.default_rng(seed), n, B)
         mi = mi_per_use_batch(omega_x, alphas, q.gamma, cfg)
     k = int(np.count_nonzero(mi < q.R))
     return OutageResult(p_out=k / n, ci95=wilson_ci(k, n), method="mc", samples=n, seed=seed)

@@ -8,7 +8,7 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80):
+def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_below=0.0):
     """Solve f(x) = target for a nondecreasing f on [0, inf), row by row.
 
     Each row brackets its root by doubling from `x_start`, then bisects
@@ -16,6 +16,15 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80):
     edge, and stops on its own; a row still below its target after
     `max_doublings` doublings is saturated and solves to inf.  Assumes
     f(0) <= target; no derivative needed.
+
+    `x_below` (per row, or one value) is a point known to lie below the
+    row's root, f(x_below) < target.  A row then starts where doubling
+    would have arrived without evaluating f: after its k doubling points
+    x_start*2^j (j >= 0) at or below x_below (k capped at max_doublings),
+    with lo = x_start*2^(k-1) (0 when k = 0) and hi = x_start*2^k.  These
+    are the exact powers of two the doubling loop reaches, so every later
+    midpoint and every root is the same float as without the bound; only
+    the f calls at points already known to be below the target are saved.
 
     A scalar `target` is the one-row case: f takes and returns floats and
     the result is a float.  An array `target` solves every row in
@@ -30,9 +39,12 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80):
         def f(x):
             return np.array([f_scalar(float(x[0]))])
 
-    lo = np.zeros(target.shape)
-    hi = np.full(target.shape, float(x_start))
-    doublings = np.zeros(target.shape, dtype=int)
+    x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
+    k = np.frexp(np.fmax(x_below / x_start, 0.0))[1]  # 2^(k-1) <= ratio < 2^k
+    k -= (k > 0) & (np.ldexp(x_start, k - 1) > x_below)  # division rounding
+    doublings = k.clip(0, max_doublings)
+    hi = np.ldexp(float(x_start), doublings)
+    lo = np.where(doublings > 0, 0.5 * hi, 0.0)
     bracketing = np.ones(target.shape, dtype=bool)
     live = np.ones(target.shape, dtype=bool)
     x = hi.copy()

@@ -246,6 +246,40 @@ def test_separable_real_base_matches_loop(factor, base):
     assert np.array_equal(got.points, want.points)
 
 
+def pairwise_groups(points, tol):
+    """Reference for `group_points`: row i joins the first row within tol in
+    every real coordinate (the pairwise rule, O(M^2))."""
+    x = points.reshape(len(points), -1)
+    if np.iscomplexobj(x):
+        x = np.hstack([x.real, x.imag])
+    owner = (np.abs(x[:, None, :] - x[None, :, :]) <= tol).all(axis=2).argmax(axis=1)
+    first = np.flatnonzero(owner == np.arange(len(x)))
+    return first, np.bincount(owner)[first]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_SHAPE))
+def test_group_points_matches_pairwise_rule(name):
+    # ray directions as boundary traces scale the points: generic, and at
+    # lambda = pi/2, where cos leaves a ~6e-17 column that must merge
+    c = cs.build_named(name)
+    for lam in (0.3, math.pi / 4, math.pi / 2):
+        d = np.resize([math.cos(lam), math.sin(lam)], c.B)
+        for pts in (c.points * d, c.points[:, :1]):
+            got = cs.group_points(pts, 1e-9)
+            want = pairwise_groups(pts, 1e-9)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_group_points_key_fits_with_every_coordinate_distinct():
+    # 1024 rows, 4 real columns, every value its own cluster: keys up to 1024^4
+    pts = np.random.default_rng(3).normal(size=(1024, 2)) * (1 + 1j)
+    pts[5] = pts[900] + 1e-12
+    got = cs.group_points(pts, 1e-9)
+    want = pairwise_groups(pts, 1e-9)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[0].size == 1023
+
+
 def test_json_roundtrip_real(tmp_path):
     c = cs.build_named("r2_8")
     d = cs.to_dict(c)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outagelab import constellations as cs
+from outagelab import mutual_info
 from outagelab import precoders as pc
 from outagelab.mutual_info import (
     LN2,
@@ -433,3 +434,34 @@ def test_mixed_lockstep_group_rows_match_alone():
     got = inv_mi_scalar_many(sps, 0.9, cfg)
     assert np.isfinite(got).all()
     assert got.tolist() == [inv_mi_scalar_many([sp], 0.9, cfg)[0] for sp in sps]
+
+
+def _swept(name, degrees):
+    c = cs.build_named(name)
+    rot = pc.rotation2 if c.B == 2 else pc.rotation3
+    return [cs.project(pc.apply(rot(math.radians(d)), c), 1) for d in degrees]
+
+
+_SETS = ("r2_4", "r2_8", "r2_16", "r3_8", "c2_16")
+_ANGLES = (0.0, 10.7, 27.0, 31.7, 45.0)
+
+
+@pytest.mark.parametrize("engine,names,degrees,targets", [
+    (EngineConfig(gh_order=2), _SETS, _ANGLES, (0.02, 0.3, 1.0, 1.8, 2.9)),
+    (EngineConfig(gh_order=32), _SETS, _ANGLES, (0.02, 0.3, 1.0, 1.8, 2.9)),
+    (EngineConfig(engine="mc", mc_samples=20_000), ("r2_4", "c2_16"), (27.0,), (0.05, 1.8)),
+])
+def test_gaussian_bound_keeps_every_root(engine, names, degrees, targets, monkeypatch):
+    sps = [sp for name in names for sp in _swept(name, degrees)]
+    got = [inv_mi_scalar_many(sps, t, engine) for t in targets]
+    monkeypatch.setattr(mutual_info, "_gaussian_snr", lambda sp, bits: 0.0)
+    for t, roots in zip(targets, got):
+        assert roots.tolist() == inv_mi_scalar_many(sps, t, engine).tolist()
+
+
+def test_gaussian_bound_cuts_kernel_calls(cfg, monkeypatch):
+    calls = []
+    evaluate = mutual_info._evaluate
+    monkeypatch.setattr(mutual_info, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    inv_mi_scalar(_swept("r2_4", (27.0,))[0], 1.8, cfg)
+    assert len(calls) <= 24  # 38 when doubling from x_start = 1e-4

@@ -372,13 +372,20 @@ def test_cache_interpolation_blocks(monkeypatch):
 PINNED_MC_COUNTS = [(0.0, 93384), (10.0, 8591), (20.0, 103)]
 
 
-def test_mc_outage_counts_pinned(q27, cfg):
+def test_mc_outage_counts_pinned(q27, cfg, monkeypatch):
+    from outagelab import outage
+
     cache = PolarMICache(q27.omega_x(), cfg)
     n = 100_000
+    draws = []
+    monkeypatch.setattr(outage, "sample_rayleigh", lambda *a: draws.append(a) or sample_rayleigh(*a))
     for gdb, count in PINNED_MC_COUNTS:
         q = replace(q27, gamma=10 ** (gdb / 10))
         res = outage_mc(q, n, seed=0, cfg=cfg, cache=cache)
         assert res.p_out == count / n
+    # one draw serves every SNR point, and no caller can write to it
+    assert len(draws) == 1
+    assert not cache.rayleigh(0, n).flags.writeable
 
 
 def test_b3_outage_between_bounds(cfg, gamma_8db):

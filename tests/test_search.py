@@ -12,9 +12,12 @@ def test_scalar_solve_is_a_float_within_tolerance():
     assert x == pytest.approx(math.sqrt(2.0), rel=1e-6)
 
 
+TARGETS = np.array([1e-9, 0.3, 2.0, 17.5, 4e4])
+SCALES = np.array([1.0, 0.5, 3.0, 1e-3, 7.0])
+
+
 def test_vector_solve_equals_elementwise_scalar_solves():
-    targets = np.array([1e-9, 0.3, 2.0, 17.5, 4e4])
-    scales = np.array([1.0, 0.5, 3.0, 1e-3, 7.0])
+    targets, scales = TARGETS, SCALES
     calls = []
 
     def f(x):
@@ -41,6 +44,50 @@ def test_bracket_failure_saturates_only_its_row():
     assert roots[0] == pytest.approx(0.5, rel=1e-6)
     assert roots[2] == pytest.approx(0.25, rel=1e-6)
     assert solve_increasing(lambda x: min(x, 1.0), 2.0, max_doublings=40) == math.inf
+
+
+def test_bound_start_gives_the_same_roots_with_fewer_calls():
+    evals = np.zeros(len(TARGETS), dtype=int)
+
+    def f(x):
+        evals[:] += ~np.isnan(x)
+        return np.log1p(SCALES * x)
+
+    plain = solve_increasing(f, np.log1p(SCALES * TARGETS))
+    plain_evals = evals.copy()
+    evals[:] = 0
+    # k = 0 in row 0 (x_below under x_start), k > 0 elsewhere
+    x_below = 0.9 * TARGETS
+    bounded = solve_increasing(f, np.log1p(SCALES * TARGETS), x_below=x_below)
+    assert bounded.tolist() == plain.tolist()  # exactly: the same powers of two
+    k = [sum(1e-4 * 2.0**j <= x for j in range(81)) for x in x_below]
+    assert k[0] == 0 and min(k[1:]) > 0
+    assert (plain_evals - evals).tolist() == k  # each row skips its k doublings, no more
+    # points exactly at x_below count as below; the scalar case takes a float bound
+    x = 1e-4 * 2.0**7
+    assert solve_increasing(math.log1p, math.log1p(1.5 * x), x_below=x) == \
+        solve_increasing(math.log1p, math.log1p(1.5 * x))
+
+
+def test_bound_start_keeps_saturation_and_the_doubling_cap():
+    cap = np.array([1.0, 10.0, 1.0])
+    calls = []
+
+    def f(x):
+        calls.append(~np.isnan(x))
+        return np.minimum(x, cap)
+
+    targets = np.array([0.5, 20.0, 0.25])
+    # row 1 never reaches its target, so any point is below its root
+    roots = solve_increasing(f, targets, max_doublings=40, x_below=[0.25, 1e300, 0.1])
+    assert roots[1] == math.inf and calls[0][1] and not calls[1][1]  # one call, then inf
+    assert roots.tolist() == solve_increasing(f, targets, max_doublings=40).tolist()
+    # a root past x_start*2^10 needs an 11th doubling: the bound does not grant it
+    t = 1e-4 * 2.0**10.5
+    for m in (10, 11):
+        want = solve_increasing(lambda v: v, t, max_doublings=m)
+        assert solve_increasing(lambda v: v, t, max_doublings=m, x_below=0.99 * t) == want
+        assert math.isinf(want) == (m == 10)
 
 
 def test_golden_min_quadratic():
