@@ -16,13 +16,13 @@ from outagelab.outage import OutageGeometry
 from outagelab.precoders import rotation2
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--theta-deg", type=float, default=27.0)
     ap.add_argument("--R", type=float, default=0.9)
     ap.add_argument("--gamma-db", default="0:20:2")
     ap.add_argument("--out", default="results/bound_sandwich.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = EngineConfig()
     # anchors and boundary are SNR-free: solved once, rescaled per SNR point

@@ -35,7 +35,6 @@ from .outage import (
     chi_square_cdf,
     compute_anchors,
     diversity_bound,
-    gaussian_anchors,
     hypersphere_bounds,
     outage_from_boundary_2d,
     outage_mc,

@@ -45,11 +45,7 @@ from .outage import (
     OutageQuery,
     OutageResult,
     PolarMICache,
-    compute_anchors,
     ergodic_snr,
-    gaussian_anchors,
-    gaussian_boundary_2d,
-    hypersphere_bounds,
     outage_mc,
     trace_boundary_2d,
 )
@@ -60,7 +56,14 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear SNR of `db`; ConfigError unless it is finite and positive."""
+    try:
+        x = 10.0 ** (db / 10.0)
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ConfigError(f"{db:g} dB is outside the range of a finite positive SNR")
+    return x
 
 
 def linear_to_db(x: float) -> float:
@@ -202,15 +205,12 @@ def cmd_anchors(args) -> int:
     if args.gaussian:
         if args.B is None or args.R is None:
             raise ConfigError("--gaussian anchors need --B and --R")
-        an = gaussian_anchors(args.B, args.R, gamma)
-        B = args.B
+        geom = OutageGeometry.gaussian(args.B, args.R)
     else:
         c = load_constellation(args)
-        B = c.B
-        p = build_precoder(args, B)
-        q = OutageQuery(c, p, R=resolve_rate(args, c), gamma=gamma)
-        an = compute_anchors(q, cfg)
-    p_up, p_low = hypersphere_bounds(an, B)
+        geom = OutageGeometry.solve(c, build_precoder(args, c.B), resolve_rate(args, c), cfg)
+    an = geom.anchors(gamma)
+    p_up, p_low = geom.bounds(gamma)
     meta = {"seed": args.seed, "engine": cfg.engine, "gamma_db": args.gamma_db}
     write_table(
         args.out,
@@ -235,7 +235,7 @@ def _curve_rows(geom, gammas_db, seed, outage_at=None) -> list:
 def _outage_curve(c, p, R, gammas_db, method, cfg, angles, mc_samples, seed) -> list:
     if R >= c.m / c.B - 1e-12:
         warnings.warn(f"R={R} is at or above the alphabet limit m/B={c.m / c.B:g}; p_out=1")
-        limit = OutageResult(1.0, (1.0, 1.0), "limit", 0)
+        limit = OutageResult(1.0, (1.0, 1.0), "limit")
         return _curve_rows(OutageGeometry.solve(c, p, R, cfg), gammas_db, seed, lambda g: limit)
     if method == "boundary":
         return _curve_rows(OutageGeometry.solve(c, p, R, cfg, n_angles=angles), gammas_db, seed)
@@ -286,7 +286,7 @@ def cmd_boundary(args) -> int:
     if args.gaussian:
         if args.R is None:
             raise ConfigError("--gaussian boundary needs --R")
-        trace = gaussian_boundary_2d(args.R, gamma, args.angles)
+        trace = OutageGeometry.gaussian(2, args.R, args.angles).trace(gamma)
     else:
         c = load_constellation(args)
         p = build_precoder(args, c.B)

@@ -42,9 +42,6 @@ class Constellation:
     def M(self) -> int:
         return self.points.shape[0]
 
-    def energy_per_component(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
@@ -58,7 +55,6 @@ class ProjectionSet:
 
     values: np.ndarray
     probs: np.ndarray
-    dedup_tolerance: float
     real_base: "ProjectionSet | None" = None
 
     @property
@@ -113,11 +109,6 @@ def make_constellation(name, points, field, real_base=None) -> Constellation:
     pts.setflags(write=False)
     m = math.log2(pts.shape[0])
     return Constellation(name=name, B=B, field=field, points=pts, m=m, real_base=real_base)
-
-
-def normalize_energy(c: Constellation) -> Constellation:
-    """Rescale all points by one scalar so mean per-component energy is 1."""
-    return make_constellation(c.name, c.points, c.field, real_base=c.real_base)
 
 
 def cartesian_product(factor: Constellation, B: int) -> Constellation:
@@ -177,7 +168,7 @@ def project(c: Constellation, axis: int, tol: float = DEDUP_TOL) -> ProjectionSe
     first, counts = group_points(col, tol)
     reps = col[first]
     order = np.lexsort((reps.imag, reps.real))
-    return ProjectionSet(reps[order], counts[order] / c.M, tol, base)
+    return ProjectionSet(reps[order], counts[order] / c.M, base)
 
 
 def group_points(points: np.ndarray, tol: float):
@@ -373,12 +364,10 @@ def registry_names():
     return sorted(_REGISTRY)
 
 
-def build_named(name: str, params: dict | None = None) -> Constellation:
+def build_named(name: str) -> Constellation:
     """Build a constellation from the named registry."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown constellation {name!r}; known: {', '.join(registry_names())}")
-    if params:
-        raise ValueError(f"registry entry {name!r} takes no parameters")
     return _REGISTRY[name]()
 
 

@@ -85,18 +85,12 @@ class ChannelSample:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
-    @property
-    def sigma2(self) -> float:
-        return 1.0 / (2.0 * self.gamma)
-
 
 @dataclass(frozen=True)
 class MIEstimate:
     value: float  # bits
-    units: str  # "per_channel_use" | "per_symbol_vector"
     method: str  # "quadrature" | "monte_carlo" | "closed_form"
     std_error: float = 0.0
-    nodes_or_samples: int = 0
 
 
 @dataclass(frozen=True)
@@ -311,8 +305,7 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
     applies the complex chain rule (twice the real base at half the SNR),
     chooses quadrature or Monte Carlo by the operation budget (logging a
     fallback), and clips each evaluated alphabet's MI to [0, H].  Returns
-    the values, the method, the per-row standard errors and the node or
-    sample count.
+    the values, the method and the per-row standard errors.
     """
     pts, probs, H, stacked, reps, rep_w, chain = form
     per_row = pts.ndim == 3
@@ -326,7 +319,7 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
     if cfg.engine == "quadrature" and ops <= cfg.budget_ops:
         nats = _quad_nats_many(pts, probs, reps, rep_w, alphas, gamma, cfg.gh_order)
         se = np.zeros_like(nats)
-        method, count = "quadrature", cfg.gh_order**D
+        method = "quadrature"
     else:
         if cfg.engine == "quadrature":
             _log.info("quadrature on a %d-point alphabet with %d orbit representatives in %d "
@@ -337,9 +330,9 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
         nats, se = np.array([
             _mc_nats(*row, cfg.mc_samples, np.random.default_rng(cfg.seed)) for row in rows
         ]).T
-        method, count = "monte_carlo", cfg.mc_samples
+        method = "monte_carlo"
     bits = (nats / LN2).clip(0.0, H)
-    return scale * bits, method, scale * se / LN2, count
+    return scale * bits, method, scale * se / LN2
 
 
 def mi_discrete(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DEFAULT_CONFIG) -> MIEstimate:
@@ -353,20 +346,14 @@ def mi_discrete(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DE
     alpha = np.asarray(s.alpha, dtype=float)
     if alpha.shape != (omega_x.B,):
         raise ValueError(f"alpha must have length B={omega_x.B}")
-    bits, method, se, count = _evaluate(_form(omega_x, cfg), alpha[None, :], s.gamma, cfg)
-    return MIEstimate(float(bits[0]), "per_symbol_vector", method, float(se[0]), count)
+    bits, method, se = _evaluate(_form(omega_x, cfg), alpha[None, :], s.gamma, cfg)
+    return MIEstimate(float(bits[0]), method, float(se[0]))
 
 
 def mi_per_use(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DEFAULT_CONFIG) -> MIEstimate:
     """mi_discrete divided by B: bits per channel use (blocks timeshare)."""
     est = mi_discrete(omega_x, s, cfg)
-    return MIEstimate(
-        value=est.value / omega_x.B,
-        units="per_channel_use",
-        method=est.method,
-        std_error=est.std_error / omega_x.B,
-        nodes_or_samples=est.nodes_or_samples,
-    )
+    return MIEstimate(est.value / omega_x.B, est.method, est.std_error / omega_x.B)
 
 
 def mi_per_use_batch(
@@ -397,7 +384,7 @@ def mi_gaussian(s: ChannelSample, B: int | None = None) -> MIEstimate:
     if B is not None and alpha.shape != (B,):
         raise ValueError(f"alpha must have length B={B}")
     value = float(np.mean(0.5 * np.log2(1.0 + 2.0 * s.gamma * alpha**2)))
-    return MIEstimate(value=value, units="per_channel_use", method="closed_form")
+    return MIEstimate(value=value, method="closed_form")
 
 
 def gaussian_floor(B: int, R: float, field: str = "real") -> float:

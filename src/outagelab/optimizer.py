@@ -29,7 +29,6 @@ from .search import golden_min
 
 @dataclass(frozen=True)
 class SweepProfile:
-    param_name: str
     grid: np.ndarray  # radians
     gamma_s: np.ndarray  # linear SNR per grid point, inf where saturated
     gamma_floor: float  # linear
@@ -105,9 +104,7 @@ def sweep(
     d_pmin = None
     if include_product_distance:
         d_pmin = product_distance_profile(omega_z, B, grid)
-    name = "theta" if B == 2 else "theta1"
     return SweepProfile(
-        param_name=name,
         grid=grid,
         gamma_s=gamma_s,
         gamma_floor=gaussian_floor(B, R, omega_z.field),

@@ -90,10 +90,6 @@ class OutageResult:
     p_out: float
     ci95: tuple
     method: str
-    samples: int
-    seed: "int | None" = None
-    p_up: "float | None" = None
-    p_low: "float | None" = None
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,6 @@ class BoundaryTrace:
     rhos: np.ndarray
     saturated: np.ndarray
     R: float
-    gamma: float
 
 
 def sample_rayleigh(rng: np.random.Generator, n: int, B: int) -> np.ndarray:
@@ -140,10 +135,10 @@ def ergodic_snr(omega_x: Constellation, B: int, R: float,
         raise SaturationError(f"R >= alphabet limit m/B = {cap:.6g}")
     ones = np.ones(B)
 
-    def f(c):
-        return float(mi_per_use_batch(omega_x, (c * ones)[None, :], GAMMA_REF, cfg)[0])
+    def f(c):  # one row: the equal-gains MI at gain c
+        return mi_per_use_batch(omega_x, c[:, None] * ones, GAMMA_REF, cfg)
 
-    u = solve_increasing(f, R, x_start=0.05, rel_tol=1e-6)
+    u = float(solve_increasing(f, np.array([R]), x_start=0.05, rel_tol=1e-6)[0])
     if math.isinf(u):
         raise SaturationError(f"no bracket: the equal-gains MI stays below R = {R:.6g}")
     return u**2 * GAMMA_REF
@@ -170,12 +165,6 @@ def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> Outag
         alpha_e, alpha_e_exists = math.inf, False
         notes.append(str(exc))
     return OutageAnchors(alpha_o, alpha_o_exists, alpha_e, alpha_e_exists, "; ".join(notes))
-
-
-def gaussian_anchors(B: int, R: float, gamma: float) -> OutageAnchors:
-    """Closed-form anchors for an i.i.d. Gaussian input alphabet."""
-    return OutageAnchors(math.sqrt(gaussian_floor(B, R) / gamma), True,
-                         math.sqrt(gaussian_floor(1, R) / gamma), True)
 
 
 def _ray_cap_bits(points: np.ndarray, direction: np.ndarray, M: int) -> float:
@@ -211,22 +200,7 @@ def trace_boundary_2d(
             return vals
 
         rhos[active] = solve_increasing(f, np.full(active.size, q.R), x_start=1.0, rel_tol=1e-4)
-    return BoundaryTrace(lambdas, rhos, ~np.isfinite(rhos), q.R, q.gamma)
-
-
-def gaussian_boundary_2d(R: float, gamma: float, n_angles: int = 513) -> BoundaryTrace:
-    """Outage boundary for an i.i.d. Gaussian input, B=2, in closed form.
-
-    On the ray (c, s) = (cos lambda, sin lambda) the MI equals R where
-    (1 + x c^2)(1 + x s^2) = 2^(4R) with x = 2*gamma*rho^2, a quadratic in x
-    whose positive root is written here without cancellation.
-    """
-    lambdas = np.linspace(0.0, math.pi / 2.0, n_angles)
-    K = 2.0 ** (4.0 * R) - 1.0
-    cs2 = (np.cos(lambdas) * np.sin(lambdas)) ** 2
-    x = 2.0 * K / (1.0 + np.sqrt(1.0 + 4.0 * cs2 * K))
-    rhos = np.sqrt(x / (2.0 * gamma))
-    return BoundaryTrace(lambdas, rhos, np.zeros(n_angles, dtype=bool), R, gamma)
+    return BoundaryTrace(lambdas, rhos, ~np.isfinite(rhos), q.R)
 
 
 def _radial_mass(rho: np.ndarray) -> np.ndarray:
@@ -259,7 +233,7 @@ def outage_from_boundary_2d(trace: BoundaryTrace) -> OutageResult:
     g = np.sin(2.0 * trace.lambdas) * mass
     h = trace.lambdas[1] - trace.lambdas[0]
     p = min(max(_simpson(g, h), 0.0), 1.0)
-    return OutageResult(p_out=p, ci95=(p, p), method="boundary_integration", samples=n)
+    return OutageResult(p_out=p, ci95=(p, p), method="boundary_integration")
 
 
 def chi_square_cdf(x: float, B: int) -> float:
@@ -310,8 +284,9 @@ class OutageGeometry:
     gains u = sqrt(2*gamma)*alpha.  So the axis-crossing SNR
     alpha_o^2*gamma, the ergodic SNR alpha_e^2*gamma and the B=2 boundary
     u(lambda) are the same at every SNR: `solve` finds them once at
-    GAMMA_REF, where alpha = u, and each per-SNR quantity is a rescale.
-    An SNR of inf marks a missing anchor (explained by `note`).
+    GAMMA_REF, where alpha = u, `gaussian` writes them in closed form, and
+    `anchors`, `bounds` and `trace` rescale them to one SNR.  An SNR of
+    inf marks a missing anchor (explained by `note`).
     """
 
     B: int
@@ -333,10 +308,21 @@ class OutageGeometry:
 
     @classmethod
     def gaussian(cls, B: int, R: float, n_angles: "int | None" = None) -> "OutageGeometry":
-        """Closed-form geometry of an i.i.d. Gaussian input."""
-        an = gaussian_anchors(B, R, GAMMA_REF)
-        boundary = gaussian_boundary_2d(R, GAMMA_REF, n_angles) if n_angles else None
-        return cls(B, R, an.alpha_o**2 * GAMMA_REF, an.alpha_e**2 * GAMMA_REF, boundary=boundary)
+        """Closed-form geometry of an i.i.d. Gaussian input.
+
+        The anchors are the Gaussian floors.  On the B=2 ray (c, s) =
+        (cos lambda, sin lambda) the MI equals R where (1 + x c^2)(1 + x s^2)
+        = 2^(4R) with x = u^2, a quadratic in x whose positive root is
+        written here without cancellation.
+        """
+        boundary = None
+        if n_angles:
+            lambdas = np.linspace(0.0, math.pi / 2.0, n_angles)
+            K = 2.0 ** (4.0 * R) - 1.0
+            cs2 = (np.cos(lambdas) * np.sin(lambdas)) ** 2
+            x = 2.0 * K / (1.0 + np.sqrt(1.0 + 4.0 * cs2 * K))
+            boundary = BoundaryTrace(lambdas, np.sqrt(x), np.zeros(n_angles, dtype=bool), R)
+        return cls(B, R, gaussian_floor(B, R), gaussian_floor(1, R), boundary=boundary)
 
     def anchors(self, gamma: float) -> OutageAnchors:
         return OutageAnchors(
@@ -348,12 +334,15 @@ class OutageGeometry:
         """(p_up, p_low) at SNR gamma, as `hypersphere_bounds`."""
         return hypersphere_bounds(self.anchors(gamma), self.B)
 
-    def outage(self, gamma: float) -> OutageResult:
-        """Boundary-integration outage at SNR gamma: rho(lambda) = u(lambda)/sqrt(2*gamma)."""
+    def trace(self, gamma: float) -> BoundaryTrace:
+        """The B=2 boundary at SNR gamma: rho(lambda) = u(lambda)/sqrt(2*gamma)."""
         if self.boundary is None:
             raise ValueError("the geometry was solved without a boundary trace")
-        b = self.boundary
-        return outage_from_boundary_2d(replace(b, rhos=b.rhos / math.sqrt(2.0 * gamma), gamma=gamma))
+        return replace(self.boundary, rhos=self.boundary.rhos / math.sqrt(2.0 * gamma))
+
+    def outage(self, gamma: float) -> OutageResult:
+        """Boundary-integration outage at SNR gamma."""
+        return outage_from_boundary_2d(self.trace(gamma))
 
 
 class CacheAccuracyError(RuntimeError):
@@ -522,7 +511,7 @@ def outage_mc(
     B = omega_x.B
     if q.R >= omega_x.m / B - 1e-12:
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
-        return OutageResult(1.0, (1.0, 1.0), "mc", n, seed=seed)
+        return OutageResult(1.0, (1.0, 1.0), "mc")
     if B in (2, 3):
         if cache is None:
             cache = PolarMICache(omega_x, cfg)
@@ -531,7 +520,7 @@ def outage_mc(
         alphas = sample_rayleigh(np.random.default_rng(seed), n, B)
         mi = mi_per_use_batch(omega_x, alphas, q.gamma, cfg)
     k = int(np.count_nonzero(mi < q.R))
-    return OutageResult(p_out=k / n, ci95=wilson_ci(k, n), method="mc", samples=n, seed=seed)
+    return OutageResult(p_out=k / n, ci95=wilson_ci(k, n), method="mc")
 
 
 @dataclass(frozen=True)

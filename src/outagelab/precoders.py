@@ -22,22 +22,22 @@ ORTHO_TOL = 1e-10
 class Precoder:
     B: int
     matrix: np.ndarray
-    params: dict
+    kind: str  # constructor name, carried into the precoded constellation's name
 
 
-def _finish(B, matrix, params) -> Precoder:
+def _finish(B, matrix, kind) -> Precoder:
     matrix = np.asarray(matrix, dtype=float)
     err = np.max(np.abs(matrix @ matrix.T - np.eye(B)))
     if err > ORTHO_TOL:
         raise ValueError(f"constructed matrix is not orthogonal (|PP^T - I| = {err:.2e})")
     matrix.setflags(write=False)
-    return Precoder(B=B, matrix=matrix, params=params)
+    return Precoder(B=B, matrix=matrix, kind=kind)
 
 
 def rotation2(theta: float) -> Precoder:
     """2x2 rotation by `theta` radians; first row (cos t, -sin t)."""
     c, s = math.cos(theta), math.sin(theta)
-    return _finish(2, [[c, -s], [s, c]], {"kind": "rotation2", "theta": float(theta)})
+    return _finish(2, [[c, -s], [s, c]], "rotation2")
 
 
 def circulant_from_phases(B, phases, lambda0_sign=1, lambda_half_sign=None) -> Precoder:
@@ -69,27 +69,13 @@ def circulant_from_phases(B, phases, lambda0_sign=1, lambda_half_sign=None) -> P
     matrix = np.empty((B, B))
     for b in range(B):
         matrix[b] = np.roll(row, b)
-    params = {
-        "kind": "circulant",
-        "phases": phases,
-        "lambda0_sign": int(lambda0_sign),
-    }
-    if B % 2 == 0:
-        params["lambda_half_sign"] = int(lambda_half_sign)
-    return _finish(B, matrix, params)
+    return _finish(B, matrix, "circulant")
 
 
 def rotation3(theta1: float, lambda0_sign=1) -> Precoder:
     """3x3 rotation by `theta1` around the (1,1,1)/sqrt(3) axis."""
     p = circulant_from_phases(3, [theta1], lambda0_sign=lambda0_sign)
-    params = dict(p.params)
-    params["kind"] = "rotation3"
-    params["theta1"] = float(theta1)
-    return Precoder(B=3, matrix=p.matrix, params=params)
-
-
-def identity(B: int) -> Precoder:
-    return _finish(B, np.eye(B), {"kind": "identity"})
+    return Precoder(B=3, matrix=p.matrix, kind="rotation3")
 
 
 def apply(p: Precoder, c: Constellation) -> Constellation:
@@ -109,7 +95,7 @@ def apply(p: Precoder, c: Constellation) -> Constellation:
     pts.setflags(write=False)
     base = apply(p, c.real_base) if c.real_base is not None else None
     return Constellation(
-        name=f"{c.name}|{p.params.get('kind', 'P')}",
+        name=f"{c.name}|{p.kind}",
         B=c.B,
         field=c.field,
         points=pts,

@@ -26,19 +26,11 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
     midpoint and every root is the same float as without the bound; only
     the f calls at points already known to be below the target are saved.
 
-    A scalar `target` is the one-row case: f takes and returns floats and
-    the result is a float.  An array `target` solves every row in
-    lock-step: f takes the array of the rows' next points, nan in rows
-    already finished, and returns their values (ignored in those rows).
+    Every row of the `target` array is solved in lock-step: f takes the
+    array of the rows' next points, nan in rows already finished, and
+    returns their values (ignored in those rows).
     """
-    one_row = np.ndim(target) == 0
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    if one_row:
-        f_scalar = f
-
-        def f(x):
-            return np.array([f_scalar(float(x[0]))])
-
+    target = np.asarray(target, dtype=float)
     x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
     k = np.frexp(np.fmax(x_below / x_start, 0.0))[1]  # 2^(k-1) <= ratio < 2^k
     k -= (k > 0) & (np.ldexp(x_start, k - 1) > x_below)  # division rounding
@@ -63,8 +55,7 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
         bracketing &= below
         live &= bracketing | (hi - lo > rel_tol * hi)
         x = np.where(bracketing, hi, 0.5 * (lo + hi))
-    root = 0.5 * (lo + hi)
-    return float(root[0]) if one_row else root
+    return 0.5 * (lo + hi)
 
 
 def golden_min(f, a, b, tol):

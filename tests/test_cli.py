@@ -205,3 +205,17 @@ def test_parse_range_errors():
     with pytest.raises(cli.ConfigError):
         cli.parse_range("5:1:1")
     assert cli.parse_range("4:12:4") == [4.0, 8.0, 12.0]
+
+
+@pytest.mark.parametrize("gamma_db", ["4000", "-4000"])
+@pytest.mark.parametrize("argv", [
+    ["outage", "--constellation", "r2_4", "--R", "0.9", "--angles", "65"],
+    ["anchors", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "27"],
+    ["anchors", "--gaussian", "--B", "2", "--R", "0.9"],
+    ["boundary", "--constellation", "r2_4", "--R", "0.9", "--angles", "65"],
+    ["mi", "--constellation", "r2_4", "--alpha", "1,0.5"],
+], ids=["outage", "anchors", "anchors-gaussian", "boundary", "mi"])
+def test_snr_without_finite_positive_value_exits_2(argv, gamma_db, capsys):
+    # 10^400 overflows a float and 10^-400 underflows to zero
+    assert cli.main(argv + ["--gamma-db", gamma_db]) == 2
+    assert "config error" in capsys.readouterr().err

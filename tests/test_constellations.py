@@ -36,7 +36,7 @@ def test_registry_entries_normalized(name):
     c = cs.build_named(name)
     M, B, field = REGISTRY_SHAPE[name]
     assert (c.M, c.B, c.field) == (M, B, field)
-    assert abs(c.energy_per_component() - 1.0) < 1e-9
+    assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-9
     assert c.m == pytest.approx(math.log2(M))
     assert cs._pairwise_min_distance(c.points) > 1e-9
 
@@ -44,8 +44,6 @@ def test_registry_entries_normalized(name):
 def test_unknown_name_raises():
     with pytest.raises(KeyError):
         cs.build_named("qam_nope")
-    with pytest.raises(ValueError):
-        cs.build_named("r2_4", {"size": 4})
 
 
 def test_square_is_bpsk_squared():
@@ -143,7 +141,7 @@ def test_rotation_preserves_euclidean_but_not_product_distance():
 def test_normalize_is_idempotent_and_shape_preserving(scale):
     base = cs.build_named("r2_8")
     scaled = cs.make_constellation("s", base.points * scale, "real")
-    again = cs.normalize_energy(scaled)
+    again = cs.make_constellation("s", scaled.points, "real")
     assert np.allclose(scaled.points, base.points, atol=1e-12)
     assert np.allclose(again.points, scaled.points, atol=1e-12)
 

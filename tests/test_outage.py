@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from outagelab import constellations as cs
 from outagelab import optimizer
 from outagelab import precoders as pc
-from outagelab.mutual_info import ChannelSample, EngineConfig, SaturationError, mi_per_use
+from outagelab.mutual_info import ChannelSample, EngineConfig, SaturationError, mi_gaussian, mi_per_use
 from outagelab.outage import (
     RAY_CAP_TOL,
     BoundaryTrace,
@@ -22,8 +22,6 @@ from outagelab.outage import (
     compute_anchors,
     diversity_bound,
     ergodic_snr,
-    gaussian_anchors,
-    gaussian_boundary_2d,
     hypersphere_bounds,
     outage_from_boundary_2d,
     outage_mc,
@@ -86,12 +84,23 @@ def test_wilson_ci_contains_point():
     assert wilson_ci(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def gaussian_mi(alpha, gamma):
+    return mi_gaussian(ChannelSample(np.asarray(alpha), gamma)).value
+
+
 def test_gaussian_anchor_formulas(gamma_8db):
-    an = gaussian_anchors(2, 0.9, gamma_8db)
+    geom = OutageGeometry.gaussian(2, 0.9, 129)
+    an = geom.anchors(gamma_8db)
+    # the Gaussian floors: B*R = 1.8 bits on one axis, R = 0.9 bits on the diagonal
     assert an.alpha_o**2 == pytest.approx((4**1.8 - 1) / (2 * gamma_8db))
     assert an.alpha_e**2 == pytest.approx((4**0.9 - 1) / (2 * gamma_8db))
-    # the traced gaussian boundary hits the anchors at its ends
-    tr = gaussian_boundary_2d(0.9, gamma_8db, 129)
+    for alpha in ([an.alpha_o, 0.0], [0.0, an.alpha_o], [an.alpha_e, an.alpha_e]):
+        assert gaussian_mi(alpha, gamma_8db) == pytest.approx(0.9, rel=1e-12)
+    # every rescaled radius carries R, and the boundary hits the anchors at its ends
+    tr = geom.trace(gamma_8db)
+    for lam, rho in zip(tr.lambdas, tr.rhos):
+        assert gaussian_mi(rho * np.array([math.cos(lam), math.sin(lam)]), gamma_8db) == \
+            pytest.approx(0.9, rel=1e-12)
     assert tr.rhos[0] == pytest.approx(an.alpha_o, rel=1e-3)
     assert tr.rhos[64] == pytest.approx(math.sqrt(2) * an.alpha_e, rel=1e-3)
 
@@ -162,17 +171,17 @@ def test_trace_ray_without_bracket_is_saturated(cfg, gamma_8db, monkeypatch):
 def test_outage_from_boundary_degenerate_traces():
     n = 129
     lam = np.linspace(0, math.pi / 2, n)
-    zero = BoundaryTrace(lam, np.zeros(n), np.zeros(n, bool), 0.5, 1.0)
+    zero = BoundaryTrace(lam, np.zeros(n), np.zeros(n, bool), 0.5)
     assert outage_from_boundary_2d(zero).p_out == pytest.approx(0.0, abs=1e-15)
-    full = BoundaryTrace(lam, np.full(n, math.inf), np.ones(n, bool), 0.5, 1.0)
+    full = BoundaryTrace(lam, np.full(n, math.inf), np.ones(n, bool), 0.5)
     assert outage_from_boundary_2d(full).p_out == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         outage_from_boundary_2d(
-            BoundaryTrace(lam[:51], np.zeros(51), np.zeros(51, bool), 0.5, 1.0)
+            BoundaryTrace(lam[:51], np.zeros(51), np.zeros(51, bool), 0.5)
         )
     with pytest.raises(ValueError):
         outage_from_boundary_2d(
-            BoundaryTrace(lam[:100], np.zeros(100), np.zeros(100, bool), 0.5, 1.0)
+            BoundaryTrace(lam[:100], np.zeros(100), np.zeros(100, bool), 0.5)
         )
 
 
@@ -205,7 +214,7 @@ def test_outage_mc_needs_min_samples(q27, cfg):
 
 def test_gaussian_outage_lower_bounds_discrete(q27, cfg):
     disc = outage_from_boundary_2d(trace_boundary_2d(q27, 257, cfg)).p_out
-    gauss = outage_from_boundary_2d(gaussian_boundary_2d(q27.R, q27.gamma, 257)).p_out
+    gauss = OutageGeometry.gaussian(2, q27.R, 257).outage(q27.gamma).p_out
     assert gauss <= disc
 
 
@@ -404,7 +413,7 @@ def test_diversity_bound_slopes(cfg):
     q = OutageQuery(cs.build_named("r2_4"), pc.rotation2(math.radians(27)), R=0.9, gamma=1.0)
     rep = diversity_bound(q, gammas, cfg)
     assert rep.slope_top_decade == pytest.approx(-2.0, abs=0.1)
-    gq = gaussian_anchors(2, 0.9, 1.0)
+    gq = OutageGeometry.gaussian(2, 0.9).anchors(1.0)
     # gaussian upper bound has the same -B slope by construction
     ps = [chi_square_cdf(gq.alpha_o**2 / g, 2) for g in gammas]
     slope = np.polyfit(np.log10(gammas), np.log10(ps), 1)[0]
@@ -465,14 +474,26 @@ def test_geometry_rows_inside_bounds(cfg, theta_deg):
         assert p_low <= geom.outage(db(gdb)).p_out <= p_up
 
 
+def gaussian_outage_oracle(R, gamma, n=40_001):
+    """P((1 + 2*gamma*X)(1 + 2*gamma*Y) < 2^(4R)) for X, Y ~ Exp(1), B=2.
+
+    The Gaussian-input outage of unit-Rayleigh fading as one integral over
+    X = alpha_1^2 (Simpson's rule), with P(Y < y(X)) in closed form.
+    """
+    K = 2.0 ** (4.0 * R)
+    x = np.linspace(0.0, (K - 1.0) / (2.0 * gamma), n)
+    g = np.exp(-x) * -np.expm1(-(K / (1.0 + 2.0 * gamma * x) - 1.0) / (2.0 * gamma))
+    return float((g[0] + g[-1] + 4 * g[1:-1:2].sum() + 2 * g[2:-1:2].sum()) * (x[1] - x[0]) / 3)
+
+
 def test_gaussian_geometry_matches_closed_form():
     geom = OutageGeometry.gaussian(2, 0.9, 129)
     for gdb in (0.0, 8.0, 20.0):
         gamma = db(gdb)
-        an = gaussian_anchors(2, 0.9, gamma)
-        assert geom.anchors(gamma).alpha_o == pytest.approx(an.alpha_o, rel=1e-12)
-        assert geom.anchors(gamma).alpha_e == pytest.approx(an.alpha_e, rel=1e-12)
-        want = outage_from_boundary_2d(gaussian_boundary_2d(0.9, gamma, 129)).p_out
+        an = geom.anchors(gamma)
+        assert an.alpha_o == pytest.approx(math.sqrt((4**1.8 - 1) / (2 * gamma)), rel=1e-12)
+        assert an.alpha_e == pytest.approx(math.sqrt((4**0.9 - 1) / (2 * gamma)), rel=1e-12)
+        want = gaussian_outage_oracle(0.9, gamma)
         assert geom.outage(gamma).p_out == pytest.approx(want, rel=4e-4)
 
 

@@ -3,6 +3,7 @@
 `perfbench/tracing.py` wraps public functions by their positional
 signatures; a changed signature makes every traced call fail.  This runs
 one traced outage curve and checks that the geometry is solved once, one
+traced `anchors` call, whose anchor solve the tracer must count, one
 traced Monte Carlo curve, whose cache attributes the tracer reads, and one
 traced complex sweep, whose angles the tracer must see solved in one
 lock-step solve.
@@ -41,6 +42,14 @@ def test_traced_outage_call(tmp_path):
                       "--out", str(tmp_path / "o.csv")])
     assert metrics["outage.trace_calls"] == 1
     assert metrics["outage.anchor_calls"] == 1
+
+
+def test_traced_anchors_call(tmp_path):
+    # `anchors` solves a geometry; the tracer counts its anchor solve
+    metrics = traced(["anchors", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "27",
+                      "--gamma-db", "8", "--out", str(tmp_path / "a.csv")])
+    assert metrics["outage.anchor_calls"] == 1
+    assert metrics["outage.trace_calls"] == 0
 
 
 def test_traced_mc_outage_call(tmp_path):

@@ -96,10 +96,10 @@ def test_b2_circulant_spans_rotation_cases():
 
 def test_apply_identity_and_mismatch():
     c = cs.build_named("r2_4")
-    out = pc.apply(pc.identity(2), c)
+    out = pc.apply(pc.rotation2(0.0), c)
     assert np.allclose(out.points, c.points)
     with pytest.raises(ValueError):
-        pc.apply(pc.identity(3), c)
+        pc.apply(pc.rotation3(0.0), c)
 
 
 @given(theta=st.floats(min_value=0.0, max_value=math.pi))

@@ -6,12 +6,6 @@ import pytest
 from outagelab.search import golden_min, solve_increasing
 
 
-def test_scalar_solve_is_a_float_within_tolerance():
-    x = solve_increasing(lambda v: v * v, 2.0)
-    assert isinstance(x, float)
-    assert x == pytest.approx(math.sqrt(2.0), rel=1e-6)
-
-
 TARGETS = np.array([1e-9, 0.3, 2.0, 17.5, 4e4])
 SCALES = np.array([1.0, 0.5, 3.0, 1e-3, 7.0])
 
@@ -26,9 +20,10 @@ def test_vector_solve_equals_elementwise_scalar_solves():
 
     roots = solve_increasing(f, np.log1p(scales * targets), x_start=1e-4, rel_tol=1e-6)
     for k in range(len(targets)):
-        one = solve_increasing(lambda v: math.log1p(scales[k] * v), math.log1p(scales[k] * targets[k]),
-                               x_start=1e-4, rel_tol=1e-6)
-        assert roots[k] == one  # exactly: each row takes the scalar path's steps
+        one = solve_increasing(lambda v: np.log1p(scales[k] * v),
+                               np.log1p(scales[k:k + 1] * targets[k:k + 1]), x_start=1e-4, rel_tol=1e-6)
+        assert roots[k] == one[0]  # exactly: each row takes the steps it takes alone
+    assert solve_increasing(lambda v: v * v, np.array([2.0]))[0] == pytest.approx(math.sqrt(2.0), rel=1e-6)
     # rows stop on their own: finished rows are not passed to f again
     assert calls[0] == len(targets) and calls[-1] < len(targets)
 
@@ -43,7 +38,8 @@ def test_bracket_failure_saturates_only_its_row():
     assert roots[1] == math.inf
     assert roots[0] == pytest.approx(0.5, rel=1e-6)
     assert roots[2] == pytest.approx(0.25, rel=1e-6)
-    assert solve_increasing(lambda x: min(x, 1.0), 2.0, max_doublings=40) == math.inf
+    saturated = solve_increasing(lambda x: np.minimum(x, 1.0), np.array([2.0]), max_doublings=40)
+    assert saturated[0] == math.inf
 
 
 def test_bound_start_gives_the_same_roots_with_fewer_calls():
@@ -63,10 +59,10 @@ def test_bound_start_gives_the_same_roots_with_fewer_calls():
     k = [sum(1e-4 * 2.0**j <= x for j in range(81)) for x in x_below]
     assert k[0] == 0 and min(k[1:]) > 0
     assert (plain_evals - evals).tolist() == k  # each row skips its k doublings, no more
-    # points exactly at x_below count as below; the scalar case takes a float bound
+    # points exactly at x_below count as below; one bound may serve every row
     x = 1e-4 * 2.0**7
-    assert solve_increasing(math.log1p, math.log1p(1.5 * x), x_below=x) == \
-        solve_increasing(math.log1p, math.log1p(1.5 * x))
+    t = np.log1p(np.array([1.5 * x]))
+    assert solve_increasing(np.log1p, t, x_below=x) == solve_increasing(np.log1p, t)
 
 
 def test_bound_start_keeps_saturation_and_the_doubling_cap():
@@ -85,9 +81,9 @@ def test_bound_start_keeps_saturation_and_the_doubling_cap():
     # a root past x_start*2^10 needs an 11th doubling: the bound does not grant it
     t = 1e-4 * 2.0**10.5
     for m in (10, 11):
-        want = solve_increasing(lambda v: v, t, max_doublings=m)
-        assert solve_increasing(lambda v: v, t, max_doublings=m, x_below=0.99 * t) == want
-        assert math.isinf(want) == (m == 10)
+        want = solve_increasing(lambda v: v, np.array([t]), max_doublings=m)
+        assert solve_increasing(lambda v: v, np.array([t]), max_doublings=m, x_below=0.99 * t) == want
+        assert math.isinf(want[0]) == (m == 10)
 
 
 def test_golden_min_quadratic():
