@@ -8,7 +8,6 @@ from .constellations import (
     build_named,
     cartesian_product,
     check_symmetry,
-    min_distance,
     min_product_distance,
     project,
 )
@@ -17,7 +16,6 @@ from .mutual_info import (
     EngineConfig,
     MIEstimate,
     SaturationError,
-    faded_min_distance,
     gaussian_floor,
     inv_mi_scalar,
     mi_discrete,

@@ -114,8 +114,7 @@ def build_precoder(args, B: int) -> precoders.Precoder:
     if B == 2:
         return precoders.rotation2(math.radians(args.theta_deg))
     if B == 3:
-        theta = args.theta1_deg if args.theta1_deg is not None else args.theta_deg
-        return precoders.rotation3(math.radians(theta), lambda0_sign=args.lambda0_sign)
+        return precoders.rotation3(math.radians(args.theta_deg), lambda0_sign=args.lambda0_sign)
     raise ConfigError(f"B={B} needs --phases-deg")
 
 
@@ -123,11 +122,8 @@ def resolve_rate(args, c) -> float:
     if args.R is not None:
         return args.R
     if args.Rc is not None:
-        m = args.m if args.m is not None else c.m
-        if args.m is not None and abs(args.m - c.m) > 1e-9:
-            raise ConfigError(f"--m {args.m} does not match the constellation (m={c.m:g})")
-        return args.Rc * m / c.B
-    raise ConfigError("give --R, or --Rc (with optional --m)")
+        return args.Rc * c.m / c.B
+    raise ConfigError("give --R or --Rc")
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +249,7 @@ def cmd_outage(args) -> int:
     if args.gaussian:
         if args.B is None or args.R is None:
             raise ConfigError("--gaussian outage needs --B and --R")
-        if args.B != 2:
-            raise ConfigError("deterministic gaussian outage is implemented for B=2")
-        rows = _curve_rows(OutageGeometry.gaussian(2, args.R, args.angles), gammas_db, args.seed)
+        rows = _curve_rows(OutageGeometry.gaussian(args.B, args.R, args.angles), gammas_db, args.seed)
         meta = {"seed": args.seed, "engine": "closed_form", "R": args.R}
     else:
         c = load_constellation(args)
@@ -493,76 +487,107 @@ def cmd_reproduce(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--constellation", help="registry name")
-    p.add_argument("--constellation-file", help="JSON constellation file")
-    p.add_argument("--B", type=int, default=None)
-    p.add_argument("--R", type=float, default=None, help="rate in bits per channel use")
-    p.add_argument("--m", type=float, default=None, help="bits per symbol (with --Rc)")
-    p.add_argument("--Rc", type=float, default=None, help="coding rate; R = Rc*m/B")
+def _add_input(p, gaussian: bool = False):
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--constellation", help="registry name")
+    g.add_argument("--constellation-file", help="JSON constellation file")
+    if gaussian:
+        g.add_argument("--gaussian", action="store_true",
+                       help="i.i.d. Gaussian input instead of a constellation")
+
+
+def _add_precoder(p):
     p.add_argument("--theta-deg", type=float, default=0.0)
-    p.add_argument("--theta1-deg", type=float, default=None)
     p.add_argument("--phases-deg", default=None, help="comma list of eigenphases")
     p.add_argument("--lambda0-sign", type=int, default=1, choices=(1, -1))
     p.add_argument("--lambda-half-sign", type=int, default=None, choices=(1, -1))
-    p.add_argument("--gaussian", action="store_true", help="i.i.d. Gaussian input instead of a constellation")
+
+
+def _add_rate(p):
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--R", type=float, default=None, help="rate in bits per channel use")
+    g.add_argument("--Rc", type=float, default=None, help="coding rate; R = Rc*m/B")
+
+
+def _add_engine_output(p):
     p.add_argument("--engine", default="quadrature", choices=("quadrature", "mc"))
     p.add_argument("--gh-order", type=int, default=32)
     p.add_argument("--mc-samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (stdout when omitted)")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--angles", type=int, default=513, help="boundary trace resolution")
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once: parsing keeps no state in it, so calls share it."""
+    """The CLI parser, built once: parsing keeps no state in it, so calls share it.
+
+    Each subcommand takes only the flags its handler reads, and the input and
+    the rate are each one choice, so argparse rejects (exit 2) a flag that
+    would be ignored or would override another.
+    """
     ap = argparse.ArgumentParser(prog="outagelab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: --m would otherwise be read as --mc-samples
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("mi", help="instantaneous mutual information at one fading point")
+    p = add("mi", help="instantaneous mutual information at one fading point")
     p.add_argument("--alpha", required=True, help="comma list of fading gains")
     p.add_argument("--gamma-db", type=float, required=True)
-    _add_common(p)
+    _add_input(p, gaussian=True)
+    _add_precoder(p)
     p.set_defaults(func=cmd_mi)
 
-    p = sub.add_parser("anchors", help="axis and ergodic boundary crossings")
+    p = add("anchors", help="axis and ergodic boundary crossings")
     p.add_argument("--gamma-db", type=float, required=True)
-    _add_common(p)
+    p.add_argument("--B", type=int, default=None, help="blocks of a --gaussian input")
+    _add_input(p, gaussian=True)
+    _add_precoder(p)
+    _add_rate(p)
     p.set_defaults(func=cmd_anchors)
 
-    p = sub.add_parser("outage", help="outage probability over an SNR grid")
+    p = add("outage", help="outage probability over an SNR grid")
     p.add_argument("--gamma-db", required=True, help="single value or a:b:step")
     p.add_argument("--method", default="auto", choices=("auto", "boundary", "mc"))
-    _add_common(p)
+    p.add_argument("--B", type=int, default=None, help="blocks of a --gaussian input")
+    p.add_argument("--angles", type=int, default=513, help="boundary trace resolution")
+    _add_input(p, gaussian=True)
+    _add_precoder(p)
+    _add_rate(p)
     p.set_defaults(func=cmd_outage)
 
-    p = sub.add_parser("boundary", help="trace the 2-D outage boundary")
+    p = add("boundary", help="trace the 2-D outage boundary")
     p.add_argument("--gamma-db", type=float, required=True)
-    _add_common(p)
+    p.add_argument("--angles", type=int, default=513, help="boundary trace resolution")
+    _add_input(p, gaussian=True)
+    _add_precoder(p)
+    _add_rate(p)
     p.set_defaults(func=cmd_boundary)
 
-    p = sub.add_parser("sweep", help="gamma_s over an angle grid")
+    p = add("sweep", help="gamma_s over an angle grid")
     p.add_argument("--theta-grid", default=None, help="a:b:step in degrees")
     p.add_argument("--product-distance", action="store_true")
-    _add_common(p)
+    _add_input(p)
+    _add_rate(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("optimize", help="minimize gamma_s over the angle")
-    _add_common(p)
+    p = add("optimize", help="minimize gamma_s over the angle")
+    _add_input(p)
+    _add_rate(p)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("expand", help="compare constellation expansions at fixed R")
+    p = add("expand", help="compare constellation expansions at fixed R")
     p.add_argument("--candidates", required=True, help="name:Rc,name:Rc,...")
-    _add_common(p)
+    p.add_argument("--R", type=float, default=None, help="rate in bits per channel use")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("reproduce", help="run a canned study configuration")
+    p = add("reproduce", help="run a canned study configuration")
     p.add_argument("target", choices=sorted(RECIPES))
-    _add_common(p)
+    p.add_argument("--angles", type=int, default=513, help="boundary trace resolution")
     p.set_defaults(func=cmd_reproduce)
 
+    for p in sub.choices.values():  # every handler reads the engine and output flags
+        _add_engine_output(p)
     return ap
 
 

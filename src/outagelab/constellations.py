@@ -153,19 +153,19 @@ def _levels(values: np.ndarray) -> np.ndarray:
     return np.add.reduceat(v, first) / counts
 
 
-def project(c: Constellation, axis: int, tol: float = DEDUP_TOL) -> ProjectionSet:
-    """Distinct coordinate values along `axis` (1-based), merged within tol.
+def project(c: Constellation, axis: int) -> ProjectionSet:
+    """Distinct coordinate values along `axis` (1-based), merged within DEDUP_TOL.
 
     Values come sorted (complex ones by real, then imaginary part); the
     projection of the constellation's real base rides along as `real_base`.
     """
     if not 1 <= axis <= c.B:
         raise ValueError(f"axis must be in 1..{c.B}")
-    base = project(c.real_base, axis, tol) if c.real_base is not None else None
+    base = project(c.real_base, axis) if c.real_base is not None else None
     col = c.points[:, axis - 1]
     if c.field == "real":
         col = np.sort(col)  # each group is then represented by its least value
-    first, counts = group_points(col, tol)
+    first, counts = group_points(col, DEDUP_TOL)
     reps = col[first]
     order = np.lexsort((reps.imag, reps.real))
     return ProjectionSet(reps[order], counts[order] / c.M, base)
@@ -219,11 +219,6 @@ def _set_contains(points, image, tol):
     diff = image[:, None, :] - points[None, :, :]
     d = np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1))
     return bool(np.all(d.min(axis=1) <= tol))
-
-
-def min_distance(c: Constellation) -> float:
-    """Minimum Euclidean distance over distinct point pairs."""
-    return _pairwise_min_distance(c.points)
 
 
 def min_product_distance(c: Constellation) -> float:
@@ -374,14 +369,6 @@ def build_named(name: str) -> Constellation:
 # ---------------------------------------------------------------------------
 # JSON constellation files
 # ---------------------------------------------------------------------------
-
-def to_dict(c: Constellation) -> dict:
-    if c.field == "complex":
-        pts = [[[float(z.real), float(z.imag)] for z in row] for row in c.points]
-    else:
-        pts = [[float(x) for x in row] for row in c.points]
-    return {"name": c.name, "B": c.B, "field": c.field, "points": pts, "normalize": True}
-
 
 def from_dict(d: dict) -> Constellation:
     field = d["field"]

@@ -520,21 +520,3 @@ def mi_lowsnr_approx(omega_x: Constellation, s: ChannelSample) -> float:
     var = (np.abs(pts - mean) ** 2).mean(axis=0)
     alpha = np.asarray(s.alpha, dtype=float)
     return float(s.gamma * np.sum(alpha**2 * var) / (omega_x.B * LN2))
-
-
-def faded_min_distance(omega_x: Constellation, alpha) -> float:
-    """Minimum distance of the faded constellation alpha .* Omega_x.
-
-    Zero is allowed: fading can collapse distinct points together.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    t = omega_x.points * alpha
-    M = t.shape[0]
-    best = math.inf
-    for i0 in range(0, M, 256):
-        block = t[i0 : i0 + 256]
-        d2 = np.sum(np.abs(block[:, None, :] - t[None, :, :]) ** 2, axis=-1)
-        rows = np.arange(block.shape[0])
-        d2[rows, i0 + rows] = math.inf
-        best = min(best, float(d2.min()))
-    return math.sqrt(best)

@@ -26,6 +26,9 @@ from .mutual_info import (
 from .outage import ergodic_snr
 from .search import golden_min
 
+REFINE_TOL_DEG = 0.05  # golden-section tolerance on the optimal angle
+INTERVAL_DB = 0.05  # width of the near-optimal interval above the minimum gamma_s
+
 
 @dataclass(frozen=True)
 class SweepProfile:
@@ -118,13 +121,11 @@ def optimize(
     R: float,
     cfg: EngineConfig = DEFAULT_CONFIG,
     coarse_step_deg: float = 0.5,
-    refine_tol_deg: float = 0.05,
-    interval_db: float = 0.05,
 ) -> OptimizeResult:
-    """Minimize gamma_s: coarse grid plus golden-section refinement.
+    """Minimize gamma_s: coarse grid plus golden-section refinement to REFINE_TOL_DEG.
 
     The reported near-optimal interval is the contiguous grid region
-    around the minimum staying within `interval_db` of it; disjoint ties
+    around the minimum staying within INTERVAL_DB of it; disjoint ties
     are all listed in `intervals`.
     """
     profile = sweep(omega_z, B, R, default_grid(B, coarse_step_deg), cfg)
@@ -136,12 +137,12 @@ def optimize(
         g = gamma_s_at(omega_z, B, R, theta, cfg)
         return g if math.isfinite(g) else 1e300
 
-    theta_opt = golden_min(f, lo, hi, math.radians(refine_tol_deg))
+    theta_opt = golden_min(f, lo, hi, math.radians(REFINE_TOL_DEG))
     gamma_s_opt = f(theta_opt)
     if gamma_s_opt > profile.gamma_s[i_min]:
         theta_opt, gamma_s_opt = float(profile.grid[i_min]), float(profile.gamma_s[i_min])
 
-    thresh_db = 10.0 * math.log10(gamma_s_opt) + interval_db
+    thresh_db = 10.0 * math.log10(gamma_s_opt) + INTERVAL_DB
     ok = np.where(
         profile.saturated, False, 10.0 * np.log10(np.where(profile.saturated, 1.0, profile.gamma_s)) <= thresh_db
     )

@@ -111,11 +111,12 @@ def sample_rayleigh(rng: np.random.Generator, n: int, B: int) -> np.ndarray:
     return np.sqrt(rng.exponential(1.0, size=(n, B)))
 
 
-def wilson_ci(k: int, n: int, z: float = Z95) -> tuple:
+def wilson_ci(k: int, n: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
     p = k / n
+    z = Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -313,10 +314,15 @@ class OutageGeometry:
         The anchors are the Gaussian floors.  On the B=2 ray (c, s) =
         (cos lambda, sin lambda) the MI equals R where (1 + x c^2)(1 + x s^2)
         = 2^(4R) with x = u^2, a quadratic in x whose positive root is
-        written here without cancellation.
+        written here without cancellation.  Raises ValueError for R <= 0,
+        and for a boundary (`n_angles`) with B != 2.
         """
+        if R <= 0:
+            raise ValueError("R must be positive")
         boundary = None
         if n_angles:
+            if B != 2:
+                raise ValueError("boundary tracing is defined for B = 2")
             lambdas = np.linspace(0.0, math.pi / 2.0, n_angles)
             K = 2.0 ** (4.0 * R) - 1.0
             cs2 = (np.cos(lambdas) * np.sin(lambdas)) ** 2

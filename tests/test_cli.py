@@ -95,7 +95,7 @@ def test_mi_matches_library(tmp_path, gamma_8db, cfg):
 def test_constellation_file_loading(tmp_path):
     c = cs.build_named("r2_8")
     path = tmp_path / "custom.json"
-    path.write_text(json.dumps(cs.to_dict(c)))
+    path.write_text(json.dumps({"name": "mine", "B": 2, "field": "real", "points": c.points.tolist()}))
     out = tmp_path / "sweep.csv"
     rc = cli.main(
         ["sweep", "--constellation-file", str(path), "--Rc", "0.6",
@@ -109,17 +109,12 @@ def test_constellation_file_loading(tmp_path):
 def test_rc_m_rate_resolution(tmp_path):
     out = tmp_path / "s.csv"
     rc = cli.main(
-        ["sweep", "--constellation", "r2_8", "--Rc", "0.6", "--m", "3",
+        ["sweep", "--constellation", "r2_8", "--Rc", "0.6",
          "--theta-grid", "4:6:1", "--out", str(out)]
     )
     assert rc == 0
     meta, _, _ = read_csv(out)
     assert float(meta["R"]) == pytest.approx(0.9)
-    rc = cli.main(
-        ["sweep", "--constellation", "r2_8", "--Rc", "0.6", "--m", "4",
-         "--theta-grid", "4:6:1", "--out", str(out)]
-    )
-    assert rc == 2
 
 
 def test_boundary_csv(tmp_path):
@@ -219,3 +214,61 @@ def test_snr_without_finite_positive_value_exits_2(argv, gamma_db, capsys):
     # 10^400 overflows a float and 10^-400 underflows to zero
     assert cli.main(argv + ["--gamma-db", gamma_db]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--constellation", "r2_4", "--R", "0.9", "--gaussian"],
+    ["sweep", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "5"],
+    ["expand", "--candidates", "r2_4:0.9", "--R", "0.9", "--constellation", "r2_4"],
+    ["mi", "--constellation", "r2_4", "--alpha", "1,1", "--gamma-db", "8", "--angles", "65"],
+    ["boundary", "--constellation", "r2_4", "--R", "0.9", "--gamma-db", "8", "--B", "2"],
+    ["reproduce", "fig4", "--R", "1"],
+    ["anchors", "--constellation", "r3_8", "--R", "0.9", "--gamma-db", "8", "--theta1-deg", "10"],
+    ["sweep", "--constellation", "r2_8", "--Rc", "0.6", "--m", "3"],
+    ["optimize", "--constellation", "r2_4", "--constellation-file", "c.json", "--R", "0.9"],
+    ["optimize", "--constellation", "r2_4", "--R", "0.9", "--Rc", "0.45"],
+    ["anchors", "--gaussian", "--constellation", "r2_4", "--B", "2", "--R", "0.9", "--gamma-db", "8"],
+], ids=["optimize-gaussian", "sweep-theta", "expand-constellation", "mi-angles", "boundary-B",
+        "reproduce-R", "theta1-deg", "m", "two-inputs", "R-and-Rc", "gaussian-and-constellation"])
+def test_unread_or_conflicting_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+INPUT = ["--constellation", "--constellation-file"]
+PRECODER = ["--theta-deg", "--phases-deg", "--lambda0-sign", "--lambda-half-sign"]
+RATE = ["--R", "--Rc"]
+ENGINE_OUTPUT = ["--engine", "--gh-order", "--mc-samples", "--seed", "--out", "--format"]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    point = INPUT + ["--gaussian"] + PRECODER
+    want = {
+        "mi": ["--alpha", "--gamma-db"] + point,
+        "anchors": ["--gamma-db", "--B"] + point + RATE,
+        "outage": ["--gamma-db", "--method", "--B", "--angles"] + point + RATE,
+        "boundary": ["--gamma-db", "--angles"] + point + RATE,
+        "sweep": ["--theta-grid", "--product-distance"] + INPUT + RATE,
+        "optimize": INPUT + RATE,
+        "expand": ["--candidates", "--R"],
+        "reproduce": ["target", "--angles"],
+    }
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    got = {
+        name: sorted(s for a in p._actions if a.dest != "help" for s in a.option_strings or [a.dest])
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: sorted(flags + ENGINE_OUTPUT) for name, flags in want.items()}
+    assert sum(map(len, got.values())) == 106
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--gaussian", "--R", "-1", "--gamma-db", "8"],
+    ["outage", "--gaussian", "--B", "2", "--R", "0", "--gamma-db", "8"],
+    ["anchors", "--gaussian", "--B", "2", "--R", "-1", "--gamma-db", "8"],
+], ids=["boundary", "outage", "anchors"])
+def test_gaussian_nonpositive_rate_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "R must be positive" in capsys.readouterr().err

@@ -117,7 +117,7 @@ def test_rectangular_grid_fails_symmetry():
 
 
 def test_min_distance_bpsk():
-    assert cs.min_distance(cs.build_named("bpsk")) == pytest.approx(2.0)
+    assert cs._pairwise_min_distance(cs.build_named("bpsk").points) == pytest.approx(2.0)
 
 
 def test_product_distance_zero_at_theta0():
@@ -127,11 +127,11 @@ def test_product_distance_zero_at_theta0():
 
 def test_rotation_preserves_euclidean_but_not_product_distance():
     c = cs.build_named("r2_8")
-    d0 = cs.min_distance(c)
+    d0 = cs._pairwise_min_distance(c.points)
     dp = []
     for deg in (10.0, 20.0, 35.0):
         omega_x = precoders.apply(precoders.rotation2(math.radians(deg)), c)
-        assert cs.min_distance(omega_x) == pytest.approx(d0, abs=1e-10)
+        assert cs._pairwise_min_distance(omega_x.points) == pytest.approx(d0, abs=1e-10)
         dp.append(cs.min_product_distance(omega_x))
     assert max(dp) - min(dp) > 1e-3
 
@@ -278,9 +278,17 @@ def test_group_points_key_fits_with_every_coordinate_distinct():
     assert got[0].size == 1023
 
 
+def json_dict(c):
+    """The JSON file form of `c`: complex components as [re, im] pairs."""
+    pts = c.points
+    if c.field == "complex":
+        pts = np.stack([pts.real, pts.imag], axis=-1)
+    return {"name": c.name, "B": c.B, "field": c.field, "points": pts.tolist()}
+
+
 def test_json_roundtrip_real(tmp_path):
     c = cs.build_named("r2_8")
-    d = cs.to_dict(c)
+    d = json_dict(c)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(d))
     back = cs.load_file(path)
@@ -290,8 +298,7 @@ def test_json_roundtrip_real(tmp_path):
 
 def test_json_roundtrip_complex(tmp_path):
     c = cs.build_named("qam8_star")
-    d = cs.to_dict(c)
-    assert isinstance(d["points"][0][0], list) and len(d["points"][0][0]) == 2
+    d = json_dict(c)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(d))
     back = cs.load_file(path)

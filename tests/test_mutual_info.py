@@ -18,7 +18,6 @@ from outagelab.mutual_info import (
     _alphabet,
     _form,
     _quad_nats_many,
-    faded_min_distance,
     inv_mi_scalar,
     inv_mi_scalar_many,
     mi_discrete,
@@ -243,21 +242,6 @@ def test_low_snr_expansion(cfg, square27):
         exact = mi_per_use(square27, s, cfg).value
         assert approx == pytest.approx(exact, rel=0.05)
     assert mi_lowsnr_approx(square27, ChannelSample(np.zeros(2), 1.0)) == 0.0
-
-
-def test_faded_min_distance(square27):
-    d0 = cs.min_distance(square27)
-    assert faded_min_distance(square27, [0.5, 0.5]) == pytest.approx(0.5 * d0)
-    collapsed = pc.apply(pc.rotation2(0.0), cs.build_named("r2_4"))
-    assert faded_min_distance(collapsed, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-    # on a sphere |alpha| = r the minimum over directions sits on the axes
-    r = 1.3
-    axis_val = faded_min_distance(square27, [r, 0.0])
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        lam = rng.uniform(0, math.pi / 2)
-        val = faded_min_distance(square27, [r * math.cos(lam), r * math.sin(lam)])
-        assert val >= axis_val - 1e-12
 
 
 def test_budget_triggers_mc_fallback(square27, gamma_8db):

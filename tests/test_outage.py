@@ -497,6 +497,16 @@ def test_gaussian_geometry_matches_closed_form():
         assert geom.outage(gamma).p_out == pytest.approx(want, rel=4e-4)
 
 
+@pytest.mark.parametrize("B, R, n_angles, msg", [
+    (2, 0.0, 65, "R must be positive"),
+    (2, -1.0, None, "R must be positive"),
+    (3, 0.9, 65, "B = 2"),
+])
+def test_gaussian_geometry_rejects_bad_rate_and_traced_b3(B, R, n_angles, msg):
+    with pytest.raises(ValueError, match=msg):
+        OutageGeometry.gaussian(B, R, n_angles)
+
+
 def first_match_groups(rows, tol):
     """Reference for the ray-cap grouping: the pairwise loop `_ray_cap_bits`
     ran before `group_points` (each row joins the first earlier group whose first member lies within

@@ -110,7 +110,9 @@ def test_apply_preserves_norms_and_distances(theta):
     assert np.allclose(
         np.linalg.norm(out.points, axis=1), np.linalg.norm(c.points, axis=1), atol=1e-10
     )
-    assert cs.min_distance(out) == pytest.approx(cs.min_distance(c), abs=1e-10)
+    assert cs._pairwise_min_distance(out.points) == pytest.approx(
+        cs._pairwise_min_distance(c.points), abs=1e-10
+    )
 
 
 def test_apply_complex_acts_on_parts():
