@@ -118,6 +118,19 @@ def build_precoder(args, B: int) -> precoders.Precoder:
     raise ConfigError(f"B={B} needs --phases-deg")
 
 
+# what a closed-form Gaussian input does not read: it runs no engine and has no precoder
+GAUSSIAN_UNREAD = ("engine", "gh_order", "mc_samples", "theta_deg", "phases_deg", "lambda0_sign",
+                   "lambda_half_sign")
+
+
+def reject_unread(args, dests, reader: str):
+    """Raise ConfigError (exit 2) naming each flag in `dests` set away from
+    its default, which `reader`, the chosen input, does not read."""
+    unread = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) != args.parser.get_default(d)]
+    if unread:
+        raise ConfigError(f"{reader} does not read {', '.join(unread)}")
+
+
 def resolve_rate(args, c) -> float:
     if args.R is not None:
         return args.R
@@ -178,6 +191,7 @@ def cmd_mi(args) -> int:
     gamma = db_to_linear(args.gamma_db)
     alpha = np.array([float(x) for x in args.alpha.split(",")])
     if args.gaussian:
+        reject_unread(args, GAUSSIAN_UNREAD, "--gaussian")
         est = mi_gaussian(ChannelSample(alpha, gamma))
     else:
         c = load_constellation(args)
@@ -199,10 +213,12 @@ def cmd_anchors(args) -> int:
     cfg = engine_from_args(args)
     gamma = db_to_linear(args.gamma_db)
     if args.gaussian:
+        reject_unread(args, GAUSSIAN_UNREAD, "--gaussian")
         if args.B is None or args.R is None:
             raise ConfigError("--gaussian anchors need --B and --R")
         geom = OutageGeometry.gaussian(args.B, args.R)
     else:
+        reject_unread(args, ["B"], "a constellation input")
         c = load_constellation(args)
         geom = OutageGeometry.solve(c, build_precoder(args, c.B), resolve_rate(args, c), cfg)
     an = geom.anchors(gamma)
@@ -247,11 +263,13 @@ def cmd_outage(args) -> int:
     cfg = engine_from_args(args)
     gammas_db = parse_range(args.gamma_db)
     if args.gaussian:
+        reject_unread(args, GAUSSIAN_UNREAD + ("method",), "--gaussian")
         if args.B is None or args.R is None:
             raise ConfigError("--gaussian outage needs --B and --R")
         rows = _curve_rows(OutageGeometry.gaussian(args.B, args.R, args.angles), gammas_db, args.seed)
         meta = {"seed": args.seed, "engine": "closed_form", "R": args.R}
     else:
+        reject_unread(args, ["B"], "a constellation input")
         c = load_constellation(args)
         p = build_precoder(args, c.B)
         R = resolve_rate(args, c)
@@ -278,6 +296,7 @@ def cmd_boundary(args) -> int:
     cfg = engine_from_args(args)
     gamma = db_to_linear(args.gamma_db)
     if args.gaussian:
+        reject_unread(args, GAUSSIAN_UNREAD, "--gaussian")
         if args.R is None:
             raise ConfigError("--gaussian boundary needs --R")
         trace = OutageGeometry.gaussian(2, args.R, args.angles).trace(gamma)
@@ -588,6 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():  # every handler reads the engine and output flags
         _add_engine_output(p)
+        p.set_defaults(parser=p)  # for reject_unread's defaults
     return ap
 
 

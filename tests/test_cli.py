@@ -272,3 +272,18 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
 def test_gaussian_nonpositive_rate_exits_2(argv, capsys):
     assert cli.main(argv) == 2
     assert "R must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["anchors", "--constellation", "r2_4", "--B", "3", "--R", "0.9", "--gamma-db", "8"], "--B"),
+    (["outage", "--constellation", "r2_4", "--B", "3", "--R", "0.9", "--gamma-db", "8", "--angles", "65"],
+     "--B"),
+    (["outage", "--gaussian", "--B", "2", "--R", "0.9", "--gamma-db", "8", "--method", "mc",
+      "--mc-samples", "5"], "--mc-samples, --method"),
+    (["mi", "--gaussian", "--alpha", "1,1", "--gamma-db", "8", "--theta-deg", "27", "--engine", "mc"],
+     "--engine, --theta-deg"),
+    (["boundary", "--gaussian", "--R", "0.9", "--gamma-db", "8", "--gh-order", "8"], "--gh-order"),
+], ids=["anchors-B", "outage-B", "outage-gaussian-mc", "mi-gaussian-precoder", "boundary-gaussian-order"])
+def test_flag_the_chosen_input_does_not_read_exits_2(argv, unread, capsys):
+    assert cli.main(argv) == 2
+    assert f"does not read {unread}" in capsys.readouterr().err
