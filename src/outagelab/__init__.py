@@ -38,10 +38,6 @@ from .outage import (
     outage_mc,
     trace_boundary_2d,
 )
-from .optimizer import (
-    expansion_compare,
-    optimize,
-    product_distance_profile,
-    sweep,
-)
-from .precoders import Precoder, apply, circulant_from_phases, rotation2, rotation3
+from .optimizer import expansion_compare, optimize, product_distance_profile, sweep
+from .precoders import (Precoder, apply, circulant_from_eigenphases, circulant_from_phases, rotation,
+                        rotation2, rotation3)

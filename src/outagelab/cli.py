@@ -33,13 +33,7 @@ from .mutual_info import (
     mi_gaussian,
     mi_per_use,
 )
-from .optimizer import (
-    default_grid,
-    expansion_compare,
-    make_precoder,
-    optimize,
-    sweep,
-)
+from .optimizer import default_grid, expansion_compare, optimize, sweep
 from .outage import (
     OutageGeometry,
     OutageQuery,
@@ -106,21 +100,14 @@ def load_constellation(args) -> constellations.Constellation:
 
 
 def build_precoder(args, B: int) -> precoders.Precoder:
-    if args.phases_deg:
-        phases = [math.radians(float(x)) for x in args.phases_deg.split(",")]
-        return precoders.circulant_from_phases(
-            B, phases, lambda0_sign=args.lambda0_sign, lambda_half_sign=args.lambda_half_sign
-        )
-    if B == 2:
-        return precoders.rotation2(math.radians(args.theta_deg))
-    if B == 3:
-        return precoders.rotation3(math.radians(args.theta_deg), lambda0_sign=args.lambda0_sign)
-    raise ConfigError(f"B={B} needs --phases-deg")
+    if args.phases_deg is None:
+        return precoders.rotation(B, math.radians(args.theta_deg))
+    phases = [math.radians(float(x)) for x in args.phases_deg.split(",")]
+    return precoders.circulant_from_eigenphases(B, phases)
 
 
 # what a closed-form Gaussian input does not read: it runs no engine and has no precoder
-GAUSSIAN_UNREAD = ("engine", "gh_order", "mc_samples", "theta_deg", "phases_deg", "lambda0_sign",
-                   "lambda_half_sign")
+GAUSSIAN_UNREAD = ("engine", "gh_order", "mc_samples", "theta_deg", "phases_deg")
 
 
 def reject_unread(args, dests, reader: str):
@@ -216,14 +203,15 @@ def cmd_anchors(args) -> int:
         reject_unread(args, GAUSSIAN_UNREAD, "--gaussian")
         if args.B is None or args.R is None:
             raise ConfigError("--gaussian anchors need --B and --R")
-        geom = OutageGeometry.gaussian(args.B, args.R)
+        geom, engine = OutageGeometry.gaussian(args.B, args.R), "closed_form"
     else:
         reject_unread(args, ["B"], "a constellation input")
         c = load_constellation(args)
         geom = OutageGeometry.solve(c, build_precoder(args, c.B), resolve_rate(args, c), cfg)
+        engine = cfg.engine
     an = geom.anchors(gamma)
     p_up, p_low = geom.bounds(gamma)
-    meta = {"seed": args.seed, "engine": cfg.engine, "gamma_db": args.gamma_db}
+    meta = {"seed": args.seed, "engine": engine, "gamma_db": args.gamma_db}
     write_table(
         args.out,
         ["alpha_o", "alpha_o_exists", "alpha_e", "alpha_e_exists", "p_up", "p_low", "note"],
@@ -264,18 +252,19 @@ def cmd_outage(args) -> int:
     gammas_db = parse_range(args.gamma_db)
     if args.gaussian:
         reject_unread(args, GAUSSIAN_UNREAD + ("method",), "--gaussian")
-        if args.B is None or args.R is None:
-            raise ConfigError("--gaussian outage needs --B and --R")
-        rows = _curve_rows(OutageGeometry.gaussian(args.B, args.R, args.angles), gammas_db, args.seed)
+        if args.R is None:
+            raise ConfigError("--gaussian outage needs --R")
+        rows = _curve_rows(OutageGeometry.gaussian(2, args.R, args.angles), gammas_db, args.seed)
         meta = {"seed": args.seed, "engine": "closed_form", "R": args.R}
     else:
-        reject_unread(args, ["B"], "a constellation input")
         c = load_constellation(args)
         p = build_precoder(args, c.B)
         R = resolve_rate(args, c)
         method = args.method
         if method == "auto":
             method = "boundary" if c.B == 2 else "mc"
+        if method == "mc":
+            reject_unread(args, ["angles"], "a Monte Carlo outage curve")
         rows = _outage_curve(c, p, R, gammas_db, method, cfg, args.angles, args.mc_samples, args.seed)
         meta = {
             "seed": args.seed,
@@ -299,13 +288,13 @@ def cmd_boundary(args) -> int:
         reject_unread(args, GAUSSIAN_UNREAD, "--gaussian")
         if args.R is None:
             raise ConfigError("--gaussian boundary needs --R")
-        trace = OutageGeometry.gaussian(2, args.R, args.angles).trace(gamma)
+        trace, engine = OutageGeometry.gaussian(2, args.R, args.angles).trace(gamma), "closed_form"
     else:
         c = load_constellation(args)
         p = build_precoder(args, c.B)
         q = OutageQuery(c, p, R=resolve_rate(args, c), gamma=gamma)
-        trace = trace_boundary_2d(q, args.angles, cfg)
-    meta = {"seed": args.seed, "engine": cfg.engine, "gamma_db": args.gamma_db, "R": trace.R}
+        trace, engine = trace_boundary_2d(q, args.angles, cfg), cfg.engine
+    meta = {"seed": args.seed, "engine": engine, "gamma_db": args.gamma_db, "R": trace.R}
     write_table(args.out, ["lambda_rad", "rho", "saturated"], _trace_rows(trace), meta, args.format)
     return 0
 
@@ -331,10 +320,7 @@ def cmd_sweep(args) -> int:
     c = load_constellation(args)
     R = resolve_rate(args, c)
     grid = np.radians(parse_range(args.theta_grid)) if args.theta_grid else default_grid(c.B)
-    profile = sweep(
-        c, c.B, R, grid=grid, cfg=cfg,
-        include_product_distance=args.product_distance,
-    )
+    profile = sweep(c, R, grid=grid, cfg=cfg, include_product_distance=args.product_distance)
     meta = {"seed": args.seed, "engine": cfg.engine, "gh_order": cfg.gh_order, "R": R}
     write_table(args.out, SWEEP_COLUMNS, _sweep_rows(profile), meta, args.format)
     return 0
@@ -344,7 +330,7 @@ def cmd_optimize(args) -> int:
     cfg = engine_from_args(args)
     c = load_constellation(args)
     R = resolve_rate(args, c)
-    res = optimize(c, c.B, R, cfg)
+    res = optimize(c, R, cfg)
     meta = {
         "seed": args.seed,
         "engine": cfg.engine,
@@ -371,9 +357,8 @@ def cmd_expand(args) -> int:
     for item in args.candidates.split(","):
         name, rc = item.split(":")
         cands.append((constellations.build_named(name.strip()), float(rc)))
-    B = cands[0][0].B
     R = args.R
-    rows = expansion_compare(cands, B, R, cfg)
+    rows = expansion_compare(cands, R, cfg)
     meta = {"seed": args.seed, "engine": cfg.engine, "R": R}
     write_table(
         args.out,
@@ -447,6 +432,8 @@ def cmd_reproduce(args) -> int:
     outdir = args.out or "results"
     os.makedirs(outdir, exist_ok=True)
     tag, seed = args.target, cfg.seed
+    if all(step[0] != "boundary" for step in RECIPES[tag]):
+        reject_unread(args, ["angles"], f"reproduce {tag}")
     optima = {}
 
     def write(stem, columns, rows, meta):
@@ -466,18 +453,18 @@ def cmd_reproduce(args) -> int:
         if theta == OPT:
             key = (name, R, step_deg, order)
             if key not in optima:
-                optima[key] = optimize(c, c.B, R, run_cfg, coarse_step_deg=step_deg)
+                optima[key] = optimize(c, R, run_cfg, coarse_step_deg=step_deg)
             opt = optima[key]
             theta = round(math.degrees(opt.theta_opt), 2)
         if kind == "sweep":
             profile = opt.profile if opt else sweep(
-                c, c.B, R, grid=default_grid(c.B, step_deg), cfg=run_cfg,
+                c, R, grid=default_grid(c.B, step_deg), cfg=run_cfg,
                 include_product_distance=opts.get("dpmin", False),
             )
             write(f"sweep_{name}", SWEEP_COLUMNS, _sweep_rows(profile),
                   {"constellation": name, "R": R, "seed": seed, "gh_order": order})
             continue
-        p = make_precoder(c.B, math.radians(theta))
+        p = precoders.rotation(c.B, math.radians(theta))
         if kind == "boundary":
             q = OutageQuery(c, p, R=R, gamma=db_to_linear(opts["gamma_db"]))
             write(f"boundary_{name}_t{theta:g}", ["lambda_rad", "rho", "saturated"],
@@ -492,7 +479,7 @@ def cmd_reproduce(args) -> int:
             stem = "bounds"
             geom = OutageGeometry(
                 c.B, R, inv_mi_scalar(project(precoders.apply(p, c), 1), c.B * R, cfg),
-                ergodic_snr(c, c.B, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12))),
+                ergodic_snr(c, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12))),
             )
             rows = [[gdb, "", "", "", *geom.bounds(db_to_linear(gdb)), "bounds_only", seed]
                     for gdb in gammas_db]
@@ -516,10 +503,11 @@ def _add_input(p, gaussian: bool = False):
 
 
 def _add_precoder(p):
-    p.add_argument("--theta-deg", type=float, default=0.0)
-    p.add_argument("--phases-deg", default=None, help="comma list of eigenphases")
-    p.add_argument("--lambda0-sign", type=int, default=1, choices=(1, -1))
-    p.add_argument("--lambda-half-sign", type=int, default=None, choices=(1, -1))
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--theta-deg", type=float, default=0.0, help="rotation angle, B = 2 or 3")
+    g.add_argument("--phases-deg", default=None,
+                   help="real circulant: comma list of eigenphases phi_0..phi_floor(B/2), "
+                        "phi_0 (and phi_B/2 for even B) 0 or 180")
 
 
 def _add_rate(p):
@@ -568,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("outage", help="outage probability over an SNR grid")
     p.add_argument("--gamma-db", required=True, help="single value or a:b:step")
     p.add_argument("--method", default="auto", choices=("auto", "boundary", "mc"))
-    p.add_argument("--B", type=int, default=None, help="blocks of a --gaussian input")
     p.add_argument("--angles", type=int, default=513, help="boundary trace resolution")
     _add_input(p, gaussian=True)
     _add_precoder(p)

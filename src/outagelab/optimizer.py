@@ -55,30 +55,20 @@ class OptimizeResult:
     profile: SweepProfile
 
 
-def make_precoder(B: int, theta: float):
-    """Single-angle precoder: `rotation2` for B=2, `rotation3` for B=3."""
-    if B == 2:
-        return precoders.rotation2(theta)
-    if B == 3:
-        return precoders.rotation3(theta)
-    raise ValueError("single-angle sweeps cover B = 2 and B = 3 only")
-
-
 def default_grid(B: int, step_deg: float = 0.5) -> np.ndarray:
-    hi = 90.0 if B == 2 else 120.0
+    hi = precoders.rotation_family(B)[1]
     return np.radians(np.arange(0.0, hi + step_deg / 2, step_deg))
 
 
-def gamma_s_at(omega_z: Constellation, B: int, R: float, theta: float,
+def gamma_s_at(omega_z: Constellation, R: float, theta: float,
                cfg: EngineConfig = DEFAULT_CONFIG) -> float:
     """Axis-crossing SNR for one angle; inf when the rate saturates."""
-    sp = project(precoders.apply(make_precoder(B, theta), omega_z), 1)
-    return float(inv_mi_scalar_many([sp], B * R, cfg)[0])
+    sp = project(precoders.apply(precoders.rotation(omega_z.B, theta), omega_z), 1)
+    return float(inv_mi_scalar_many([sp], omega_z.B * R, cfg)[0])
 
 
 def sweep(
     omega_z: Constellation,
-    B: int,
     R: float,
     grid: "np.ndarray | None" = None,
     cfg: EngineConfig = DEFAULT_CONFIG,
@@ -90,15 +80,14 @@ def sweep(
     lock-step over the whole grid (`inv_mi_scalar_many`), each angle
     giving exactly its `gamma_s_at` value.
     """
-    if omega_z.B != B:
-        raise ValueError(f"constellation has B={omega_z.B}, expected {B}")
+    B = omega_z.B
     if grid is None:
         grid = default_grid(B)
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
 
-    sps = [project(precoders.apply(make_precoder(B, t), omega_z), 1) for t in grid]
+    sps = [project(precoders.apply(precoders.rotation(B, t), omega_z), 1) for t in grid]
     gamma_s = inv_mi_scalar_many(sps, B * R, cfg)
     if not np.isfinite(gamma_s).any():
         raise SaturationError(
@@ -106,7 +95,7 @@ def sweep(
         )
     d_pmin = None
     if include_product_distance:
-        d_pmin = product_distance_profile(omega_z, B, grid)
+        d_pmin = product_distance_profile(omega_z, grid)
     return SweepProfile(
         grid=grid,
         gamma_s=gamma_s,
@@ -117,7 +106,6 @@ def sweep(
 
 def optimize(
     omega_z: Constellation,
-    B: int,
     R: float,
     cfg: EngineConfig = DEFAULT_CONFIG,
     coarse_step_deg: float = 0.5,
@@ -128,13 +116,13 @@ def optimize(
     around the minimum staying within INTERVAL_DB of it; disjoint ties
     are all listed in `intervals`.
     """
-    profile = sweep(omega_z, B, R, default_grid(B, coarse_step_deg), cfg)
+    profile = sweep(omega_z, R, default_grid(omega_z.B, coarse_step_deg), cfg)
     i_min = int(np.nanargmin(np.where(profile.saturated, np.nan, profile.gamma_s)))
     lo = profile.grid[max(i_min - 1, 0)]
     hi = profile.grid[min(i_min + 1, len(profile.grid) - 1)]
 
     def f(theta):
-        g = gamma_s_at(omega_z, B, R, theta, cfg)
+        g = gamma_s_at(omega_z, R, theta, cfg)
         return g if math.isfinite(g) else 1e300
 
     theta_opt = golden_min(f, lo, hi, math.radians(REFINE_TOL_DEG))
@@ -181,16 +169,19 @@ class ExpansionRow:
     ergodic_gap_db: float
 
 
-def expansion_compare(candidates, B: int, R: float,
-                      cfg: EngineConfig = DEFAULT_CONFIG) -> list:
+def expansion_compare(candidates, R: float, cfg: EngineConfig = DEFAULT_CONFIG) -> list:
     """Optimize each (constellation, Rc) candidate at the common rate R.
 
-    Candidates must satisfy R = Rc * m / B with m >= ceil(B*R); the gap
-    columns measure distance to the Gaussian floors in dB.
+    Candidates share one B and must satisfy R = Rc * m / B with
+    m >= ceil(B*R); the gap columns measure distance to the Gaussian
+    floors in dB.
     """
     rows = []
+    B = candidates[0][0].B
     for omega_z, Rc in candidates:
         m = omega_z.m
+        if omega_z.B != B:
+            raise ValueError(f"{omega_z.name}: B={omega_z.B}, the first candidate has B={B}")
         if abs(R - Rc * m / B) > 1e-9:
             raise ValueError(
                 f"{omega_z.name}: Rc*m/B = {Rc * m / B:.6g} does not match R = {R:.6g}"
@@ -199,9 +190,9 @@ def expansion_compare(candidates, B: int, R: float,
             raise ValueError(
                 f"{omega_z.name}: m={m:.6g} below the minimum ceil(B*R)={math.ceil(B * R)}"
             )
-        res = optimize(omega_z, B, R, cfg)
+        res = optimize(omega_z, R, cfg)
         floor = gaussian_floor(B, R, omega_z.field)
-        se = ergodic_snr(omega_z, B, R, cfg)
+        se = ergodic_snr(omega_z, R, cfg)
         se_floor = gaussian_floor(1, R, omega_z.field)
         rows.append(
             ExpansionRow(
@@ -218,13 +209,11 @@ def expansion_compare(candidates, B: int, R: float,
     return rows
 
 
-def product_distance_profile(omega_z: Constellation, B: int, grid) -> np.ndarray:
+def product_distance_profile(omega_z: Constellation, grid) -> np.ndarray:
     """Minimum product distance of the precoded constellation per angle."""
-    if B not in (2, 3):
-        raise ValueError("product-distance profiles cover B = 2 and B = 3")
     grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.shape[0])
     for k, theta in enumerate(grid):
-        omega_x = precoders.apply(make_precoder(B, theta), omega_z)
+        omega_x = precoders.apply(precoders.rotation(omega_z.B, theta), omega_z)
         out[k] = min_product_distance(omega_x)
     return out

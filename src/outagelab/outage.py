@@ -123,18 +123,17 @@ def wilson_ci(k: int, n: int) -> tuple:
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
-def ergodic_snr(omega_x: Constellation, B: int, R: float,
-                cfg: EngineConfig = DEFAULT_CONFIG) -> float:
+def ergodic_snr(omega_x: Constellation, R: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
     """Per-block SNR alpha_e^2*gamma at which the equal-gains MI reaches R.
 
     Solved once at GAMMA_REF by bisection of the full vector MI; it does
     not depend on the SNR, nor on an orthogonal precoder (which keeps all
     pairwise distances).  Raises SaturationError at the alphabet limit.
     """
-    cap = omega_x.m / B
+    cap = omega_x.m / omega_x.B
     if R >= cap - 1e-12:
         raise SaturationError(f"R >= alphabet limit m/B = {cap:.6g}")
-    ones = np.ones(B)
+    ones = np.ones(omega_x.B)
 
     def f(c):  # one row: the equal-gains MI at gain c
         return mi_per_use_batch(omega_x, c[:, None] * ones, GAMMA_REF, cfg)
@@ -161,7 +160,7 @@ def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> Outag
         alpha_o, alpha_o_exists = math.inf, False
         notes.append(str(exc))
     try:
-        alpha_e, alpha_e_exists = math.sqrt(ergodic_snr(omega_x, B, q.R, cfg) / q.gamma), True
+        alpha_e, alpha_e_exists = math.sqrt(ergodic_snr(omega_x, q.R, cfg) / q.gamma), True
     except SaturationError as exc:
         alpha_e, alpha_e_exists = math.inf, False
         notes.append(str(exc))

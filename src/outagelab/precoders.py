@@ -4,8 +4,10 @@ Two constructions are provided: the plane rotation for B=2 and real
 orthogonal circulants for any B, assembled from unit-magnitude eigenvalues
 with conjugate symmetry so the matrix comes out real.  For B=3 the
 circulant with a single eigenphase is the rotation around the (1,1,1)
-axis.  Complex constellations are precoded by applying the same real
-matrix to the real and imaginary parts separately.
+axis.  `ROTATIONS` is the one table keyed on B: the single-angle rotation
+of B=2 and B=3 and the angle span a sweep covers.  Complex constellations
+are precoded by applying the same real matrix to the real and imaginary
+parts separately.
 """
 
 import math
@@ -65,17 +67,42 @@ def circulant_from_phases(B, phases, lambda0_sign=1, lambda_half_sign=None) -> P
     first_row = np.fft.ifft(lam)
     if np.max(np.abs(first_row.imag)) > ORTHO_TOL:
         raise ValueError("eigenvalue symmetry did not produce a real first row")
-    row = first_row.real
-    matrix = np.empty((B, B))
-    for b in range(B):
-        matrix[b] = np.roll(row, b)
-    return _finish(B, matrix, "circulant")
+    return _finish(B, [np.roll(first_row.real, b) for b in range(B)], "circulant")
 
 
-def rotation3(theta1: float, lambda0_sign=1) -> Precoder:
+def rotation3(theta1: float) -> Precoder:
     """3x3 rotation by `theta1` around the (1,1,1)/sqrt(3) axis."""
-    p = circulant_from_phases(3, [theta1], lambda0_sign=lambda0_sign)
-    return Precoder(B=3, matrix=p.matrix, kind="rotation3")
+    return Precoder(B=3, matrix=circulant_from_phases(3, [theta1]).matrix, kind="rotation3")
+
+
+# B -> (single-angle rotation, the angle span in degrees one sweep covers)
+ROTATIONS = {2: (rotation2, 90.0), 3: (rotation3, 120.0)}
+
+
+def rotation_family(B: int) -> tuple:
+    """(constructor, sweep span in degrees) of the single-angle rotation for B blocks."""
+    if B not in ROTATIONS:
+        raise ValueError(f"B={B} has no single-angle rotation (B = 2 and B = 3 do); use a circulant")
+    return ROTATIONS[B]
+
+
+def rotation(B: int, theta: float) -> Precoder:
+    """Single-angle precoder: `rotation2` for B=2, `rotation3` for B=3."""
+    return rotation_family(B)[0](theta)
+
+
+def circulant_from_eigenphases(B: int, phases) -> Precoder:
+    """Real orthogonal circulant from its eigenphases phi_0..phi_floor(B/2), radians.
+
+    phi_0, and phi_{B/2} for even B, belong to real eigenvalues: each must be
+    0 or pi, the eigenvalue sign +1 or -1.
+    """
+    if len(phases) != B // 2 + 1:
+        raise ValueError(f"B={B} needs {B // 2 + 1} eigenphases phi_0..phi_{B // 2}, got {len(phases)}")
+    real = [phases[0]] if B % 2 else [phases[0], phases[-1]]
+    if any(abs(math.sin(p)) > ORTHO_TOL for p in real):
+        raise ValueError("phi_0, and phi_B/2 for even B, must be 0 or pi (180 degrees)")
+    return circulant_from_phases(B, phases[1:(B + 1) // 2], *(round(math.cos(p)) for p in real))
 
 
 def apply(p: Precoder, c: Constellation) -> Constellation:

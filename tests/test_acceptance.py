@@ -80,7 +80,7 @@ def caches(square):
 @criterion(1, "optimal angle for the 4-point planar set at R=0.9 is 27 +- 2 deg")
 def test_optimal_angle_b2(square):
     t0 = time.time()
-    res = optimize(square, 2, 0.9, CFG)
+    res = optimize(square, 0.9, CFG)
     elapsed = time.time() - t0
     assert abs(math.degrees(res.theta_opt) - 27.0) <= 2.0
     assert elapsed < 60.0
@@ -99,7 +99,7 @@ def test_expansion_monotonicity(square):
     names = ["r2_4", "r2_8", "r2_16"]
     gaps, thetas = [], []
     for name in names:
-        res = optimize(cs.build_named(name), 2, 0.9, CFG)
+        res = optimize(cs.build_named(name), 0.9, CFG)
         gaps.append(10 * math.log10(res.gamma_s_opt / gaussian_floor(2, 0.9)))
         thetas.append(math.degrees(res.theta_opt))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -228,8 +228,8 @@ def test_complex_chain_rule(square):
     # the optimization profile at R=1.8 is the real R=0.9 profile +3.0103 dB
     c16 = cs.build_named("c2_16")
     for deg in np.arange(3.0, 43.0, 4.0):
-        s_c = gamma_s_at(c16, 2, 1.8, math.radians(deg), CFG)
-        s_r = gamma_s_at(square, 2, 0.9, math.radians(deg), CFG)
+        s_c = gamma_s_at(c16, 1.8, math.radians(deg), CFG)
+        s_r = gamma_s_at(square, 0.9, math.radians(deg), CFG)
         shift = 10 * math.log10(s_c / s_r)
         assert abs(shift - 3.0103) < 0.02, deg
 
@@ -238,8 +238,8 @@ def test_complex_chain_rule(square):
 def test_b3_symmetry_and_matrix(square):
     r38 = cs.build_named("r3_8")
     for deg in (10.0, 25.0, 40.0, 55.0):
-        a = gamma_s_at(r38, 3, 0.9, math.radians(deg), CFG)
-        b = gamma_s_at(r38, 3, 0.9, math.radians(120.0 - deg), CFG)
+        a = gamma_s_at(r38, 0.9, math.radians(deg), CFG)
+        b = gamma_s_at(r38, 0.9, math.radians(120.0 - deg), CFG)
         assert abs(10 * math.log10(a) - 10 * math.log10(b)) < 0.02, deg
     r3 = math.sqrt(3.0)
     for deg in np.arange(0.0, 121.0, 7.5):

@@ -148,7 +148,7 @@ def test_outage_gamma_range_and_bounds(tmp_path):
 def test_gaussian_outage(tmp_path):
     out = tmp_path / "g.csv"
     rc = cli.main(
-        ["outage", "--gaussian", "--B", "2", "--R", "0.9", "--gamma-db", "8",
+        ["outage", "--gaussian", "--R", "0.9", "--gamma-db", "8",
          "--angles", "129", "--out", str(out)]
     )
     assert rc == 0
@@ -228,8 +228,13 @@ def test_snr_without_finite_positive_value_exits_2(argv, gamma_db, capsys):
     ["optimize", "--constellation", "r2_4", "--constellation-file", "c.json", "--R", "0.9"],
     ["optimize", "--constellation", "r2_4", "--R", "0.9", "--Rc", "0.45"],
     ["anchors", "--gaussian", "--constellation", "r2_4", "--B", "2", "--R", "0.9", "--gamma-db", "8"],
+    ["outage", "--constellation", "r2_4", "--B", "3", "--R", "0.9", "--gamma-db", "8", "--angles", "65"],
+    ["anchors", "--constellation", "r3_8", "--R", "0.9", "--gamma-db", "8", "--theta-deg", "5",
+     "--phases-deg", "0,27"],
+    ["anchors", "--constellation", "r3_8", "--R", "0.9", "--gamma-db", "8", "--lambda0-sign", "-1"],
 ], ids=["optimize-gaussian", "sweep-theta", "expand-constellation", "mi-angles", "boundary-B",
-        "reproduce-R", "theta1-deg", "m", "two-inputs", "R-and-Rc", "gaussian-and-constellation"])
+        "reproduce-R", "theta1-deg", "m", "two-inputs", "R-and-Rc", "gaussian-and-constellation",
+        "outage-B", "theta-and-phases", "lambda0-sign"])
 def test_unread_or_conflicting_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -238,7 +243,7 @@ def test_unread_or_conflicting_flag_exits_2(argv, capsys):
 
 
 INPUT = ["--constellation", "--constellation-file"]
-PRECODER = ["--theta-deg", "--phases-deg", "--lambda0-sign", "--lambda-half-sign"]
+PRECODER = ["--theta-deg", "--phases-deg"]
 RATE = ["--R", "--Rc"]
 ENGINE_OUTPUT = ["--engine", "--gh-order", "--mc-samples", "--seed", "--out", "--format"]
 
@@ -248,7 +253,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     want = {
         "mi": ["--alpha", "--gamma-db"] + point,
         "anchors": ["--gamma-db", "--B"] + point + RATE,
-        "outage": ["--gamma-db", "--method", "--B", "--angles"] + point + RATE,
+        "outage": ["--gamma-db", "--method", "--angles"] + point + RATE,
         "boundary": ["--gamma-db", "--angles"] + point + RATE,
         "sweep": ["--theta-grid", "--product-distance"] + INPUT + RATE,
         "optimize": INPUT + RATE,
@@ -261,12 +266,12 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert got == {name: sorted(flags + ENGINE_OUTPUT) for name, flags in want.items()}
-    assert sum(map(len, got.values())) == 106
+    assert sum(map(len, got.values())) == 97
 
 
 @pytest.mark.parametrize("argv", [
     ["boundary", "--gaussian", "--R", "-1", "--gamma-db", "8"],
-    ["outage", "--gaussian", "--B", "2", "--R", "0", "--gamma-db", "8"],
+    ["outage", "--gaussian", "--R", "0", "--gamma-db", "8"],
     ["anchors", "--gaussian", "--B", "2", "--R", "-1", "--gamma-db", "8"],
 ], ids=["boundary", "outage", "anchors"])
 def test_gaussian_nonpositive_rate_exits_2(argv, capsys):
@@ -276,14 +281,81 @@ def test_gaussian_nonpositive_rate_exits_2(argv, capsys):
 
 @pytest.mark.parametrize("argv,unread", [
     (["anchors", "--constellation", "r2_4", "--B", "3", "--R", "0.9", "--gamma-db", "8"], "--B"),
-    (["outage", "--constellation", "r2_4", "--B", "3", "--R", "0.9", "--gamma-db", "8", "--angles", "65"],
-     "--B"),
-    (["outage", "--gaussian", "--B", "2", "--R", "0.9", "--gamma-db", "8", "--method", "mc",
+    (["outage", "--gaussian", "--R", "0.9", "--gamma-db", "8", "--method", "mc",
       "--mc-samples", "5"], "--mc-samples, --method"),
     (["mi", "--gaussian", "--alpha", "1,1", "--gamma-db", "8", "--theta-deg", "27", "--engine", "mc"],
      "--engine, --theta-deg"),
     (["boundary", "--gaussian", "--R", "0.9", "--gamma-db", "8", "--gh-order", "8"], "--gh-order"),
-], ids=["anchors-B", "outage-B", "outage-gaussian-mc", "mi-gaussian-precoder", "boundary-gaussian-order"])
+    (["outage", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "27", "--method", "mc",
+      "--mc-samples", "2000", "--angles", "65", "--gamma-db", "8"], "--angles"),
+    (["outage", "--constellation", "r3_8", "--R", "0.9", "--theta-deg", "30", "--angles", "65",
+      "--gamma-db", "8"], "--angles"),
+    (["reproduce", "fig4", "--angles", "65"], "--angles"),
+], ids=["anchors-B", "outage-gaussian-mc", "mi-gaussian-precoder", "boundary-gaussian-order",
+        "outage-mc-angles", "outage-auto-mc-angles", "reproduce-fig4-angles"])
 def test_flag_the_chosen_input_does_not_read_exits_2(argv, unread, capsys):
     assert cli.main(argv) == 2
     assert f"does not read {unread}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["anchors", "--gaussian", "--B", "2", "--R", "0.9", "--gamma-db", "8"],
+    ["boundary", "--gaussian", "--R", "0.9", "--gamma-db", "8", "--angles", "65"],
+], ids=["anchors", "boundary"])
+def test_gaussian_input_writes_closed_form_engine(argv, tmp_path):
+    out = tmp_path / "g.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    meta, _, _ = read_csv(out)
+    assert meta["engine"] == "closed_form"
+
+
+R3 = ["--constellation", "r3_8", "--R", "0.9"]
+
+
+@pytest.mark.parametrize("cmd", [
+    ["anchors", "--gamma-db", "8"] + R3,
+    ["mi", "--constellation", "r3_8", "--alpha", "1,0.5,0.7", "--gamma-db", "8"],
+], ids=["anchors", "mi"])
+def test_phases_with_unit_phi0_is_the_b3_rotation(cmd, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(cmd + ["--phases-deg", "0,27", "--out", str(a)]) == 0
+    assert cli.main(cmd + ["--theta-deg", "27", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_phases_with_negative_phi0(tmp_path):
+    # the row that --theta-deg 27 with a -1 DC eigenvalue sign wrote before
+    # the signs became eigenphases
+    out = tmp_path / "a.csv"
+    assert cli.main(["anchors", "--gamma-db", "8", "--phases-deg", "180,27", "--out", str(out)] + R3) == 0
+    _, header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["alpha_o"], row["p_up"]) == ("2.593463884", "0.9636074592")
+
+
+def test_b2_circulant_swap_runs(tmp_path):
+    out = tmp_path / "a.csv"
+    argv = ["anchors", "--constellation", "r2_4", "--R", "0.45", "--gamma-db", "8",
+            "--phases-deg", "0,180", "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, _, rows = read_csv(out)
+    assert rows[0][1] == "1"  # the 2-point axis projection carries B*R = 0.9 bits: alpha_o exists
+
+
+@pytest.mark.parametrize("phases", ["27", "0,27,5", "90,27", "0,27,"],
+                         ids=["too-few", "too-many", "phi0-90", "empty-entry"])
+def test_bad_eigenphases_exit_2(phases, capsys):
+    assert cli.main(["anchors", "--gamma-db", "8", "--phases-deg", phases] + R3) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_b4_circulant_from_file_runs(tmp_path):
+    points = [[(-1) ** (k >> b & 1) for b in range(4)] for k in range(16)]
+    path = tmp_path / "b4.json"
+    path.write_text(json.dumps({"name": "bpsk4", "B": 4, "field": "real", "points": points}))
+    out = tmp_path / "mi.csv"
+    argv = ["mi", "--constellation-file", str(path), "--phases-deg", "0,30,180", "--alpha", "1,1,1,1",
+            "--gamma-db", "8", "--gh-order", "8", "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, _, rows = read_csv(out)
+    assert 0 < float(rows[0][2]) <= 1

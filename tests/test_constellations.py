@@ -196,8 +196,7 @@ def loop_cluster(col, tol):
 def _precoded(c, theta_deg):
     if c.B == 1:
         return c
-    p = precoders.rotation2 if c.B == 2 else precoders.rotation3
-    return precoders.apply(p(math.radians(theta_deg)), c)
+    return precoders.apply(precoders.rotation(c.B, math.radians(theta_deg)), c)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY_SHAPE))

@@ -355,9 +355,8 @@ def test_orbit_kernel_equals_full_sum(name):
     c = cs.build_named(name)
     forms = [_alphabet(c)]
     if c.B > 1:
-        rotation = pc.rotation2 if c.B == 2 else pc.rotation3
         for deg in ORBIT_ANGLES_DEG:
-            sp = cs.project(pc.apply(rotation(math.radians(deg)), c), 1)
+            sp = cs.project(pc.apply(pc.rotation(c.B, math.radians(deg)), c), 1)
             forms += [_alphabet(sp)] + ([_alphabet(sp.real_base)] if sp.real_base else [])
     for form in forms:
         M = form.points.shape[0]
@@ -422,8 +421,7 @@ def test_mixed_lockstep_group_rows_match_alone():
 
 def _swept(name, degrees):
     c = cs.build_named(name)
-    rot = pc.rotation2 if c.B == 2 else pc.rotation3
-    return [cs.project(pc.apply(rot(math.radians(d)), c), 1) for d in degrees]
+    return [cs.project(pc.apply(pc.rotation(c.B, math.radians(d)), c), 1) for d in degrees]
 
 
 _SETS = ("r2_4", "r2_8", "r2_16", "r3_8", "c2_16")

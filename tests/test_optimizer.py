@@ -35,7 +35,7 @@ def test_gaussian_floor_values():
 def test_sweep_square_profile(cfg):
     c = cs.build_named("r2_4")
     grid = np.radians(np.arange(0.0, 90.5, 2.5))
-    prof = sweep(c, 2, 0.9, grid=grid, cfg=cfg)
+    prof = sweep(c, 0.9, grid=grid, cfg=cfg)
     # saturated exactly at the multiples of 45 degrees (too few projections)
     assert prof.saturated[0] and prof.saturated[18] and prof.saturated[-1]
     assert not prof.saturated[1:18].all()
@@ -44,16 +44,16 @@ def test_sweep_square_profile(cfg):
     i_min = int(np.nanargmin(np.where(prof.saturated, np.nan, prof.gamma_s)))
     assert abs(prof.grid_deg[i_min] - 27.5) <= 2.5
     # the lock-step sweep gives each angle exactly its one-row solve
-    assert prof.gamma_s.tolist() == [gamma_s_at(c, 2, 0.9, t, cfg) for t in grid]
+    assert prof.gamma_s.tolist() == [gamma_s_at(c, 0.9, t, cfg) for t in grid]
 
 
 def test_mc_sweep_equals_one_row_solves():
     mc = EngineConfig(engine="mc", mc_samples=2000)
     c = cs.build_named("r2_4")
     grid = np.radians(np.arange(0.0, 90.5, 9.0))
-    prof = sweep(c, 2, 0.9, grid=grid, cfg=mc)
+    prof = sweep(c, 0.9, grid=grid, cfg=mc)
     assert prof.saturated[[0, 5, 10]].all()
-    assert prof.gamma_s.tolist() == [gamma_s_at(c, 2, 0.9, t, mc) for t in grid]
+    assert prof.gamma_s.tolist() == [gamma_s_at(c, 0.9, t, mc) for t in grid]
 
 
 # gamma_s as the per-angle scalar solver computed it before sweeps were
@@ -71,29 +71,29 @@ PINNED_GAMMA_S = [
 def test_gamma_s_bit_identical(name, R, deg, order, value):
     c = cs.build_named(name)
     cfg = EngineConfig(gh_order=order)
-    assert gamma_s_at(c, c.B, R, math.radians(deg), cfg) == value
+    assert gamma_s_at(c, R, math.radians(deg), cfg) == value
     grid = np.radians([deg - 1.0, deg, deg + 1.0])
-    assert sweep(c, c.B, R, grid=grid, cfg=cfg).gamma_s[1] == value
+    assert sweep(c, R, grid=grid, cfg=cfg).gamma_s[1] == value
 
 
 def test_sweep_symmetric_about_45(cfg):
     c = cs.build_named("r2_4")
     for deg in (10.0, 27.0, 40.0):
-        a = gamma_s_at(c, 2, 0.9, math.radians(deg), cfg)
-        b = gamma_s_at(c, 2, 0.9, math.radians(90 - deg), cfg)
+        a = gamma_s_at(c, 0.9, math.radians(deg), cfg)
+        b = gamma_s_at(c, 0.9, math.radians(90 - deg), cfg)
         assert 10 * math.log10(a) == pytest.approx(10 * math.log10(b), abs=1e-6)
 
 
 def test_sweep_b3_symmetric_about_60(cfg):
     c = cs.build_named("r3_8")
     for deg in (15.0, 30.0, 50.0):
-        a = gamma_s_at(c, 3, 0.9, math.radians(deg), cfg)
-        b = gamma_s_at(c, 3, 0.9, math.radians(120 - deg), cfg)
+        a = gamma_s_at(c, 0.9, math.radians(deg), cfg)
+        b = gamma_s_at(c, 0.9, math.radians(120 - deg), cfg)
         assert 10 * math.log10(a) == pytest.approx(10 * math.log10(b), abs=0.02)
 
 
 def test_optimize_square(cfg):
-    res = optimize(cs.build_named("r2_4"), 2, 0.9, cfg)
+    res = optimize(cs.build_named("r2_4"), 0.9, cfg)
     assert math.degrees(res.theta_opt) == pytest.approx(27.0, abs=2.0)
     lo, hi = res.near_optimal_interval
     assert lo <= math.degrees(res.theta_opt) <= hi
@@ -104,21 +104,19 @@ def test_optimize_square(cfg):
 
 
 def test_optimize_refinement_stable(cfg):
-    a = optimize(cs.build_named("r2_4"), 2, 0.9, cfg, coarse_step_deg=0.5)
-    b = optimize(cs.build_named("r2_4"), 2, 0.9, cfg, coarse_step_deg=0.25)
+    a = optimize(cs.build_named("r2_4"), 0.9, cfg, coarse_step_deg=0.5)
+    b = optimize(cs.build_named("r2_4"), 0.9, cfg, coarse_step_deg=0.25)
     assert abs(math.degrees(a.theta_opt) - math.degrees(b.theta_opt)) < 0.1
 
 
 def test_sweep_infeasible_rate(cfg):
     with pytest.raises(SaturationError):
-        sweep(cs.build_named("r2_4"), 2, 1.05, cfg=cfg)
+        sweep(cs.build_named("r2_4"), 1.05, cfg=cfg)
 
 
 def test_sweep_validates_inputs(cfg):
     with pytest.raises(ValueError):
-        sweep(cs.build_named("r3_8"), 2, 0.9, cfg=cfg)
-    with pytest.raises(ValueError):
-        sweep(cs.build_named("r2_4"), 2, 0.9, grid=np.array([0.3, 0.1]), cfg=cfg)
+        sweep(cs.build_named("r2_4"), 0.9, grid=np.array([0.3, 0.1]), cfg=cfg)
 
 
 def test_default_grid_ranges():
@@ -130,51 +128,56 @@ def test_default_grid_ranges():
 
 def test_expansion_compare_rows(cfg):
     rows = expansion_compare(
-        [(cs.build_named("r2_4"), 0.9), (cs.build_named("r2_8"), 0.6)], 2, 0.9, cfg
+        [(cs.build_named("r2_4"), 0.9), (cs.build_named("r2_8"), 0.6)], 0.9, cfg
     )
     assert [r.name for r in rows] == ["r2_4", "r2_8"]
     assert rows[0].gap_db > rows[1].gap_db > 0
     assert rows[0].ergodic_gap_db > rows[1].ergodic_gap_db > 0
-    single = expansion_compare([(cs.build_named("r2_4"), 0.9)], 2, 0.9, cfg)
+    single = expansion_compare([(cs.build_named("r2_4"), 0.9)], 0.9, cfg)
     assert isinstance(single[0], ExpansionRow)
 
 
 def test_expansion_rejects_bad_candidates(cfg):
     with pytest.raises(ValueError, match="does not match"):
-        expansion_compare([(cs.build_named("r2_4"), 0.8)], 2, 0.9, cfg)
+        expansion_compare([(cs.build_named("r2_4"), 0.8)], 0.9, cfg)
     # m = 2 cannot carry B*R = 2.4 bits even uncoded
     with pytest.raises(ValueError, match="minimum"):
-        expansion_compare([(cs.build_named("r2_4"), 1.2)], 2, 1.2, cfg)
+        expansion_compare([(cs.build_named("r2_4"), 1.2)], 1.2, cfg)
+
+
+def test_expansion_rejects_candidates_of_different_B(cfg):
+    with pytest.raises(ValueError, match="B=3"):
+        expansion_compare([(cs.build_named("r2_4"), 0.9), (cs.build_named("r3_8"), 0.9)], 0.9, cfg)
 
 
 def test_ergodic_snr_theta_independent(cfg):
     from outagelab import precoders as pc
 
     c = cs.build_named("r2_8")
-    base = ergodic_snr(c, 2, 0.9, cfg)
-    rot = ergodic_snr(pc.apply(pc.rotation2(0.7), c), 2, 0.9, cfg)
+    base = ergodic_snr(c, 0.9, cfg)
+    rot = ergodic_snr(pc.apply(pc.rotation2(0.7), c), 0.9, cfg)
     assert rot == pytest.approx(base, rel=1e-5)
     with pytest.raises(SaturationError):
-        ergodic_snr(cs.build_named("r2_4"), 2, 1.0, cfg)
+        ergodic_snr(cs.build_named("r2_4"), 1.0, cfg)
 
 
 def test_product_distance_profile(cfg):
     grid = np.radians(np.arange(0.0, 90.5, 3.0))
     c = cs.build_named("r2_8")
-    dp = product_distance_profile(c, 2, grid)
+    dp = product_distance_profile(c, grid)
     assert dp[0] == pytest.approx(0.0, abs=1e-12)
-    prof = sweep(c, 2, 0.9, grid=grid, cfg=cfg)
+    prof = sweep(c, 0.9, grid=grid, cfg=cfg)
     i_dp = int(np.argmax(dp))
     i_gs = int(np.nanargmin(np.where(prof.saturated, np.nan, prof.gamma_s)))
     assert abs(grid[i_dp] - grid[i_gs]) > math.radians(5.0)
     with pytest.raises(ValueError):
-        product_distance_profile(cs.build_named("bpsk"), 1, grid)
+        product_distance_profile(cs.build_named("bpsk"), grid)
 
 
 @given(deg=st.floats(min_value=1.0, max_value=89.0))
 @settings(max_examples=15, deadline=None)
 def test_gamma_s_never_beats_gaussian(deg):
     cfg = EngineConfig()
-    g = gamma_s_at(cs.build_named("r2_4"), 2, 0.9, math.radians(deg), cfg)
+    g = gamma_s_at(cs.build_named("r2_4"), 0.9, math.radians(deg), cfg)
     if math.isfinite(g):
         assert g >= gaussian_floor(2, 0.9) - 1e-9

@@ -126,7 +126,7 @@ def test_one_ergodic_solve(q27, cfg):
     # the optimizer's ergodic SNR, the anchors' alpha_e and the geometry
     # all come from one solve at GAMMA_REF, whatever the query's SNR
     assert optimizer.ergodic_snr is ergodic_snr
-    s = ergodic_snr(q27.omega_x(), 2, 0.9, cfg)
+    s = ergodic_snr(q27.omega_x(), 0.9, cfg)
     assert compute_anchors(q27, cfg).alpha_e == math.sqrt(s / q27.gamma)
     assert OutageGeometry.solve(q27.omega_z, q27.precoder, 0.9, cfg).ergodic_snr == s
 

@@ -94,6 +94,37 @@ def test_b2_circulant_spans_rotation_cases():
         assert cs.project(pc.apply(p, square), 1).size == cs.project(square, 1).size
 
 
+def test_rotation_is_keyed_on_B():
+    for B, ctor, span in ((2, pc.rotation2, 90.0), (3, pc.rotation3, 120.0)):
+        assert pc.rotation_family(B) == (ctor, span)
+        assert np.array_equal(pc.rotation(B, 0.4).matrix, ctor(0.4).matrix)
+    for B in (1, 4):
+        with pytest.raises(ValueError, match="circulant"):
+            pc.rotation(B, 0.4)
+
+
+@pytest.mark.parametrize("B,phases,signs", [
+    (2, [0.0, math.pi], (1, -1)),
+    (3, [math.pi, 0.7], (-1,)),
+    (4, [0.0, 0.7, math.pi], (1, -1)),
+    (5, [math.pi, 0.7, -2.1], (-1,)),
+])
+def test_circulant_from_eigenphases_matches_signed_phases(B, phases, signs):
+    got = pc.circulant_from_eigenphases(B, phases).matrix
+    want = pc.circulant_from_phases(B, phases[1:(B + 1) // 2], *signs).matrix
+    assert np.array_equal(got, want)
+    full = phases + [-p for p in phases[1:(B + 1) // 2][::-1]]  # lambda_{B-n} = conj(lambda_n)
+    assert np.allclose(np.fft.fft(got[0]), np.exp(1j * np.array(full)))
+
+
+@pytest.mark.parametrize("B,phases", [
+    (3, [0.0]), (3, [0.0, 0.7, 0.1]), (3, [0.5, 0.7]), (4, [0.0, 0.7, 0.5]), (2, [0.5, 0.0]),
+])
+def test_circulant_from_eigenphases_rejects(B, phases):
+    with pytest.raises(ValueError):
+        pc.circulant_from_eigenphases(B, phases)
+
+
 def test_apply_identity_and_mismatch():
     c = cs.build_named("r2_4")
     out = pc.apply(pc.rotation2(0.0), c)

@@ -213,8 +213,8 @@ def _solver_outputs(cfg, step_deg):
     out = []
     for name, R in (("r2_4", 0.9), ("r2_16", 0.9), ("r3_8", 0.9), ("c2_16", 1.8)):
         c = cs.build_named(name)
-        out.append(sweep(c, c.B, R, default_grid(c.B, step_deg), cfg).gamma_s)
-        out.append([outage.ergodic_snr(c, c.B, R, cfg)])
+        out.append(sweep(c, R, default_grid(c.B, step_deg), cfg).gamma_s)
+        out.append([outage.ergodic_snr(c, R, cfg)])
     q = outage.OutageQuery(cs.build_named("r2_4"), pc.rotation2(math.radians(27.0)), R=0.9,
                            gamma=outage.GAMMA_REF)
     out.append(outage.trace_boundary_2d(q, 65, cfg).rhos)
@@ -242,7 +242,7 @@ def test_default_sweep_takes_at_most_10_kernel_rows_per_angle(monkeypatch):
         return evaluate(form, alphas, *args)
 
     monkeypatch.setattr(mutual_info, "_evaluate", counted)
-    prof = sweep(cs.build_named("r2_16"), 2, 0.9)
+    prof = sweep(cs.build_named("r2_16"), 0.9)
     assert sum(rows) <= 10 * np.isfinite(prof.gamma_s).sum()  # plain bisection: 22 per angle
 
 
