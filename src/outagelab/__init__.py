@@ -32,12 +32,10 @@ from .outage import (
     OutageResult,
     chi_square_cdf,
     compute_anchors,
-    diversity_bound,
     hypersphere_bounds,
     outage_from_boundary_2d,
     outage_mc,
     trace_boundary_2d,
 )
 from .optimizer import expansion_compare, optimize, product_distance_profile, sweep
-from .precoders import (Precoder, apply, circulant_from_eigenphases, circulant_from_phases, rotation,
-                        rotation2, rotation3)
+from .precoders import Precoder, apply, circulant_from_eigenphases, rotation, rotation2, rotation3

@@ -35,10 +35,13 @@ from .mutual_info import (
 )
 from .optimizer import default_grid, expansion_compare, optimize, sweep
 from .outage import (
+    CACHE_SHAPE,
+    MC_MIN_SAMPLES,
     OutageGeometry,
     OutageQuery,
     OutageResult,
     PolarMICache,
+    check_integration_angles,
     ergodic_snr,
     outage_mc,
     trace_boundary_2d,
@@ -232,16 +235,32 @@ def _curve_rows(geom, gammas_db, seed, outage_at=None) -> list:
     return rows
 
 
-def _outage_curve(c, p, R, gammas_db, method, cfg, angles, mc_samples, seed) -> list:
+def _curve_method(c, R, method) -> str:
+    """`limit` (p_out = 1) at or above m/B, else `method`; `auto` is the boundary for B = 2, else MC."""
     if R >= c.m / c.B - 1e-12:
+        return "limit"
+    if method == "auto":
+        return "boundary" if c.B == 2 else "mc"
+    return method
+
+
+def _outage_curve(c, p, R, gammas_db, cfg, seed, method="auto", angles=257, mc_samples=200_000) -> list:
+    """Outage-curve rows on one geometry; the rules of `method` are checked before any solve."""
+    method = _curve_method(c, R, method)
+    if method == "boundary":
+        check_integration_angles(angles)
+    if method == "mc" and mc_samples < MC_MIN_SAMPLES:
+        raise ConfigError(f"a Monte Carlo outage curve needs --mc-samples >= {MC_MIN_SAMPLES}")
+    geom = OutageGeometry.solve(c, p, R, cfg, n_angles=angles if method == "boundary" else None)
+    if method == "limit":
         warnings.warn(f"R={R} is at or above the alphabet limit m/B={c.m / c.B:g}; p_out=1")
         limit = OutageResult(1.0, (1.0, 1.0), "limit")
-        return _curve_rows(OutageGeometry.solve(c, p, R, cfg), gammas_db, seed, lambda g: limit)
+        return _curve_rows(geom, gammas_db, seed, lambda g: limit)
     if method == "boundary":
-        return _curve_rows(OutageGeometry.solve(c, p, R, cfg, n_angles=angles), gammas_db, seed)
-    cache = PolarMICache(precoders.apply(p, c), cfg) if c.B in (2, 3) else None
+        return _curve_rows(geom, gammas_db, seed)
+    cache = PolarMICache(precoders.apply(p, c), cfg) if c.B in CACHE_SHAPE else None
     return _curve_rows(
-        OutageGeometry.solve(c, p, R, cfg), gammas_db, seed,
+        geom, gammas_db, seed,
         lambda g: outage_mc(OutageQuery(c, p, R=R, gamma=g), mc_samples, seed=seed, cfg=cfg,
                             cache=cache),
     )
@@ -254,18 +273,17 @@ def cmd_outage(args) -> int:
         reject_unread(args, GAUSSIAN_UNREAD + ("method",), "--gaussian")
         if args.R is None:
             raise ConfigError("--gaussian outage needs --R")
+        check_integration_angles(args.angles)
         rows = _curve_rows(OutageGeometry.gaussian(2, args.R, args.angles), gammas_db, args.seed)
         meta = {"seed": args.seed, "engine": "closed_form", "R": args.R}
     else:
         c = load_constellation(args)
         p = build_precoder(args, c.B)
         R = resolve_rate(args, c)
-        method = args.method
-        if method == "auto":
-            method = "boundary" if c.B == 2 else "mc"
-        if method == "mc":
-            reject_unread(args, ["angles"], "a Monte Carlo outage curve")
-        rows = _outage_curve(c, p, R, gammas_db, method, cfg, args.angles, args.mc_samples, args.seed)
+        method = _curve_method(c, R, args.method)
+        unread = {"limit": ["angles", "method"], "mc": ["angles"]}.get(method, [])
+        reject_unread(args, unread, f"the {method} method")
+        rows = _outage_curve(c, p, R, gammas_db, cfg, args.seed, method, args.angles, args.mc_samples)
         meta = {
             "seed": args.seed,
             "engine": cfg.engine,
@@ -473,8 +491,7 @@ def cmd_reproduce(args) -> int:
             continue
         if kind == "curve":
             stem = "outage"
-            method = "boundary" if c.B == 2 else "mc"
-            rows = _outage_curve(c, p, R, gammas_db, method, cfg, 257, 200_000, seed)
+            rows = _outage_curve(c, p, R, gammas_db, cfg, seed)
         else:  # bounds
             stem = "bounds"
             geom = OutageGeometry(

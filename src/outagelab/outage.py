@@ -40,6 +40,8 @@ CACHE_AXIS_POINTS = 33  # per axis; refined once to 65
 CACHE_TOL_BITS = 1e-3  # validated error, and the band around R evaluated directly
 CACHE_VALIDATE_POINTS = 1000
 CACHE_SEED = 0
+MC_MIN_SAMPLES = 1000  # fewest samples an MC outage estimate takes
+MIN_INTEGRATION_ANGLES = 65  # fewest rays a boundary integration takes (an odd count)
 # gathered floats per lookup block (2 MB); depending on heap layout, a single
 # 100k-point block could hand ~20 MB back to the kernel per call and refault it
 _LOOKUP_CAP = 262_144
@@ -76,13 +78,20 @@ class OutageQuery:
 
 @dataclass(frozen=True)
 class OutageAnchors:
-    """Axis and ergodic-line crossings of the outage boundary."""
+    """Axis and ergodic-line crossings of the outage boundary; inf where
+    the crossing does not exist (explained by `note`)."""
 
     alpha_o: float
-    alpha_o_exists: bool
     alpha_e: float
-    alpha_e_exists: bool
     note: str = ""
+
+    @property
+    def alpha_o_exists(self) -> bool:
+        return math.isfinite(self.alpha_o)
+
+    @property
+    def alpha_e_exists(self) -> bool:
+        return math.isfinite(self.alpha_e)
 
 
 @dataclass(frozen=True)
@@ -96,14 +105,17 @@ class OutageResult:
 class BoundaryTrace:
     """Boundary radius rho(lambda) on a uniform angle grid over [0, pi/2].
 
-    `saturated[k]` marks rays whose MI stays below R at every radius; their
-    rho is +inf and the whole ray belongs to the outage region.
+    A ray whose MI stays below R at every radius has rho = +inf: the whole
+    ray belongs to the outage region, and `saturated` marks it.
     """
 
     lambdas: np.ndarray
     rhos: np.ndarray
-    saturated: np.ndarray
     R: float
+
+    @property
+    def saturated(self) -> np.ndarray:
+        return ~np.isfinite(self.rhos)
 
 
 def sample_rayleigh(rng: np.random.Generator, n: int, B: int) -> np.ndarray:
@@ -123,25 +135,37 @@ def wilson_ci(k: int, n: int) -> tuple:
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
+def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
+               cfg: EngineConfig, x_start: float, rel_tol: float) -> np.ndarray:
+    """Radius along each ray (rows of `dirs`) where the MI at SNR gamma reaches R.
+
+    All rays are solved in lock-step by `solve_increasing`, one batch of the
+    rays still open per kernel call; an unbracketed ray solves to inf.
+    """
+    def f(r):  # MI along the live rays at radii r (nan in finished rays)
+        live = np.flatnonzero(~np.isnan(r))
+        vals = np.full(r.shape, np.nan)
+        vals[live] = mi_per_use_batch(omega_x, dirs[live] * r[live, None], gamma, cfg)
+        return vals
+
+    return solve_increasing(f, np.full(dirs.shape[0], R), x_start=x_start, rel_tol=rel_tol)
+
+
 def ergodic_snr(omega_x: Constellation, R: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
     """Per-block SNR alpha_e^2*gamma at which the equal-gains MI reaches R.
 
-    Solved once at GAMMA_REF by bisection of the full vector MI; it does
-    not depend on the SNR, nor on an orthogonal precoder (which keeps all
-    pairwise distances).  Raises SaturationError at the alphabet limit.
+    The ray along (1, ..., 1), solved once at GAMMA_REF to 1e-6 relative;
+    it does not depend on the SNR, nor on an orthogonal precoder (which
+    keeps all pairwise distances).  Raises SaturationError at the alphabet
+    limit.
     """
     cap = omega_x.m / omega_x.B
     if R >= cap - 1e-12:
         raise SaturationError(f"R >= alphabet limit m/B = {cap:.6g}")
-    ones = np.ones(omega_x.B)
-
-    def f(c):  # one row: the equal-gains MI at gain c
-        return mi_per_use_batch(omega_x, c[:, None] * ones, GAMMA_REF, cfg)
-
-    u = float(solve_increasing(f, np.array([R]), x_start=0.05, rel_tol=1e-6)[0])
+    (u,) = _ray_radii(omega_x, np.ones((1, omega_x.B)), R, GAMMA_REF, cfg, x_start=0.05, rel_tol=1e-6)
     if math.isinf(u):
         raise SaturationError(f"no bracket: the equal-gains MI stays below R = {R:.6g}")
-    return u**2 * GAMMA_REF
+    return float(u) ** 2 * GAMMA_REF
 
 
 def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> OutageAnchors:
@@ -151,20 +175,18 @@ def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> Outag
     B*R bits; alpha_e from the ergodic SNR, alpha_e = sqrt(s/gamma).
     """
     omega_x = q.omega_x()
-    B = omega_x.B
     notes = []
-    try:
-        s_star = inv_mi_scalar(project(omega_x, 1), B * q.R, cfg)
-        alpha_o, alpha_o_exists = math.sqrt(s_star / q.gamma), True
-    except SaturationError as exc:
-        alpha_o, alpha_o_exists = math.inf, False
-        notes.append(str(exc))
-    try:
-        alpha_e, alpha_e_exists = math.sqrt(ergodic_snr(omega_x, q.R, cfg) / q.gamma), True
-    except SaturationError as exc:
-        alpha_e, alpha_e_exists = math.inf, False
-        notes.append(str(exc))
-    return OutageAnchors(alpha_o, alpha_o_exists, alpha_e, alpha_e_exists, "; ".join(notes))
+
+    def anchor(solve):  # alpha = sqrt(s/gamma) at the anchor SNR s, inf where saturated
+        try:
+            return math.sqrt(solve() / q.gamma)
+        except SaturationError as exc:
+            notes.append(str(exc))
+            return math.inf
+
+    alpha_o = anchor(lambda: inv_mi_scalar(project(omega_x, 1), omega_x.B * q.R, cfg))
+    alpha_e = anchor(lambda: ergodic_snr(omega_x, q.R, cfg))
+    return OutageAnchors(alpha_o, alpha_e, "; ".join(notes))
 
 
 def _ray_cap_bits(points: np.ndarray, direction: np.ndarray, M: int) -> float:
@@ -172,6 +194,13 @@ def _ray_cap_bits(points: np.ndarray, direction: np.ndarray, M: int) -> float:
     _, counts = group_points(points * direction, RAY_CAP_TOL)
     p = counts / M
     return float(-np.sum(p * np.log2(p)))
+
+
+def _ray_angles(n_angles: int) -> np.ndarray:
+    """The B=2 boundary's ray angles: `n_angles` (at least one) evenly over [0, pi/2]."""
+    if n_angles < 1:
+        raise ValueError(f"a boundary trace needs at least one angle, got {n_angles}")
+    return np.linspace(0.0, math.pi / 2.0, n_angles)
 
 
 def trace_boundary_2d(
@@ -185,22 +214,14 @@ def trace_boundary_2d(
     omega_x = q.omega_x()
     if omega_x.B != 2:
         raise ValueError("boundary tracing is defined for B = 2")
-    lambdas = np.linspace(0.0, math.pi / 2.0, n_angles)
+    lambdas = _ray_angles(n_angles)
     dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
-    caps = np.array(
-        [_ray_cap_bits(omega_x.points, d, omega_x.M) / omega_x.B for d in dirs]
-    )
+    caps = np.array([_ray_cap_bits(omega_x.points, d, omega_x.M) for d in dirs]) / omega_x.B
     rhos = np.full(n_angles, math.inf)
     active = np.flatnonzero(caps > q.R + 1e-12)
     if active.size:
-        def f(r):  # MI along the live rays at radii r (nan in finished rays)
-            live = np.flatnonzero(~np.isnan(r))
-            vals = np.full(r.shape, np.nan)
-            vals[live] = mi_per_use_batch(omega_x, dirs[active[live]] * r[live, None], q.gamma, cfg)
-            return vals
-
-        rhos[active] = solve_increasing(f, np.full(active.size, q.R), x_start=1.0, rel_tol=1e-4)
-    return BoundaryTrace(lambdas, rhos, ~np.isfinite(rhos), q.R)
+        rhos[active] = _ray_radii(omega_x, dirs[active], q.R, q.gamma, cfg, x_start=1.0, rel_tol=1e-4)
+    return BoundaryTrace(lambdas, rhos, q.R)
 
 
 def _radial_mass(rho: np.ndarray) -> np.ndarray:
@@ -210,29 +231,26 @@ def _radial_mass(rho: np.ndarray) -> np.ndarray:
     return -np.expm1(-r2) - r2 * np.exp(-r2)
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    n = y.shape[0]
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson integration needs an odd number of points")
-    acc = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
-    return float(acc * h / 3.0)
+def check_integration_angles(n_angles: int):
+    """Raise ValueError unless `n_angles` rays can be integrated (Simpson's rule takes an odd count)."""
+    if n_angles < MIN_INTEGRATION_ANGLES or n_angles % 2 == 0:
+        raise ValueError(f"boundary integration needs an odd number of at least "
+                         f"{MIN_INTEGRATION_ANGLES} angles, got {n_angles}")
 
 
 def outage_from_boundary_2d(trace: BoundaryTrace) -> OutageResult:
     """Deterministic outage probability from a 2-D boundary trace.
 
-    Polar integration: each ray contributes its radial Rayleigh mass up to
-    rho(lambda) (all of it for saturated rays), weighted by sin(2*lambda).
+    Polar integration by Simpson's rule: each ray contributes its radial
+    Rayleigh mass up to rho(lambda) (all of it for saturated rays), weighted
+    by sin(2*lambda).
     """
-    n = trace.lambdas.shape[0]
-    if n < 65:
-        raise ValueError("boundary trace needs at least 65 angles for integration")
-    if n % 2 == 0:
-        raise ValueError("boundary trace needs an odd number of angles (even intervals)")
+    check_integration_angles(trace.lambdas.shape[0])
     mass = np.where(trace.saturated, 1.0, _radial_mass(np.where(trace.saturated, 0.0, trace.rhos)))
     g = np.sin(2.0 * trace.lambdas) * mass
     h = trace.lambdas[1] - trace.lambdas[0]
-    p = min(max(_simpson(g, h), 0.0), 1.0)
+    simpson = (g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-1:2].sum()) * h / 3.0
+    p = min(max(float(simpson), 0.0), 1.0)
     return OutageResult(p_out=p, ci95=(p, p), method="boundary_integration")
 
 
@@ -301,8 +319,8 @@ class OutageGeometry:
               cfg: EngineConfig = DEFAULT_CONFIG, n_angles: "int | None" = None) -> "OutageGeometry":
         """Anchors, plus the B=2 boundary on `n_angles` rays when given."""
         q = OutageQuery(omega_z, precoder, R, GAMMA_REF)
-        an = compute_anchors(q, cfg)
-        boundary = trace_boundary_2d(q, n_angles, cfg) if n_angles else None
+        boundary = trace_boundary_2d(q, n_angles, cfg) if n_angles is not None else None
+        an = compute_anchors(q, cfg)  # after the trace, which rejects B != 2 at once
         return cls(omega_z.B, R, an.alpha_o**2 * GAMMA_REF, an.alpha_e**2 * GAMMA_REF,
                    an.note, boundary)
 
@@ -319,21 +337,19 @@ class OutageGeometry:
         if R <= 0:
             raise ValueError("R must be positive")
         boundary = None
-        if n_angles:
+        if n_angles is not None:
             if B != 2:
                 raise ValueError("boundary tracing is defined for B = 2")
-            lambdas = np.linspace(0.0, math.pi / 2.0, n_angles)
+            lambdas = _ray_angles(n_angles)
             K = 2.0 ** (4.0 * R) - 1.0
             cs2 = (np.cos(lambdas) * np.sin(lambdas)) ** 2
             x = 2.0 * K / (1.0 + np.sqrt(1.0 + 4.0 * cs2 * K))
-            boundary = BoundaryTrace(lambdas, np.sqrt(x), np.zeros(n_angles, dtype=bool), R)
+            boundary = BoundaryTrace(lambdas, np.sqrt(x), R)
         return cls(B, R, gaussian_floor(B, R), gaussian_floor(1, R), boundary=boundary)
 
     def anchors(self, gamma: float) -> OutageAnchors:
-        return OutageAnchors(
-            math.sqrt(self.axis_snr / gamma), math.isfinite(self.axis_snr),
-            math.sqrt(self.ergodic_snr / gamma), math.isfinite(self.ergodic_snr), self.note,
-        )
+        return OutageAnchors(math.sqrt(self.axis_snr / gamma), math.sqrt(self.ergodic_snr / gamma),
+                             self.note)
 
     def bounds(self, gamma: float) -> tuple:
         """(p_up, p_low) at SNR gamma, as `hypersphere_bounds`."""
@@ -348,6 +364,20 @@ class OutageGeometry:
     def outage(self, gamma: float) -> OutageResult:
         """Boundary-integration outage at SNR gamma."""
         return outage_from_boundary_2d(self.trace(gamma))
+
+    def diversity_slope(self, gammas) -> float:
+        """High-SNR log-log slope of p_up over the top decade of `gammas`.
+
+        p_up(gamma) = chi_square_cdf(axis_snr/gamma, B) has slope -B when the
+        projection carries B*R bits; else SaturationError (diversity loss).
+        """
+        if not math.isfinite(self.axis_snr):
+            raise SaturationError(
+                f"diversity loss: {self.note} (outage decays slower than gamma^-{self.B})")
+        gammas = np.asarray(sorted(gammas), dtype=float)
+        p_up = np.array([self.bounds(g)[0] for g in gammas])
+        top = gammas >= gammas.max() / 10.0
+        return float(np.polyfit(np.log10(gammas[top]), np.log10(p_up[top]), 1)[0])
 
 
 class CacheAccuracyError(RuntimeError):
@@ -504,20 +534,20 @@ def outage_mc(
     """Monte Carlo outage probability with a Wilson 95% interval.
 
     Draws n i.i.d. unit-Rayleigh fading vectors and counts per-use MI
-    below R.  For B in {2, 3} the MI comes from the scaled-gain cache
+    below R.  For B in CACHE_SHAPE the MI comes from the scaled-gain cache
     (built here unless `cache` is given), which evaluates directly every
     sample it cannot place on the right side of R, and keeps the draws for
-    the next call with the same seed and n; other dimensions evaluate every
-    sample directly (slow for large n).
+    the next call with the same seed and n; dimensions without a cache
+    shape evaluate every sample directly (slow for large n).
     """
-    if n < 1000:
-        raise ValueError("outage_mc needs n >= 1000")
+    if n < MC_MIN_SAMPLES:
+        raise ValueError(f"outage_mc needs n >= {MC_MIN_SAMPLES}, got {n}")
     omega_x = q.omega_x()
     B = omega_x.B
     if q.R >= omega_x.m / B - 1e-12:
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
         return OutageResult(1.0, (1.0, 1.0), "mc")
-    if B in (2, 3):
+    if B in CACHE_SHAPE:
         if cache is None:
             cache = PolarMICache(omega_x, cfg)
         mi = cache.mi(cache.rayleigh(seed, n), q.gamma, threshold=q.R)
@@ -526,30 +556,3 @@ def outage_mc(
         mi = mi_per_use_batch(omega_x, alphas, q.gamma, cfg)
     k = int(np.count_nonzero(mi < q.R))
     return OutageResult(p_out=k / n, ci95=wilson_ci(k, n), method="mc")
-
-
-@dataclass(frozen=True)
-class DiversityReport:
-    gammas: np.ndarray
-    p_up: np.ndarray
-    slope_top_decade: float
-
-
-def diversity_bound(q: OutageQuery, gammas, cfg: EngineConfig = DEFAULT_CONFIG) -> DiversityReport:
-    """Upper-bound outage p_up(gamma) and its high-SNR log-log slope.
-
-    The axis-crossing SNR s* = alpha_o^2 * gamma is rate- and geometry-
-    determined, so p_up(gamma) = chi_square_cdf(s*/gamma, B); the slope
-    approaches -B when the projection can carry B*R bits.  Raises
-    SaturationError (diversity loss) otherwise.
-    """
-    gammas = np.asarray(sorted(gammas), dtype=float)
-    geom = OutageGeometry.solve(q.omega_z, q.precoder, q.R, cfg)
-    if not math.isfinite(geom.axis_snr):
-        raise SaturationError(
-            f"diversity loss: {geom.note} (outage decays slower than gamma^-{geom.B})"
-        )
-    p_up = np.array([geom.bounds(g)[0] for g in gammas])
-    top = gammas >= gammas.max() / 10.0
-    slope = float(np.polyfit(np.log10(gammas[top]), np.log10(p_up[top]), 1)[0])
-    return DiversityReport(gammas=gammas, p_up=p_up, slope_top_decade=slope)

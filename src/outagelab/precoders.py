@@ -42,37 +42,9 @@ def rotation2(theta: float) -> Precoder:
     return _finish(2, [[c, -s], [s, c]], "rotation2")
 
 
-def circulant_from_phases(B, phases, lambda0_sign=1, lambda_half_sign=None) -> Precoder:
-    """Real orthogonal circulant with eigenvalues exp(j*phases).
-
-    `phases` supplies the floor((B-1)/2) free eigenphases; the remaining
-    eigenvalues are their conjugates, plus the signs at DC (and at B/2 for
-    even B) which must be +-1 to keep the matrix real.
-    """
-    n_free = (B - 1) // 2
-    phases = [float(p) for p in np.atleast_1d(phases)] if phases is not None else []
-    if len(phases) != n_free:
-        raise ValueError(f"B={B} needs {n_free} eigenphases, got {len(phases)}")
-    if lambda0_sign not in (1, -1):
-        raise ValueError("lambda0_sign must be +1 or -1")
-    lam = np.zeros(B, dtype=complex)
-    lam[0] = lambda0_sign
-    for n, phi in enumerate(phases, start=1):
-        lam[n] = np.exp(1j * phi)
-        lam[B - n] = np.conj(lam[n])
-    if B % 2 == 0:
-        if lambda_half_sign not in (1, -1):
-            raise ValueError("even B requires lambda_half_sign in {+1, -1}")
-        lam[B // 2] = lambda_half_sign
-    first_row = np.fft.ifft(lam)
-    if np.max(np.abs(first_row.imag)) > ORTHO_TOL:
-        raise ValueError("eigenvalue symmetry did not produce a real first row")
-    return _finish(B, [np.roll(first_row.real, b) for b in range(B)], "circulant")
-
-
 def rotation3(theta1: float) -> Precoder:
-    """3x3 rotation by `theta1` around the (1,1,1)/sqrt(3) axis."""
-    return Precoder(B=3, matrix=circulant_from_phases(3, [theta1]).matrix, kind="rotation3")
+    """3x3 rotation by `theta1` around the (1,1,1)/sqrt(3) axis: eigenphases (0, theta1)."""
+    return Precoder(B=3, matrix=circulant_from_eigenphases(3, [0.0, theta1]).matrix, kind="rotation3")
 
 
 # B -> (single-angle rotation, the angle span in degrees one sweep covers)
@@ -94,15 +66,23 @@ def rotation(B: int, theta: float) -> Precoder:
 def circulant_from_eigenphases(B: int, phases) -> Precoder:
     """Real orthogonal circulant from its eigenphases phi_0..phi_floor(B/2), radians.
 
-    phi_0, and phi_{B/2} for even B, belong to real eigenvalues: each must be
-    0 or pi, the eigenvalue sign +1 or -1.
+    The eigenvalues are exp(j*phi_n), and exp(-j*phi_n) at B-n, so the
+    matrix comes out real.  phi_0, and phi_{B/2} for even B, belong to real
+    eigenvalues: each must be 0 or pi, and its eigenvalue is exactly +1 or -1.
     """
     if len(phases) != B // 2 + 1:
         raise ValueError(f"B={B} needs {B // 2 + 1} eigenphases phi_0..phi_{B // 2}, got {len(phases)}")
-    real = [phases[0]] if B % 2 else [phases[0], phases[-1]]
-    if any(abs(math.sin(p)) > ORTHO_TOL for p in real):
+    real = [0] if B % 2 else [0, B // 2]
+    if any(abs(math.sin(phases[n])) > ORTHO_TOL for n in real):
         raise ValueError("phi_0, and phi_B/2 for even B, must be 0 or pi (180 degrees)")
-    return circulant_from_phases(B, phases[1:(B + 1) // 2], *(round(math.cos(p)) for p in real))
+    lam = np.zeros(B, dtype=complex)
+    for n in range(1, (B + 1) // 2):
+        lam[n] = np.exp(1j * float(phases[n]))
+        lam[B - n] = np.conj(lam[n])
+    for n in real:
+        lam[n] = round(math.cos(phases[n]))
+    first_row = np.fft.ifft(lam).real
+    return _finish(B, [np.roll(first_row, b) for b in range(B)], "circulant")
 
 
 def apply(p: Precoder, c: Constellation) -> Constellation:

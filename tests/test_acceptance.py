@@ -31,11 +31,11 @@ from outagelab.mutual_info import (
 )
 from outagelab.optimizer import gamma_s_at, gaussian_floor, optimize
 from outagelab.outage import (
+    OutageGeometry,
     OutageQuery,
     PolarMICache,
     chi_square_cdf,
     compute_anchors,
-    diversity_bound,
     hypersphere_bounds,
     outage_from_boundary_2d,
     outage_mc,
@@ -166,9 +166,8 @@ def test_bound_sandwich_and_low_snr_circle(square):
 @criterion(8, "upper-bound slope is -2 at 27 deg; MC slope is -1 at 0 deg")
 def test_diversity_slopes(square, caches):
     gammas = [10 ** (g / 10) for g in (20, 22, 24, 26, 28, 30)]
-    q = OutageQuery(square, pc.rotation2(math.radians(27)), R=0.9, gamma=1.0)
-    rep = diversity_bound(q, gammas, CFG)
-    assert abs(rep.slope_top_decade + 2.0) < 0.1
+    geom = OutageGeometry.solve(square, pc.rotation2(math.radians(27)), 0.9, CFG)
+    assert abs(geom.diversity_slope(gammas) + 2.0) < 0.1
     ps = []
     for gamma_db in (20.0, 25.0, 30.0):
         q0 = OutageQuery(square, pc.rotation2(0.0), R=0.9, gamma=10 ** (gamma_db / 10))
@@ -288,7 +287,7 @@ def test_diversity_loss_flagged(square):
     # saturates below 1.8 bits, so the bound machinery must refuse
     q0 = OutageQuery(square, pc.rotation2(0.0), R=0.9, gamma=1.0)
     with pytest.raises(SaturationError):
-        diversity_bound(q0, [10.0, 100.0], CFG)
+        OutageGeometry.solve(square, q0.precoder, 0.9, CFG).diversity_slope([10.0, 100.0])
     an = compute_anchors(q0, CFG)
     assert not an.alpha_o_exists
     with pytest.raises(SaturationError):

@@ -73,7 +73,7 @@ def test_outage_rate_above_capacity_warns(tmp_path):
     assert rc == 0
     _, header, rows = read_csv(out)
     assert header == ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"]
-    assert float(rows[0][1]) == 1.0
+    assert float(rows[0][1]) == 1.0 and rows[0][6] == "limit"
 
 
 def test_mi_matches_library(tmp_path, gamma_8db, cfg):
@@ -291,11 +291,55 @@ def test_gaussian_nonpositive_rate_exits_2(argv, capsys):
     (["outage", "--constellation", "r3_8", "--R", "0.9", "--theta-deg", "30", "--angles", "65",
       "--gamma-db", "8"], "--angles"),
     (["reproduce", "fig4", "--angles", "65"], "--angles"),
+    (["outage", "--constellation", "r2_4", "--R", "1.1", "--theta-deg", "0", "--gamma-db", "10",
+      "--angles", "65", "--method", "boundary"], "--angles, --method"),
 ], ids=["anchors-B", "outage-gaussian-mc", "mi-gaussian-precoder", "boundary-gaussian-order",
-        "outage-mc-angles", "outage-auto-mc-angles", "reproduce-fig4-angles"])
+        "outage-mc-angles", "outage-auto-mc-angles", "reproduce-fig4-angles", "outage-limit"])
 def test_flag_the_chosen_input_does_not_read_exits_2(argv, unread, capsys):
     assert cli.main(argv) == 2
     assert f"does not read {unread}" in capsys.readouterr().err
+
+
+CURVE27 = ["outage", "--constellation", "r2_4", "--theta-deg", "27", "--R", "0.9", "--gamma-db", "8"]
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["outage", "--constellation", "r3_8", "--R", "0.9", "--gamma-db", "8", "--mc-samples", "999"],
+     "--mc-samples >= 1000"),
+    (CURVE27 + ["--angles", "64"], "odd number of at least 65 angles, got 64"),
+    (CURVE27 + ["--angles", "63"], "odd number of at least 65 angles, got 63"),
+    (CURVE27 + ["--angles", "0"], "odd number of at least 65 angles, got 0"),
+    (["outage", "--gaussian", "--R", "0.9", "--gamma-db", "8", "--angles", "64"], "got 64"),
+], ids=["mc-samples", "even-angles", "few-angles", "no-angles", "gaussian-even-angles"])
+def test_outage_curve_rule_fails_before_any_solve(argv, msg, monkeypatch, capsys):
+    def solved(*args, **kwargs):
+        raise AssertionError("solved before the rule was checked")
+
+    monkeypatch.setattr(cli.OutageGeometry, "solve", solved)
+    monkeypatch.setattr(cli, "PolarMICache", solved)
+    assert cli.main(argv) == 2
+    assert msg in capsys.readouterr().err
+
+
+def test_b3_boundary_curve_fails_before_the_anchors(monkeypatch, capsys):
+    from outagelab import outage
+
+    def anchors(*args, **kwargs):
+        raise AssertionError("anchors solved before the trace rejected B = 3")
+
+    monkeypatch.setattr(outage, "compute_anchors", anchors)
+    argv = ["outage", "--constellation", "r3_8", "--R", "0.9", "--gamma-db", "8", "--method", "boundary"]
+    assert cli.main(argv) == 2
+    assert "defined for B = 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--constellation", "r2_4", "--R", "0.9", "--gamma-db", "8", "--angles", "0"],
+    ["boundary", "--gaussian", "--R", "0.9", "--gamma-db", "8", "--angles", "0"],
+], ids=["constellation", "gaussian"])
+def test_boundary_without_angles_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "at least one angle" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

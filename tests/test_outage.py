@@ -20,7 +20,6 @@ from outagelab.outage import (
     PolarMICache,
     chi_square_cdf,
     compute_anchors,
-    diversity_bound,
     ergodic_snr,
     hypersphere_bounds,
     outage_from_boundary_2d,
@@ -171,17 +170,17 @@ def test_trace_ray_without_bracket_is_saturated(cfg, gamma_8db, monkeypatch):
 def test_outage_from_boundary_degenerate_traces():
     n = 129
     lam = np.linspace(0, math.pi / 2, n)
-    zero = BoundaryTrace(lam, np.zeros(n), np.zeros(n, bool), 0.5)
+    zero = BoundaryTrace(lam, np.zeros(n), 0.5)
     assert outage_from_boundary_2d(zero).p_out == pytest.approx(0.0, abs=1e-15)
-    full = BoundaryTrace(lam, np.full(n, math.inf), np.ones(n, bool), 0.5)
+    full = BoundaryTrace(lam, np.full(n, math.inf), 0.5)
     assert outage_from_boundary_2d(full).p_out == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         outage_from_boundary_2d(
-            BoundaryTrace(lam[:51], np.zeros(51), np.zeros(51, bool), 0.5)
+            BoundaryTrace(lam[:51], np.zeros(51), 0.5)
         )
     with pytest.raises(ValueError):
         outage_from_boundary_2d(
-            BoundaryTrace(lam[:100], np.zeros(100), np.zeros(100, bool), 0.5)
+            BoundaryTrace(lam[:100], np.zeros(100), 0.5)
         )
 
 
@@ -224,16 +223,17 @@ def test_hypersphere_bounds_and_defaults(q27, cfg):
     assert p_up == pytest.approx(chi_square_cdf(an.alpha_o**2, 2))
     assert p_low == pytest.approx(chi_square_cdf(2 * an.alpha_e**2, 2))
     assert 0 < p_low < p_up < 1
-    none_o = OutageAnchors(math.inf, False, an.alpha_e, True)
+    none_o = OutageAnchors(math.inf, an.alpha_e)
+    assert not none_o.alpha_o_exists and none_o.alpha_e_exists
     assert hypersphere_bounds(none_o, 2)[0] == 1.0
-    none_e = OutageAnchors(an.alpha_o, True, math.inf, False)
+    none_e = OutageAnchors(an.alpha_o, math.inf)
     assert hypersphere_bounds(none_e, 2)[1] == 0.0
-    zero_e = OutageAnchors(an.alpha_o, True, 0.0, True)
+    zero_e = OutageAnchors(an.alpha_o, 0.0)
     assert hypersphere_bounds(zero_e, 2)[1] == 0.0
 
 
 def test_bounds_coincide_when_spheres_match():
-    an = OutageAnchors(math.sqrt(2) * 0.3, True, 0.3, True)
+    an = OutageAnchors(math.sqrt(2) * 0.3, 0.3)
     p_up, p_low = hypersphere_bounds(an, 2)
     assert p_up == pytest.approx(p_low)
 
@@ -410,20 +410,16 @@ def test_b3_outage_between_bounds(cfg, gamma_8db):
 
 def test_diversity_bound_slopes(cfg):
     gammas = [10 ** (g / 10) for g in (20, 22, 24, 26, 28, 30)]
-    q = OutageQuery(cs.build_named("r2_4"), pc.rotation2(math.radians(27)), R=0.9, gamma=1.0)
-    rep = diversity_bound(q, gammas, cfg)
-    assert rep.slope_top_decade == pytest.approx(-2.0, abs=0.1)
-    gq = OutageGeometry.gaussian(2, 0.9).anchors(1.0)
+    geom = OutageGeometry.solve(cs.build_named("r2_4"), pc.rotation2(math.radians(27)), 0.9, cfg)
+    assert geom.diversity_slope(gammas) == pytest.approx(-2.0, abs=0.1)
     # gaussian upper bound has the same -B slope by construction
-    ps = [chi_square_cdf(gq.alpha_o**2 / g, 2) for g in gammas]
-    slope = np.polyfit(np.log10(gammas), np.log10(ps), 1)[0]
-    assert slope == pytest.approx(-2.0, abs=0.1)
+    assert OutageGeometry.gaussian(2, 0.9).diversity_slope(gammas) == pytest.approx(-2.0, abs=0.1)
 
 
 def test_diversity_loss_diagnostic(cfg):
-    q0 = OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.0), R=0.9, gamma=1.0)
+    geom = OutageGeometry.solve(cs.build_named("r2_4"), pc.rotation2(0.0), 0.9, cfg)
     with pytest.raises(SaturationError, match="diversity loss"):
-        diversity_bound(q0, [10.0, 100.0], cfg)
+        geom.diversity_slope([10.0, 100.0])
 
 
 def test_rayleigh_sampler_unit_power():

@@ -52,10 +52,10 @@ def test_rotation3_matches_closed_form(theta):
 @settings(max_examples=40, deadline=None)
 def test_circulant_orthogonal_real_and_shifted(B, seed, lam0, lamh):
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(-math.pi, math.pi, (B - 1) // 2)
-    p = pc.circulant_from_phases(B, phases, lambda0_sign=lam0,
-                                 lambda_half_sign=lamh if B % 2 == 0 else None)
-    m = p.matrix
+    free = list(rng.uniform(-math.pi, math.pi, (B - 1) // 2))
+    sign_phase = {1: 0.0, -1: math.pi}
+    phases = [sign_phase[lam0]] + free + ([sign_phase[lamh]] if B % 2 == 0 else [])
+    m = pc.circulant_from_eigenphases(B, phases).matrix
     assert np.max(np.abs(m @ m.T - np.eye(B))) < 1e-10
     for b in range(1, B):
         assert np.allclose(m[b], np.roll(m[0], b), atol=1e-12)
@@ -63,7 +63,7 @@ def test_circulant_orthogonal_real_and_shifted(B, seed, lam0, lamh):
 
 def test_eigenphase_roundtrip():
     phases = [0.7, -2.1]
-    p = pc.circulant_from_phases(5, phases)
+    p = pc.circulant_from_eigenphases(5, [0.0] + phases)
     lam = np.fft.fft(p.matrix[0])
     assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-9
     got = np.angle(lam)[1:3]
@@ -72,18 +72,18 @@ def test_eigenphase_roundtrip():
 
 def test_circulant_argument_validation():
     with pytest.raises(ValueError):
-        pc.circulant_from_phases(3, [0.1, 0.2])
+        pc.circulant_from_eigenphases(3, [0.0, 0.1, 0.2])
     with pytest.raises(ValueError):
-        pc.circulant_from_phases(4, [0.1])  # missing lambda_half_sign
+        pc.circulant_from_eigenphases(4, [0.0, 0.1])  # missing phi_2
     with pytest.raises(ValueError):
-        pc.circulant_from_phases(3, [0.1], lambda0_sign=2)
+        pc.circulant_from_eigenphases(3, [1.0, 0.1])  # a real eigenvalue that is not +-1
 
 
 def test_b2_circulant_spans_rotation_cases():
     # the two real orthogonal 2x2 circulants are the 0- and 90-degree
     # rotations up to a column sign flip
-    ident = pc.circulant_from_phases(2, [], lambda0_sign=1, lambda_half_sign=1)
-    swap = pc.circulant_from_phases(2, [], lambda0_sign=1, lambda_half_sign=-1)
+    ident = pc.circulant_from_eigenphases(2, [0.0, 0.0])
+    swap = pc.circulant_from_eigenphases(2, [0.0, math.pi])
     assert np.allclose(ident.matrix, pc.rotation2(0.0).matrix)
     r90 = pc.rotation2(math.pi / 2).matrix.copy()
     r90[:, 1] *= -1
@@ -110,11 +110,15 @@ def test_rotation_is_keyed_on_B():
     (5, [math.pi, 0.7, -2.1], (-1,)),
 ])
 def test_circulant_from_eigenphases_matches_signed_phases(B, phases, signs):
+    # the real eigenvalues are exactly the signs, not exp(j*pi) = -1 + 1.2e-16j
     got = pc.circulant_from_eigenphases(B, phases).matrix
-    want = pc.circulant_from_phases(B, phases[1:(B + 1) // 2], *signs).matrix
-    assert np.array_equal(got, want)
-    full = phases + [-p for p in phases[1:(B + 1) // 2][::-1]]  # lambda_{B-n} = conj(lambda_n)
-    assert np.allclose(np.fft.fft(got[0]), np.exp(1j * np.array(full)))
+    lam = np.exp(1j * np.array(phases + [-p for p in phases[1:(B + 1) // 2][::-1]]))
+    lam[0] = signs[0]
+    if B % 2 == 0:
+        lam[B // 2] = signs[1]
+    row = np.fft.ifft(lam).real
+    assert np.array_equal(got, np.array([np.roll(row, b) for b in range(B)]))
+    assert np.allclose(np.fft.fft(got[0]), lam)  # lambda_{B-n} = conj(lambda_n)
 
 
 @pytest.mark.parametrize("B,phases", [
