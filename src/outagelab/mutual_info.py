@@ -18,6 +18,16 @@ common random numbers) whenever its work, orbit representatives (below) *
 fallback logged at INFO on the "outagelab" logger).  The result is clipped
 to [0, H(X)].  Everything is computed in nats internally and reported in bits.
 
+The rule is evaluated in separable form (`_quad_nats_many`).  Its exponent,
+-2*sqrt(gamma)*d.x - gamma*|d|^2 for a faded point difference d at node x,
+is a sum over axes, and completing the square on each axis writes it as
+|x|^2 minus sum_d (sqrt(gamma)*d_d + x_d)^2.  So the order^dims tensor grid
+needs only dims*order exponentials per point pair, every one at most 1,
+and the sum over the received-side points at all nodes is an outer product
+over the first dims-1 axes times one matrix product against the last.
+Nothing overflows, and the transmitted point's own term exp(-|x|^2) keeps
+the sum from underflowing wherever the node's weight is above e^-600.
+
 The quadrature sums the transmitted point only over symmetry-orbit
 representatives, each weighted by its orbit's probability; the sum over
 the received-side points stays full.  Two maps commute with the noise,
@@ -63,12 +73,15 @@ from .search import solve_increasing
 
 LN2 = math.log(2.0)
 _log = logging.getLogger("outagelab")
-_MEM_CAP = 2_000_000  # floats held by one quadrature work block
+# (row, representative, point, node) terms of one quadrature work block; the
+# block holds at most as many floats, and the separable kernel far fewer
+_MEM_CAP = 2_000_000
 # floats per work block when every row has its own alphabet (a lock-step
 # sweep): larger blocks save no call overhead but raise peak memory
 _STACK_CAP = 16_384
 _UNIT_GAIN = np.ones((1, 1))  # the scalar channel's fading row
 _ORBIT_TOL = 1e-9  # largest coordinate gap between a point's image and its match
+_TINY = np.finfo(float).tiny
 
 
 class SaturationError(ValueError):
@@ -113,14 +126,37 @@ class EngineConfig:
 DEFAULT_CONFIG = EngineConfig()
 
 
+class _Grid(NamedTuple):
+    """Tensor-product Gauss-Hermite rule in `dims` dimensions.
+
+    x (order,) holds the 1-D nodes; nodes (K, dims) the tensor grid, last
+    axis fastest, with probability-normalized weights (K,) and squared node
+    norms r2 (K,).
+    """
+
+    x: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    r2: np.ndarray
+
+
 @lru_cache(maxsize=32)
-def _gh_grid(order: int, dims: int):
-    """Tensor-product Gauss-Hermite nodes and probability-normalized weights."""
+def _gh_grid(order: int, dims: int) -> _Grid:
+    """The Gauss-Hermite rule of `order` nodes per axis in `dims` dimensions.
+
+    Raises ValueError for an order below 2, a grid above 5e6 nodes, or an
+    order whose 1-D weights numpy cannot compute: they must all be finite
+    and positive (numpy's overflow above order ~370).
+    """
     if order < 2:
         raise ValueError("gh_order must be >= 2")
     if order**dims > 5_000_000:
         raise ValueError(f"quadrature grid order^dims = {order}^{dims} is too large")
-    x, w = np.polynomial.hermite.hermgauss(order)
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(order)
+    if not (np.isfinite(x).all() and np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError(f"gh_order={order} is too large: its Gauss-Hermite weights "
+                         "are not all finite and positive")
     grids = np.meshgrid(*([x] * dims), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     wgrids = np.meshgrid(*([w] * dims), indexing="ij")
@@ -128,9 +164,10 @@ def _gh_grid(order: int, dims: int):
     for g in wgrids:
         weights = weights * g.ravel()
     weights = weights / weights.sum()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    grid = _Grid(x, nodes, weights, np.einsum("kd,kd->k", nodes, nodes))
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 class _Form(NamedTuple):
@@ -222,8 +259,23 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     points and their probabilities themselves for the full sum.  A stack of
     equal-size alphabets, one per row, comes as points (A, M, D), probs
     (A, M), reps (A, R, D), rep_w (A, R) and gamma (A,).  Every row sums
-    over the same node and point blocks whatever its company, so a row's
-    value does not depend on the rows evaluated with it.
+    over the same node and point blocks, by matrix products of its own,
+    whatever its company, so a row's value is bit for bit the same alone
+    or in any batch.
+
+    Separable evaluation: at representative r and node x_k, with faded
+    differences d_j = sqrt(gamma) * alpha * (r - p_j), the rule needs
+    L_k = log sum_j p_j exp(-2 d_j.x_k - |d_j|^2).  Completing the square
+    on each axis, L_k = log S_k + |x_k|^2 with
+    S_k = sum_j p_j prod_d F_d(j, k_d) and F_d(j, k_d) =
+    exp(-(d_jd + x_kd)^2) <= 1: order exponentials per axis and point pair,
+    then an outer product over the first D-1 axes and one matrix product
+    against the last.  No factor exceeds 1, so nothing overflows, and the
+    transmitted point puts p_r * exp(-|x_k|^2) into S_k, which stays a
+    normal float wherever |x_k|^2 < 600 (for p_r above e^-100).  Beyond
+    that, where the node weights are below e^-600, S_k is floored at the
+    smallest normal float, so an underflowed sum adds a negligible finite
+    term instead of 0 * (-inf).
     """
     shared = points.ndim == 2
     if shared:
@@ -231,10 +283,9 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     _, M, D = points.shape
     R = reps.shape[1]
     A = alphas.shape[0]
-    nodes, w = _gh_grid(order, D)
-    K = nodes.shape[0]
-    logp = np.log(probs)
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (A,))
+    x, _, w, r2 = _gh_grid(order, D)
+    K = w.shape[0]
+    root_gamma = np.sqrt(np.broadcast_to(np.asarray(gamma, dtype=float), (A,)))
     out = np.empty(A)
 
     i_chunk = max(1, min(R, _MEM_CAP // (M * K)))
@@ -242,24 +293,23 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     for a0 in range(0, A, a_chunk):
         rows = slice(a0, a0 + a_chunk)
         own = slice(0, 1) if shared else rows
-        al = alphas[rows]
-        g = gamma[rows, None, None, None]
-        acc = np.zeros(al.shape[0])
+        scale = alphas[rows] * root_gamma[rows, None]
+        acc = np.zeros(scale.shape[0])
         for i0 in range(0, R, i_chunk):
-            dz = reps[own, i0 : i0 + i_chunk, None, :] - points[own, None, :, :]
-            d = al[:, None, None, :] * dz
-            d2 = np.einsum("aijd,aijd->aij", d, d)
-            e = np.tensordot(d, nodes, axes=([3], [1]))
-            e *= -2.0 * np.sqrt(g)
-            e -= g * d2[..., None]
-            e += logp[own, None, :, None]
-            mx = e.max(axis=2)
-            e -= mx[:, :, None, :]
-            np.exp(e, out=e)
-            L = mx + np.log(e.sum(axis=2))
-            p = np.broadcast_to(rep_w[own, i0 : i0 + i_chunk], L.shape[:2])
-            acc -= np.einsum("ai,aik,k->a", p, L, w)
-        out[a0 : a0 + al.shape[0]] = acc
+            d = (reps[own, i0 : i0 + i_chunk, None, :] - points[own, None, :, :]) * scale[:, None, None, :]
+            F = np.moveaxis(d, -1, 0)[..., None] + x  # (D, a, i, M, order)
+            np.square(F, out=F)
+            np.negative(F, out=F)
+            np.exp(F, out=F)
+            G = probs[own, None, :, None]
+            for f in F[:-1]:  # outer product over the first D-1 axes, (a, i, M, order^(D-1))
+                G = (G[..., None] * f[..., None, :]).reshape(f.shape[:3] + (-1,))
+            S = np.matmul(G.swapaxes(-1, -2), F[-1]).reshape(F.shape[1:3] + (K,))
+            np.maximum(S, _TINY, out=S)
+            L = np.log(S, out=S)
+            L += r2
+            acc -= (np.matmul(L, w) * rep_w[own, i0 : i0 + i_chunk]).sum(axis=1)
+        out[a0 : a0 + scale.shape[0]] = acc
     return out
 
 
@@ -503,7 +553,7 @@ def mmse_scalar(sp: ProjectionSet, snr: float, cfg: EngineConfig = DEFAULT_CONFI
     if snr == 0.0:
         return float((p[:, None] * (pts - mean) ** 2).sum())
     S, D = pts.shape
-    nodes, w = _gh_grid(cfg.gh_order, D)
+    _, nodes, w, _ = _gh_grid(cfg.gh_order, D)
     noise = nodes / math.sqrt(snr)
     y = pts[:, None, :] + noise[None, :, :]  # (S, K, D)
     d2 = np.sum((y[:, :, None, :] - pts[None, None, :, :]) ** 2, axis=-1)  # (S, K, S)

@@ -73,7 +73,11 @@ class OutageQuery:
             raise ValueError("precoder and constellation dimensions differ")
 
     def omega_x(self) -> Constellation:
-        return precoders.apply(self.precoder, self.omega_z)
+        """The precoded constellation, built on the first call and kept, so
+        the anchors and the trace of one query share it (and its orbits)."""
+        if "_omega_x" not in self.__dict__:
+            object.__setattr__(self, "_omega_x", precoders.apply(self.precoder, self.omega_z))
+        return self.__dict__["_omega_x"]
 
 
 @dataclass(frozen=True)

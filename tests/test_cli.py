@@ -56,6 +56,16 @@ def test_missing_rate_exits_2(capsys):
     assert rc == 2
 
 
+def test_gh_order_with_overflowing_weights_exits_2(tmp_path, capsys):
+    # numpy's Hermite weights stop being finite between orders 370 and 380
+    out = tmp_path / "mi.csv"
+    argv = ["mi", "--constellation", "r2_4", "--alpha", "1,2", "--gamma-db", "0", "--out", str(out)]
+    assert cli.main(argv + ["--gh-order", "400"]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv + ["--gh-order", "200"]) == 0
+
+
 def test_infeasible_rate_exits_3(capsys):
     rc = cli.main(["sweep", "--constellation", "r2_4", "--R", "1.05"])
     assert rc == 3

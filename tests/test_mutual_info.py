@@ -447,3 +447,106 @@ def test_gaussian_bound_cuts_kernel_calls(cfg, monkeypatch):
     monkeypatch.setattr(mutual_info, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
     inv_mi_scalar(_swept("r2_4", (27.0,))[0], 1.8, cfg)
     assert len(calls) <= 24  # 38 when doubling from x_start = 1e-4
+
+
+def lse_oracle_nats(points, probs, reps, rep_w, alphas, gamma, order):
+    """`_quad_nats_many` by the full-grid log-sum-exp, one row at a time.
+
+    One exponent -2*sqrt(gamma)*d.x_k - gamma*|d|^2 + log p_j per
+    (representative, point, node) of the order^D tensor grid, the largest
+    subtracted before the exponential: the kernel's definition, written
+    without the separable factorization.
+    """
+    D = points.shape[-1]
+    x, w = np.polynomial.hermite.hermgauss(order)
+    nodes = np.stack(np.meshgrid(*([x] * D), indexing="ij"), axis=-1).reshape(-1, D)
+    weights = np.prod(np.stack(np.meshgrid(*([w] * D), indexing="ij"), axis=-1).reshape(-1, D), axis=1)
+    weights = weights / weights.sum()
+    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), alphas.shape[:1])
+    out = []
+    for a, (alpha, g) in enumerate(zip(alphas, gammas)):
+        pts, pr, rp, rw = (v if points.ndim == 2 else v[a] for v in (points, probs, reps, rep_w))
+        total = 0.0
+        for r, mass in zip(rp, rw):
+            d = alpha * (r - pts)  # (M, D)
+            e = -2.0 * math.sqrt(g) * (d @ nodes.T) - g * (d * d).sum(axis=1)[:, None] + np.log(pr)[:, None]
+            mx = e.max(axis=0)
+            total -= mass * (weights @ (mx + np.log(np.exp(e - mx).sum(axis=0))))
+        out.append(total)
+    return np.array(out)
+
+
+KERNEL_GAMMAS = (1e-4, 1e-2, 1.0, 1e2, 1e4)
+
+
+def _kernel_forms():
+    """(label, form, order) cases: shared forms in 2, 3 and 4 dimensions and
+    stacked per-row projections in 1, each with its orbits and its full sum."""
+    def rot(name, deg):
+        c = cs.build_named(name)
+        return pc.apply(pc.rotation(c.B, math.radians(deg)), c)
+
+    cases = [
+        ("r2_4", _alphabet(rot("r2_4", 27.0)), 32),
+        ("r2_16", _alphabet(rot("r2_16", 44.0)), 32),
+        ("r3_8", _alphabet(rot("r3_8", 50.75)), 10),
+        ("c2_16", _form(cs.build_named("c2_16"), EngineConfig(complex_chain=False)), 8),
+    ]
+    sps = [cs.project(rot("r2_8", deg), 1) for deg in (4.69, 17.0, 31.0, 38.0)]
+    forms = [_alphabet(sp) for sp in sps]
+    assert len({(f.points.shape, f.reps.shape) for f in forms}) == 1
+    stack = forms[0]._replace(
+        **{n: np.stack([getattr(f, n) for f in forms]) for n in mutual_info._ROW_FIELDS})
+    cases.append(("r2_8 projections", stack, 32))
+    for label, form, order in cases:
+        yield label, form, order
+        yield label + " full", form._replace(reps=form.points, rep_w=form.probs), order
+
+
+def _kernel_rows(form, rows):
+    """`rows` fading rows of the form's dimension (duplicated for a stacked form)."""
+    B = form.points.shape[-1] // (2 if form.stacked else 1)
+    al = np.sqrt(np.random.default_rng(7).exponential(1.0, (rows, B))) * 1.5
+    return np.hstack([al, al]) if form.stacked else al
+
+
+KERNEL_CASES = list(_kernel_forms())
+
+
+@pytest.mark.parametrize("label, form, order", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_separable_kernel_matches_full_grid_oracle(label, form, order):
+    if form.points.ndim == 3:  # stacked projections: unit gains, one SNR per row
+        al, spread = np.ones((form.points.shape[0], 1)), np.arange(1.0, form.points.shape[0] + 1)
+    else:
+        al, spread = _kernel_rows(form, 3), 1.0
+    for gamma in KERNEL_GAMMAS:
+        got = _quad_nats_many(form.points, form.probs, form.reps, form.rep_w, al, gamma * spread, order)
+        want = lse_oracle_nats(form.points, form.probs, form.reps, form.rep_w, al, gamma * spread, order)
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() < 1e-13, (label, gamma)
+
+
+def test_kernel_row_alone_is_bit_identical_inside_a_large_batch():
+    rotated = pc.apply(pc.rotation2(math.radians(27)), cs.build_named("r2_4"))
+    shared = _alphabet(rotated)
+    one = _alphabet(cs.project(rotated, 1))
+    stacked = one._replace(**{n: np.stack([getattr(one, n)] * 3000) for n in mutual_info._ROW_FIELDS})
+    # blocks of 244 shared rows and 64 stacked rows at order 32
+    for form, al, g in ((shared, _kernel_rows(shared, 3000), np.full(3000, 2.0)),
+                        (stacked, np.ones((3000, 1)), np.geomspace(0.01, 100.0, 3000))):
+        batch = _quad_nats_many(form.points, form.probs, form.reps, form.rep_w, al, g, 32)
+        for a in (0, 63, 64, 243, 244, 1500, 2999):
+            row = [v[a : a + 1] if form.points.ndim == 3 else v
+                   for v in (form.points, form.probs, form.reps, form.rep_w)]
+            alone = _quad_nats_many(*row, al[a : a + 1], g[a : a + 1], 32)
+            assert alone[0] == batch[a]
+
+
+def test_kernel_at_order_200_stays_finite():
+    # the separable sum underflows at the grid's corners, whose weights are below e^-600
+    form = _alphabet(pc.apply(pc.rotation2(math.radians(27)), cs.build_named("r2_4")))
+    al = _kernel_rows(form, 2)
+    got = _quad_nats_many(form.points, form.probs, form.reps, form.rep_w, al, 4.0, 200)
+    want = lse_oracle_nats(form.points, form.probs, form.reps, form.rep_w, al, 4.0, 200)
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() < 1e-8

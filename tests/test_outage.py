@@ -557,3 +557,12 @@ def test_grouping_matches_loop(name):
                 sp = cs.project(omega_x, axis)
                 assert np.array_equal(sp.values, values)
                 assert np.array_equal(sp.probs, counts / c.M)
+
+
+def test_geometry_precodes_once(cfg, monkeypatch):
+    calls = []
+    apply = pc.apply
+    monkeypatch.setattr(pc, "apply", lambda p, c: calls.append(c.name) or apply(p, c))
+    geom = OutageGeometry.solve(cs.build_named("r2_4"), pc.rotation2(math.radians(27)), 0.9, cfg, n_angles=65)
+    assert calls == ["r2_4"]
+    assert geom.boundary is not None and math.isfinite(geom.axis_snr) and math.isfinite(geom.ergodic_snr)
