@@ -225,14 +225,16 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _curve_rows(geom, gammas_db, seed, outage_at=None) -> list:
-    """Outage-curve rows from a geometry solved once; each SNR point is a rescale."""
-    rows = []
-    for gdb in gammas_db:
-        gamma = db_to_linear(gdb)
-        res = (outage_at or geom.outage)(gamma)
-        rows.append([gdb, res.p_out, res.ci95[0], res.ci95[1], *geom.bounds(gamma), res.method, seed])
-    return rows
+def _curve_rows(geom, gammas_db, seed, outage_curve=None) -> list:
+    """Outage-curve rows from a geometry solved once; each SNR point is a rescale.
+
+    `outage_curve` maps the list of SNRs to one OutageResult each; without
+    it every point integrates the geometry's boundary.
+    """
+    gammas = [db_to_linear(gdb) for gdb in gammas_db]
+    results = outage_curve(gammas) if outage_curve else [geom.outage(g) for g in gammas]
+    return [[gdb, res.p_out, res.ci95[0], res.ci95[1], *geom.bounds(g), res.method, seed]
+            for gdb, g, res in zip(gammas_db, gammas, results)]
 
 
 def _curve_method(c, R, method) -> str:
@@ -255,14 +257,14 @@ def _outage_curve(c, p, R, gammas_db, cfg, seed, method="auto", angles=257, mc_s
     if method == "limit":
         warnings.warn(f"R={R} is at or above the alphabet limit m/B={c.m / c.B:g}; p_out=1")
         limit = OutageResult(1.0, (1.0, 1.0), "limit")
-        return _curve_rows(geom, gammas_db, seed, lambda g: limit)
+        return _curve_rows(geom, gammas_db, seed, lambda gammas: [limit] * len(gammas))
     if method == "boundary":
         return _curve_rows(geom, gammas_db, seed)
-    cache = PolarMICache(precoders.apply(p, c), cfg) if c.B in CACHE_SHAPE else None
+    omega_x = precoders.apply(p, c)  # one precoded set for the cache and the whole curve
+    cache = PolarMICache(omega_x, cfg) if c.B in CACHE_SHAPE else None
     return _curve_rows(
         geom, gammas_db, seed,
-        lambda g: outage_mc(OutageQuery(c, p, R=R, gamma=g), mc_samples, seed=seed, cfg=cfg,
-                            cache=cache),
+        lambda gammas: outage_mc(omega_x, mc_samples, R, gammas, seed=seed, cfg=cfg, cache=cache),
     )
 
 

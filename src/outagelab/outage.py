@@ -3,11 +3,13 @@
 The fading point alpha lives in the positive orthant of R^B; the outage
 region is where the per-use mutual information falls below the rate R.
 Deterministic outage for B=2 integrates the traced boundary radius in
-polar coordinates against the unit-Rayleigh density; Monte Carlo counts
+polar coordinates against the unit-Rayleigh density.  Monte Carlo counts
 threshold crossings of an interpolated MI surface cached on an
-SNR-invariant grid of scaled fading gains.  The axis anchor alpha_o and
-the ergodic anchor alpha_e give the radii of the outer and inner
-hypersphere bounds.
+SNR-invariant grid of scaled fading gains, a whole SNR curve in one pass:
+a sample's MI does not decrease in gamma, so along the sorted SNR grid its
+outage decisions form a prefix, and each sample bisects the grid for the
+end of that prefix.  The axis anchor alpha_o and the ergodic anchor
+alpha_e give the radii of the outer and inner hypersphere bounds.
 """
 
 import math
@@ -427,6 +429,9 @@ class PolarMICache:
     u-cube is saturated, so v-sampling puts far more points on the
     transition where outage decisions are made.  The name is historical:
     the B=2 surface was once tabulated on a polar grid.
+
+    The cache holds no draws: `outage_mc` draws the gains of a curve once
+    and sends each sample to `mi` at its own SNR.
     """
 
     def __init__(self, omega_x: Constellation, cfg: EngineConfig = DEFAULT_CONFIG):
@@ -437,7 +442,6 @@ class PolarMICache:
         self.u_max, order = CACHE_SHAPE[self.B]
         self.cfg = replace(cfg, gh_order=min(cfg.gh_order, order))
         self._sizes = [CACHE_AXIS_POINTS] * self.B
-        self._draws = None  # (seed, n, gains) of the last `rayleigh` call
         self._build()
         err = self._validate(CACHE_SEED)
         if err > CACHE_TOL_BITS:
@@ -458,21 +462,9 @@ class PolarMICache:
         self.values = vals.reshape(self._sizes)
         self._coef = _catmull_rom_table(self.values)
 
-    def rayleigh(self, seed: int, n: int) -> np.ndarray:
-        """`sample_rayleigh(np.random.default_rng(seed), n, B)`, read-only.
-
-        An outage curve shares one cache between its SNR points, which all
-        take the same draws (common random numbers), so the last draws are
-        kept here and drawn once per curve; they go when the cache does.
-        """
-        if self._draws is None or self._draws[:2] != (seed, n):
-            gains = sample_rayleigh(np.random.default_rng(seed), n, self.B)
-            gains.setflags(write=False)
-            self._draws = (seed, n, gains)
-        return self._draws[2]
-
-    def mi(self, alphas: np.ndarray, gamma: float, threshold: "float | None" = None) -> np.ndarray:
-        """Per-use MI at each fading point (rows of `alphas`) at SNR gamma.
+    def mi(self, alphas: np.ndarray, gamma, threshold: "float | None" = None) -> np.ndarray:
+        """Per-use MI at each fading point (rows of `alphas`) at SNR gamma,
+        one SNR for all rows or one per row.
 
         With no threshold every out-of-grid point is evaluated directly.
         With a threshold, the values only need to decide `mi < threshold`,
@@ -480,39 +472,43 @@ class PolarMICache:
         settle that: an in-grid value within CACHE_TOL_BITS of the
         threshold, or an out-of-grid clamped-edge value below it (MI never
         decreases when a gain grows, so the edge value is a lower bound).
+        Direct rows go through `mi_per_use_batch` once per distinct SNR.
         """
         alphas = np.asarray(alphas, dtype=float)
-        v = np.log1p(alphas * math.sqrt(2.0 * gamma))
+        gamma = np.asarray(gamma, dtype=float)
+        v = np.log1p(alphas * np.sqrt(2.0 * gamma)[..., None])
         inside = (v <= self.axis[-1]).all(axis=1)
-        out = self._interp(np.minimum(v, self.axis[-1]))
+        out = self._interp(np.minimum(v, self.axis[-1], out=v))
         if threshold is None:
             direct = ~inside
         else:
             direct = np.where(inside, np.abs(out - threshold) <= CACHE_TOL_BITS, out < threshold)
         if direct.any():
-            out[direct] = mi_per_use_batch(self.omega_x, alphas[direct], gamma, self.cfg)
+            rows_gamma = np.broadcast_to(gamma, out.shape)[direct]
+            out[direct] = _mi_by_snr(self.omega_x, alphas[direct], rows_gamma, self.cfg)
         return out
 
     def _interp(self, v):
         """Separable Catmull-Rom interpolation on the uniform cube; rows of v are points.
 
         Each point gathers its cell's row of `_coef` and runs Horner's rule,
-        last axis first.
+        last axis first, one block of points at a time, so that no
+        intermediate array outgrows a block.
         """
         n, B = self.axis.shape[0], self.B
-        x = v.T / self.axis[1]
-        idx = np.clip(x.astype(int), 0, n - 2)
-        t = np.clip(x - idx, 0.0, 1.0)
-        cell = np.ravel_multi_index(tuple(idx), (n - 1,) * B)
         out = np.empty(v.shape[0])
         step = max(1, _LOOKUP_CAP // 4**B)
         for lo in range(0, v.shape[0], step):
-            hi = min(lo + step, v.shape[0])
-            c = np.take(self._coef, cell[lo:hi], axis=0).reshape((hi - lo,) + (4,) * B)
+            x = v[lo:lo + step].T / self.axis[1]
+            rows = x.shape[1]
+            idx = np.clip(x.astype(int), 0, n - 2)
+            t = np.clip(x - idx, 0.0, 1.0)
+            cell = np.ravel_multi_index(tuple(idx), (n - 1,) * B)
+            c = np.take(self._coef, cell, axis=0).reshape((rows,) + (4,) * B)
             for d in reversed(range(B)):
-                td = t[d, lo:hi].reshape((hi - lo,) + (1,) * d)
+                td = t[d].reshape((rows,) + (1,) * d)
                 c = ((c[..., 3] * td + c[..., 2]) * td + c[..., 1]) * td + c[..., 0]
-            out[lo:hi] = c
+            out[lo:lo + rows] = c
         return out
 
     def _validation_gains(self, seed):
@@ -528,35 +524,87 @@ class PolarMICache:
         return float(np.max(np.abs(direct - self.mi(scaled, GAMMA_REF))))
 
 
+def _mi_by_snr(omega_x: Constellation, alphas: np.ndarray, gammas: np.ndarray,
+               cfg: EngineConfig) -> np.ndarray:
+    """Per-use MI of each row of `alphas` at its own SNR, one `mi_per_use_batch`
+    call per distinct SNR (a row's value does not depend on its batch)."""
+    out = np.empty(alphas.shape[0])
+    for g in np.unique(gammas):
+        rows = gammas == g
+        out[rows] = mi_per_use_batch(omega_x, alphas[rows], float(g), cfg)
+    return out
+
+
 def outage_mc(
-    q: OutageQuery,
+    omega_x: Constellation,
     n: int,
+    R: float,
+    gammas,
     seed: int = 0,
     cfg: EngineConfig = DEFAULT_CONFIG,
     cache: "PolarMICache | None" = None,
-) -> OutageResult:
-    """Monte Carlo outage probability with a Wilson 95% interval.
+) -> list:
+    """Monte Carlo outage curve of the precoded set `omega_x` at rate R: one
+    OutageResult, with a Wilson 95% interval, per SNR of `gammas`, in the
+    caller's order.
 
-    Draws n i.i.d. unit-Rayleigh fading vectors and counts per-use MI
-    below R.  For B in CACHE_SHAPE the MI comes from the scaled-gain cache
-    (built here unless `cache` is given), which evaluates directly every
-    sample it cannot place on the right side of R, and keeps the draws for
-    the next call with the same seed and n; dimensions without a cache
-    shape evaluate every sample directly (slow for large n).
+    Draws n i.i.d. unit-Rayleigh fading vectors once for the whole curve
+    (common random numbers) and counts, at each SNR, the samples whose
+    per-use MI falls below R.  The count takes one pass: the MI of a sample
+    does not decrease in gamma, so on the sorted SNR grid its outage
+    decisions form a prefix, and each sample bisects the grid for the end
+    of that prefix.  It keeps the bracket [lo, hi) of grid points it has
+    not decided yet and, in each round, evaluates its MI at the bracket's
+    midpoint SNR.  That takes ceil(log2(K+1)) evaluations per sample for K
+    SNRs instead of K, no round's arrays are longer than n, and the count
+    at the i-th sorted SNR is #{lo > i}.  Every decision is the one a
+    separate test at that SNR would make, as long as the evaluated MI does
+    not decrease in gamma: the direct rows are exact, and the cache must
+    stay within CACHE_TOL_BITS of the MI, the premise its band around R
+    already rests on.
+
+    For B in CACHE_SHAPE the MI comes from the scaled-gain cache (built
+    here unless `cache` is given), which evaluates directly every sample it
+    cannot place on the right side of R; dimensions without a cache shape
+    evaluate every sample directly (slow for large n).
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"outage_mc needs n >= {MC_MIN_SAMPLES}, got {n}")
-    omega_x = q.omega_x()
+    if R <= 0:
+        raise ValueError("R must be positive")
+    gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    if not np.all(gammas > 0):
+        raise ValueError("gamma must be positive")
     B = omega_x.B
-    if q.R >= omega_x.m / B - 1e-12:
+    if R >= omega_x.m / B - 1e-12:
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
-        return OutageResult(1.0, (1.0, 1.0), "mc")
-    if B in CACHE_SHAPE:
-        if cache is None:
-            cache = PolarMICache(omega_x, cfg)
-        mi = cache.mi(cache.rayleigh(seed, n), q.gamma, threshold=q.R)
-    else:
-        alphas = sample_rayleigh(np.random.default_rng(seed), n, B)
-        mi = mi_per_use_batch(omega_x, alphas, q.gamma, cfg)
-    k = int(np.count_nonzero(mi < q.R))
-    return OutageResult(p_out=k / n, ci95=wilson_ci(k, n), method="mc")
+        return [OutageResult(1.0, (1.0, 1.0), "mc") for _ in gammas]
+    if B in CACHE_SHAPE and cache is None:
+        cache = PolarMICache(omega_x, cfg)
+    alphas = sample_rayleigh(np.random.default_rng(seed), n, B)
+    order = np.argsort(gammas, kind="stable")
+    grid = gammas[order]
+    # an open sample is in outage below grid point lo and not from hi on; a
+    # settled one (lo == hi) adds its prefix length to `ends` and leaves
+    lo = np.zeros(n, dtype=np.intp)
+    hi = np.full(n, grid.size, dtype=np.intp)
+    ends = np.zeros(grid.size + 1, dtype=np.intp)
+    while True:
+        done = lo == hi
+        if done.any():
+            ends += np.bincount(lo[done], minlength=grid.size + 1)
+            alphas, lo, hi = alphas[~done], lo[~done], hi[~done]
+        if not lo.size:
+            break
+        mid = (lo + hi) // 2
+        if cache is not None:
+            mi = cache.mi(alphas, grid[mid], threshold=R)
+        else:
+            mi = _mi_by_snr(omega_x, alphas, grid[mid], cfg)
+        below = mi < R
+        lo[below] = mid[below] + 1
+        hi[~below] = mid[~below]
+    k_sorted = n - np.cumsum(ends)[:grid.size]  # samples in outage at each sorted SNR
+    k = np.empty(grid.size, dtype=np.intp)
+    k[order] = k_sorted
+    return [OutageResult(p_out=int(kj) / n, ci95=wilson_ci(int(kj), n), method="mc") for kj in k]

@@ -135,12 +135,14 @@ def test_anchor_consistency(square):
 @criterion(6, "boundary integration agrees with 1e6-sample MC inside its CI")
 def test_method_cross_validation(square, caches):
     t0 = time.time()
+    gammas_db = (4.0, 8.0, 12.0)
     for theta in (0.0, 27.0):
         p = pc.rotation2(math.radians(theta))
-        for gamma_db in (4.0, 8.0, 12.0):
+        mcs = outage_mc(caches[theta].omega_x, 1_000_000, 0.9, [10 ** (g / 10) for g in gammas_db],
+                        seed=11, cfg=CFG, cache=caches[theta])
+        for gamma_db, mc in zip(gammas_db, mcs):
             q = OutageQuery(square, p, R=0.9, gamma=10 ** (gamma_db / 10))
             det = outage_from_boundary_2d(trace_boundary_2d(q, 513, CFG))
-            mc = outage_mc(q, 1_000_000, seed=11, cfg=CFG, cache=caches[theta])
             assert mc.ci95[0] <= det.p_out <= mc.ci95[1], (theta, gamma_db)
     assert time.time() - t0 < 600.0
 
@@ -168,10 +170,9 @@ def test_diversity_slopes(square, caches):
     gammas = [10 ** (g / 10) for g in (20, 22, 24, 26, 28, 30)]
     geom = OutageGeometry.solve(square, pc.rotation2(math.radians(27)), 0.9, CFG)
     assert abs(geom.diversity_slope(gammas) + 2.0) < 0.1
-    ps = []
-    for gamma_db in (20.0, 25.0, 30.0):
-        q0 = OutageQuery(square, pc.rotation2(0.0), R=0.9, gamma=10 ** (gamma_db / 10))
-        ps.append(outage_mc(q0, 2_000_000, seed=42, cfg=CFG, cache=caches[0.0]).p_out)
+    curve = outage_mc(caches[0.0].omega_x, 2_000_000, 0.9, [10 ** (g / 10) for g in (20.0, 25.0, 30.0)],
+                      seed=42, cfg=CFG, cache=caches[0.0])
+    ps = [res.p_out for res in curve]
     slope = np.polyfit([2.0, 2.5, 3.0], np.log10(ps), 1)[0]
     assert abs(slope + 1.0) < 0.2
 

@@ -331,6 +331,23 @@ def test_outage_curve_rule_fails_before_any_solve(argv, msg, monkeypatch, capsys
     assert msg in capsys.readouterr().err
 
 
+def test_mc_curve_precodes_once(monkeypatch, tmp_path):
+    from outagelab import outage
+    from outagelab import precoders as pc
+
+    calls, curves = [], []
+    apply, outage_mc = pc.apply, outage.outage_mc
+    monkeypatch.setattr(pc, "apply", lambda p, c: calls.append(c.name) or apply(p, c))
+    monkeypatch.setattr(cli, "outage_mc", lambda *a, **k: curves.append(a) or outage_mc(*a, **k))
+    out = tmp_path / "mc.csv"
+    argv = CURVE27[:-1] + ["0:20:2", "--method", "mc", "--mc-samples", "1000", "--out", str(out)]
+    assert cli.main(argv) == 0
+    # one precoding for the geometry, one for the cache and the whole curve
+    assert calls == ["r2_4", "r2_4"]
+    assert len(curves) == 1 and len(curves[0][3]) == 11
+    assert len(read_csv(out)[2]) == 11
+
+
 def test_b3_boundary_curve_fails_before_the_anchors(monkeypatch, capsys):
     from outagelab import outage
 

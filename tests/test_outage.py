@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,24 +190,32 @@ def test_boundary_integration_doubling_stable(q27, cfg):
 
 
 def test_outage_mc_seeds_agree(q27, cfg):
-    a = outage_mc(q27, 100_000, seed=1, cfg=cfg)
-    b = outage_mc(q27, 100_000, seed=2, cfg=cfg)
+    (a,) = outage_mc(q27.omega_x(), 100_000, q27.R, [q27.gamma], seed=1, cfg=cfg)
+    (b,) = outage_mc(q27.omega_x(), 100_000, q27.R, [q27.gamma], seed=2, cfg=cfg)
     half = (a.ci95[1] - a.ci95[0]) / 2 + (b.ci95[1] - b.ci95[0]) / 2
     assert abs(a.p_out - b.p_out) < half
-    again = outage_mc(q27, 100_000, seed=1, cfg=cfg)
+    (again,) = outage_mc(q27.omega_x(), 100_000, q27.R, [q27.gamma], seed=1, cfg=cfg)
     assert again.p_out == a.p_out
 
 
 def test_outage_mc_rate_above_capacity(cfg, gamma_8db):
-    q = OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.3), R=1.5, gamma=gamma_8db)
-    with pytest.warns(UserWarning):
-        res = outage_mc(q, 10_000, seed=0, cfg=cfg)
-    assert res.p_out == 1.0
+    omega_x = pc.apply(pc.rotation2(0.3), cs.build_named("r2_4"))
+    with pytest.warns(UserWarning) as record:
+        res = outage_mc(omega_x, 10_000, 1.5, [1.0, gamma_8db, 100.0], seed=0, cfg=cfg)
+    assert len(record) == 1  # one warning per curve, not per point
+    assert [r.p_out for r in res] == [1.0, 1.0, 1.0]
+    assert all(r.ci95 == (1.0, 1.0) for r in res)
 
 
 def test_outage_mc_needs_min_samples(q27, cfg):
     with pytest.raises(ValueError):
-        outage_mc(q27, 100, seed=0, cfg=cfg)
+        outage_mc(q27.omega_x(), 100, q27.R, [q27.gamma], seed=0, cfg=cfg)
+
+
+@pytest.mark.parametrize("R,gammas", [(0.0, [1.0]), (0.9, [1.0, 0.0]), (0.9, [-2.0])])
+def test_outage_mc_rejects_bad_inputs(q27, cfg, R, gammas):
+    with pytest.raises(ValueError, match="must be positive"):
+        outage_mc(q27.omega_x(), 1000, R, gammas, cfg=cfg)
 
 
 def test_gaussian_outage_lower_bounds_discrete(q27, cfg):
@@ -388,20 +395,137 @@ def test_mc_outage_counts_pinned(q27, cfg, monkeypatch):
     n = 100_000
     draws = []
     monkeypatch.setattr(outage, "sample_rayleigh", lambda *a: draws.append(a) or sample_rayleigh(*a))
-    for gdb, count in PINNED_MC_COUNTS:
-        q = replace(q27, gamma=10 ** (gdb / 10))
-        res = outage_mc(q, n, seed=0, cfg=cfg, cache=cache)
-        assert res.p_out == count / n
-    # one draw serves every SNR point, and no caller can write to it
+    gammas = [10 ** (gdb / 10) for gdb, _ in PINNED_MC_COUNTS]
+    res = outage_mc(q27.omega_x(), n, q27.R, gammas, seed=0, cfg=cfg, cache=cache)
+    assert [r.p_out for r in res] == [count / n for _, count in PINNED_MC_COUNTS]
+    # one draw serves every SNR point
     assert len(draws) == 1
-    assert not cache.rayleigh(0, n).flags.writeable
+
+
+def per_point_decisions(omega_x, n, R, gammas, seed, cfg, cache):
+    """Draws and outage decisions, shape (SNRs, samples), with each SNR decided
+    on its own: the cache's band rule at every SNR, or every row directly."""
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import CACHE_TOL_BITS
+
+    alphas = sample_rayleigh(np.random.default_rng(seed), n, omega_x.B)
+    rows = []
+    for g in gammas:
+        if cache is None:
+            rows.append(mi_per_use_batch(omega_x, alphas, g, cfg))
+            continue
+        v = np.log1p(alphas * math.sqrt(2.0 * g))
+        inside = (v <= cache.axis[-1]).all(axis=1)
+        mi = cache._interp(np.minimum(v, cache.axis[-1]))
+        direct = np.where(inside, np.abs(mi - R) <= CACHE_TOL_BITS, mi < R)
+        mi[direct] = mi_per_use_batch(omega_x, alphas[direct], g, cache.cfg)
+        rows.append(mi)
+    return alphas, np.array(rows) < R
+
+
+def b4_circulant():
+    bpsk4 = cs.cartesian_product(cs.build_named("bpsk"), 4)
+    return pc.apply(pc.circulant_from_eigenphases(4, [0.0, math.radians(30.0), math.pi]), bpsk4)
+
+
+GRID_2DB = [10.0 ** (g / 10.0) for g in np.arange(0.0, 20.5, 2.0)]
+GRID_4DB = [10.0 ** (g / 10.0) for g in np.arange(0.0, 20.5, 4.0)]
+
+
+@pytest.fixture(scope="module")
+def mc_sets(cfg):
+    """name -> (precoded set, rate, cache or None, engine config)."""
+    def cached(name, theta_deg, R):
+        c = cs.build_named(name)
+        omega_x = pc.apply(pc.rotation(c.B, math.radians(theta_deg)), c)
+        return omega_x, R, PolarMICache(omega_x, cfg), cfg
+
+    return {
+        "r2_4@0": cached("r2_4", 0.0, 0.9),
+        "r2_4@27": cached("r2_4", 27.0, 0.9),
+        "r3_8@0": cached("r3_8", 0.0, 0.9),
+        "c2_16@36": cached("c2_16", 36.0, 1.8),
+        "bpsk4-circulant": (b4_circulant(), 0.5, None, EngineConfig(gh_order=4)),
+    }
+
+
+@pytest.mark.parametrize("key,n,grid,seed", [
+    ("r2_4@0", 100_000, GRID_2DB, 0),
+    ("r2_4@0", 100_000, GRID_2DB, 1),
+    ("r2_4@0", 100_000, GRID_2DB, 2),
+    ("r2_4@27", 100_000, GRID_2DB, 0),
+    ("r2_4@27", 100_000, GRID_2DB, 1),
+    ("r2_4@27", 100_000, GRID_2DB, 2),
+    ("r3_8@0", 50_000, GRID_4DB, 0),
+    ("c2_16@36", 100_000, GRID_2DB, 0),
+    ("bpsk4-circulant", 1000, GRID_2DB, 0),
+])
+def test_mc_curve_moves_no_decision(mc_sets, monkeypatch, key, n, grid, seed):
+    from outagelab import outage
+
+    omega_x, R, cache, cfg = mc_sets[key]
+    alphas, want = per_point_decisions(omega_x, n, R, grid, seed, cfg, cache)
+    # each sample's decisions along the ascending grid form a prefix
+    assert np.all(want[:-1] >= want[1:])
+    # every decision the bisection evaluates is the per-point decision
+    evaluated = []
+    owner, attr = (PolarMICache, "mi") if cache is not None else (outage, "_mi_by_snr")
+    fn = getattr(owner, attr)
+
+    def recorded(*args, **kwargs):  # (cache, rows, gammas, ...) or (omega_x, rows, gammas, cfg)
+        mi = fn(*args, **kwargs)
+        rows, gammas = args[1:3]
+        evaluated.append((rows, np.broadcast_to(gammas, mi.shape), mi < R))
+        return mi
+
+    monkeypatch.setattr(owner, attr, recorded)
+    got = outage_mc(omega_x, n, R, grid, seed=seed, cfg=cfg, cache=cache)
+    by_first = np.argsort(alphas[:, 0])
+    for rows, gammas, below in evaluated:
+        sample = by_first[np.searchsorted(alphas[by_first, 0], rows[:, 0])]
+        np.testing.assert_array_equal(alphas[sample], rows)
+        snr = np.searchsorted(grid, gammas)
+        np.testing.assert_array_equal(below, want[snr, sample])
+    assert [r.p_out for r in got] == [k / n for k in want.sum(axis=1)]
+    assert [r.ci95 for r in got] == [wilson_ci(int(k), n) for k in want.sum(axis=1)]
+
+
+def test_mc_curve_keeps_the_callers_order(mc_sets):
+    omega_x, R, cache, cfg = mc_sets["r2_4@27"]
+    grid = GRID_2DB
+
+    def p_outs(gammas):
+        return [r.p_out for r in outage_mc(omega_x, 20_000, R, gammas, seed=3, cfg=cfg, cache=cache)]
+
+    ascending = p_outs(grid)
+    assert p_outs(grid[::-1]) == ascending[::-1]
+    mixed = [7, 0, 10, 3, 3, 5, 1, 9, 2, 8, 6, 4]  # every point once, one of them twice
+    assert p_outs([grid[i] for i in mixed]) == [ascending[i] for i in mixed]
+    assert outage_mc(omega_x, 20_000, R, [], seed=3, cfg=cfg, cache=cache) == []
+
+
+def test_mc_curve_work_guard(mc_sets, monkeypatch):
+    # an 11-point curve bisects in ceil(log2(12)) = 4 rounds of at most n rows
+    omega_x, R, cache, cfg = mc_sets["r2_4@27"]
+    rows = []
+    mi = PolarMICache.mi
+
+    def counted(self, alphas, gamma, threshold=None):
+        rows.append(len(alphas))
+        return mi(self, alphas, gamma, threshold)
+
+    monkeypatch.setattr(PolarMICache, "mi", counted)
+    n = 20_000
+    outage_mc(omega_x, n, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
+    assert len(rows) <= 4 and max(rows) <= n
+    assert sum(rows) <= 4 * n
 
 
 def test_b3_outage_between_bounds(cfg, gamma_8db):
     q = OutageQuery(
         cs.build_named("r3_8"), pc.rotation3(math.radians(30)), R=0.5, gamma=gamma_8db
     )
-    res = outage_mc(q, 20_000, seed=5, cfg=cfg)
+    (res,) = outage_mc(q.omega_x(), 20_000, q.R, [q.gamma], seed=5, cfg=cfg)
     an = compute_anchors(q, cfg)
     p_up, p_low = hypersphere_bounds(an, 3)
     half = (res.ci95[1] - res.ci95[0]) / 2
