@@ -51,6 +51,9 @@ class ProjectionSet:
     points projecting onto the same coordinate accumulate).  `real_base`,
     when present, is the same axis projection of the constellation's real
     base, for the two-channel reduction of the scalar mutual information.
+    Inside a `ProjectionStack`, values and probs carry a leading row axis
+    (n, S): n projections of S values each, and `entropy_bits` gives one
+    entropy per row.
     """
 
     values: np.ndarray
@@ -59,15 +62,49 @@ class ProjectionSet:
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    def entropy_bits(self) -> float:
+    def entropy_bits(self):
         p = self.probs
-        return float(-np.sum(p * np.log2(p)))
+        return -np.sum(p * np.log2(p), axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectionStack:
+    """Axis projections of the A members of a family of point sets, by size.
+
+    `groups` holds one (rows, sp) pair per projection size and field: the
+    members `rows` (n,) whose projections have the same number S of
+    distinct values, and a ProjectionSet `sp` whose values and probs hold
+    their projections with a leading row axis (n, S), each row as
+    `project` gives it.  `real_base`, when present, stacks the same
+    projection of the members' real bases; a member without one is in none
+    of its groups.
+    """
+
+    A: int
+    groups: tuple
+    real_base: "ProjectionStack | None" = None
+
+    @classmethod
+    def of(cls, sets) -> "ProjectionStack":
+        """The stack of a sequence of ProjectionSets, their real bases stacked alongside."""
+        def stack(members):
+            by_shape = {}
+            for k, sp in members:
+                by_shape.setdefault((sp.size, sp.is_complex), []).append((k, sp))
+            return tuple(
+                (np.array([k for k, _ in group]),
+                 ProjectionSet(np.stack([sp.values for _, sp in group]),
+                               np.stack([sp.probs for _, sp in group])))
+                for group in by_shape.values())
+
+        bases = [(k, sp.real_base) for k, sp in enumerate(sets) if sp.real_base is not None]
+        return cls(len(sets), stack(enumerate(sets)), cls(len(sets), stack(bases)) if bases else None)
 
 
 def _validate_points(points: np.ndarray, B: int) -> None:
@@ -78,6 +115,8 @@ def _validate_points(points: np.ndarray, B: int) -> None:
         raise ValueError("a constellation needs at least 2 points")
     if points.shape != (M, B):
         raise ValueError(f"points must have shape (M, {B})")
+    if not np.isfinite(points).all():
+        raise ValueError("every coordinate of a point must be finite")
     d = _pairwise_min_distance(points)
     if d <= DISTINCT_TOL:
         raise ValueError(f"points are not pairwise distinct (min distance {d:.3g})")
@@ -158,17 +197,54 @@ def project(c: Constellation, axis: int) -> ProjectionSet:
 
     Values come sorted (complex ones by real, then imaginary part); the
     projection of the constellation's real base rides along as `real_base`.
+    The one-member case of `project_stack`.
     """
     if not 1 <= axis <= c.B:
         raise ValueError(f"axis must be in 1..{c.B}")
     base = project(c.real_base, axis) if c.real_base is not None else None
-    col = c.points[:, axis - 1]
-    if c.field == "real":
-        col = np.sort(col)  # each group is then represented by its least value
-    first, counts = group_points(col, DEDUP_TOL)
-    reps = col[first]
-    order = np.lexsort((reps.imag, reps.real))
-    return ProjectionSet(reps[order], counts[order] / c.M, base)
+    ((_, sp),) = project_stack(c.points[None], axis).groups
+    return ProjectionSet(sp.values[0], sp.probs[0], base)
+
+
+def project_stack(points: np.ndarray, axis: int, real_base=None) -> ProjectionStack:
+    """The axis projections of A point sets (A, M, B) at once, as `project` makes each.
+
+    Each set's column is clustered as `group_points` clusters it: every
+    real coordinate on its own, sorted and split at gaps wider than
+    DEDUP_TOL.  A group is represented by its first point, after the real
+    columns are sorted (so by its least value), and each projection's
+    values come sorted by real, then imaginary part, with their masses.
+    The sets are then grouped by projection size.  `real_base` (A, Mb, B),
+    the points of the sets' real bases, is projected alongside.
+    """
+    A, M, B = points.shape
+    if not 1 <= axis <= B:
+        raise ValueError(f"axis must be in 1..{B}")
+    col = points[:, :, axis - 1]
+    if not np.iscomplexobj(col):
+        col = np.sort(col, axis=1)
+    key = np.zeros((A, M), dtype=np.intp)  # each point's cluster labels in radix M
+    for part in (col.real, col.imag) if np.iscomplexobj(col) else (col,):
+        key = key * M + _gap_labels(part.T, DEDUP_TOL).T
+    order = np.argsort(key, axis=1, kind="stable")  # equal keys keep their point order
+    key = np.take_along_axis(key, order, axis=1)
+    new = np.ones((A, M), dtype=bool)
+    new[:, 1:] = key[:, 1:] != key[:, :-1]
+    starts = np.flatnonzero(new)
+    first = order.ravel()[starts]  # the first point of each group, row by row
+    counts = np.diff(np.append(starts, A * M))
+    sizes = new.sum(axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    groups = []
+    for S in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == S)
+        at = offsets[rows, None] + np.arange(S)
+        reps = np.take_along_axis(col[rows], first[at], axis=1)
+        by = np.lexsort((reps.imag, reps.real), axis=-1)
+        groups.append((rows, ProjectionSet(np.take_along_axis(reps, by, axis=1),
+                                           np.take_along_axis(counts[at], by, axis=1) / M)))
+    base = project_stack(real_base, axis) if real_base is not None else None
+    return ProjectionStack(A, tuple(groups), base)
 
 
 def group_points(points: np.ndarray, tol: float):
@@ -187,15 +263,23 @@ def group_points(points: np.ndarray, tol: float):
     x = np.asarray(points).reshape(len(points), -1)
     if np.iscomplexobj(x):
         x = np.hstack([x.real, x.imag])
-    order = np.argsort(x, axis=0, kind="stable")
-    gaps = np.diff(np.take_along_axis(x, order, axis=0), axis=0) > tol
-    labels = np.empty(x.shape, dtype=np.intp)
-    np.put_along_axis(labels, order, np.vstack([np.zeros((1, x.shape[1]), np.intp),
-                                                np.cumsum(gaps, axis=0)]), axis=0)
+    labels = _gap_labels(x, tol)
     key = np.ravel_multi_index(labels.T, labels.max(axis=0) + 1)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     by_first = np.argsort(first)
     return first[by_first], counts[by_first]
+
+
+def _gap_labels(x: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster label of each value in each column of x: the column is sorted
+    and split at gaps wider than tol, and a label counts the splits below."""
+    order = np.argsort(x, axis=0, kind="stable")
+    gaps = np.diff(np.take_along_axis(x, order, axis=0), axis=0) > tol
+    ranks = np.zeros(x.shape, dtype=np.intp)
+    np.cumsum(gaps, axis=0, out=ranks[1:])
+    labels = np.empty(x.shape, dtype=np.intp)
+    np.put_along_axis(labels, order, ranks, axis=0)
+    return labels
 
 
 def check_symmetry(c: Constellation, tol: float = SYMMETRY_TOL) -> bool:
@@ -224,15 +308,24 @@ def _set_contains(points, image, tol):
 def min_product_distance(c: Constellation) -> float:
     """Minimum over distinct pairs of the product of per-component
     absolute differences; zero whenever two points share a coordinate."""
-    M = c.points.shape[0]
-    best = math.inf
-    for i0 in range(0, M, 256):
-        block = c.points[i0 : i0 + 256]
-        diff = np.abs(block[:, None, :] - c.points[None, :, :])
-        prod = np.prod(diff, axis=-1)
-        rows = np.arange(block.shape[0])
-        prod[rows, i0 + rows] = math.inf
-        best = min(best, float(prod.min()))
+    return float(min_product_distances(c.points[None])[0])
+
+
+def min_product_distances(points: np.ndarray) -> np.ndarray:
+    """`min_product_distance` of each of A point sets (A, M, B), in blocks of
+    at most about 2^20 differences."""
+    A, M, B = points.shape
+    i_chunk = min(M, 256)
+    a_chunk = max(1, (1 << 20) // (i_chunk * M * B))
+    best = np.full(A, math.inf)
+    for a0 in range(0, A, a_chunk):
+        sets = points[a0 : a0 + a_chunk]
+        for i0 in range(0, M, i_chunk):
+            block = sets[:, i0 : i0 + i_chunk]
+            prod = np.prod(np.abs(block[:, :, None, :] - sets[:, None, :, :]), axis=-1)
+            rows = np.arange(block.shape[1])
+            prod[:, rows, i0 + rows] = math.inf
+            np.minimum(best[a0 : a0 + a_chunk], prod.min(axis=(1, 2)), out=best[a0 : a0 + a_chunk])
     return best
 
 

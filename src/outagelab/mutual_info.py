@@ -40,13 +40,17 @@ takes the quarter turn when the alphabet is invariant under it; otherwise,
 and on every real form, negation is tried.  An alphabet invariant under
 neither (some image lies more than 1e-9 from every point of equal
 probability) falls back to the full sum, every point its own
-representative.  The orbits are found once per alphabet; the Monte Carlo
+representative.  The orbits are found once per alphabet, and for a stack
+of equal-shape alphabets in one pass with a row axis, each row taking the
+first map it is invariant under or the full sum on its own; the Monte Carlo
 fallback still draws from every point.
 
 Inverse scalar solves of many projections (`inv_mi_scalar_many`, behind
-every angle sweep) run in lock-step: each solver step is one kernel call
-over a stack of equal-size alphabets, one alphabet and SNR per row.  The
-solver (`search.solve_increasing`) returns the roots of plain doubling and
+every angle sweep and golden-section stage) run in lock-step.  They take
+an angle family's projections as one `ProjectionStack`, already grouped by
+size, whose work forms are built per group without a per-angle object;
+each solver step is one kernel call over a stack of equal-size alphabets,
+one alphabet and SNR per row.  The solver (`search.solve_increasing`) returns the roots of plain doubling and
 bisection but calls the kernel only where its facts leave a bisection
 point undecided, after interpolation steps in log-SNR that close each
 row's bracket: about 8 calls per solve instead of 23, with every root the
@@ -60,7 +64,6 @@ error); the doubling steps it skips would only have found values below T,
 so every root is the same float as when doubling from the solver's start.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,11 +71,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constellations import Constellation, ProjectionSet
+from .constellations import Constellation, ProjectionSet, ProjectionStack
 from .search import solve_increasing
 
 LN2 = math.log(2.0)
-_log = logging.getLogger("outagelab")
 # (row, representative, point, node) terms of one quadrature work block; the
 # block holds at most as many floats, and the separable kernel far fewer
 _MEM_CAP = 2_000_000
@@ -197,56 +199,97 @@ _ROW_FIELDS = ("points", "probs", "H", "reps", "rep_w")
 def _alphabet(x: "Constellation | ProjectionSet") -> _Form:
     """Real work form of a constellation or an axis projection.
 
-    Both classes hash by identity, so an inverse solve builds this (and
+    Both classes hash by identity, so a repeated evaluation builds this (and
     finds its orbits) once; the cached arrays are shared and must not be
-    written to.
+    written to.  The one-row case of `_forms`.
     """
     if isinstance(x, ProjectionSet):
         pts, probs, H = x.values[:, None], x.probs, x.entropy_bits()
     else:
         pts, probs, H = x.points, np.full(x.M, 1.0 / x.M), x.m
+    ((_, form),) = _forms(pts[None], probs[None], np.array([H]))
+    return form._replace(**{n: getattr(form, n)[0] for n in _ROW_FIELDS})
+
+
+def _forms(pts, probs, H):
+    """Work forms of n alphabets of equal shape, one stack per orbit count.
+
+    `pts` (n, M, B) holds each alphabet's points (complex ones are
+    stacked into real (n, M, 2B) halves), `probs` (n, M) their
+    probabilities and `H` (n,) their entropies in bits.  Returns
+    (sel, form) pairs: the alphabets `sel` that have the same number of
+    orbit representatives, and their forms with a leading row axis.
+    """
     stacked = np.iscomplexobj(pts)
-    pts = np.hstack([pts.real, pts.imag]) if stacked else np.asarray(pts, dtype=float)
-    return _Form(pts, probs, H, stacked, *_orbits(pts, probs, stacked))
+    pts = np.concatenate([pts.real, pts.imag], axis=-1) if stacked else np.asarray(pts, dtype=float)
+    n, M, D = pts.shape
+    rep = _orbits(pts, probs, stacked)
+    own = rep == np.arange(M)
+    mass = np.bincount((rep + M * np.arange(n)[:, None]).ravel(), weights=probs.ravel(),
+                       minlength=n * M).reshape(n, M)
+    counts = own.sum(axis=1)
+    out = []
+    for R in sorted(set(counts.tolist())):
+        sel = np.flatnonzero(counts == R)
+        keep = own[sel]
+        out.append((sel, _Form(pts[sel], probs[sel], H[sel], stacked,
+                               pts[sel][keep].reshape(sel.size, R, D), mass[sel][keep].reshape(sel.size, R))))
+    return out
 
 
 def _orbits(pts, probs, stacked):
-    """Orbit representatives (R, D) of the alphabet and their orbit masses (R,).
+    """Each point's orbit representative, per alphabet: (n, M) indices.
 
     The map is the quarter turn of a stacked form if it holds, else
     negation (see the module docstring); each orbit is represented by its
-    lowest-index point.  Without either map every point represents itself.
+    lowest-index point.  An alphabet under neither map has every point
+    represent itself (the full sum).
     """
-    M, D = pts.shape
+    n, M, D = pts.shape
     h = D // 2
-    maps = [(lambda p: np.hstack([-p[:, h:], p[:, :h]]), 4)] if stacked else []
+    rep = np.tile(np.arange(M), (n, 1))
+    todo = np.arange(n)
+    maps = [(lambda p: np.concatenate([-p[..., h:], p[..., :h]], axis=-1), 4)] if stacked else []
     for image, period in maps + [(np.negative, 2)]:
-        match = _match(pts, probs, image(pts))
-        if match is not None:
+        match, hit = _match(pts[todo], probs[todo], image(pts[todo]))
+        r, step = rep[todo[hit]], match[hit]
+        for _ in range(period - 1):  # the orbit of i is i, match[i], match[match[i]], ...
+            r = np.minimum(r, step)
+            step = np.take_along_axis(match[hit], step, axis=1)
+        rep[todo[hit]] = r
+        todo = todo[~hit]
+        if not todo.size:
             break
-    else:
-        return pts, probs
-    rep, step = np.arange(M), match
-    for _ in range(period - 1):  # the orbit of i is i, match[i], match[match[i]], ...
-        rep = np.minimum(rep, step)
-        step = match[step]
-    reps = np.flatnonzero(rep == np.arange(M))
-    return pts[reps], np.bincount(rep, weights=probs, minlength=M)[reps]
+    return rep
 
 
-def _match(pts, probs, image, block=128):
-    """Index of the point each row of `image` lands on, or None if one misses."""
-    M = pts.shape[0]
-    match = np.empty(M, dtype=np.intp)
-    for i0 in range(0, M, block):
-        gap = np.abs(image[i0 : i0 + block, None, :] - pts[None, :, :]).max(axis=2)
-        j = gap.argmin(axis=1)
-        if gap[np.arange(j.size), j].max() > _ORBIT_TOL:
-            return None
-        match[i0 : i0 + block] = j
-    if np.bincount(match, minlength=M).max() > 1 or not np.array_equal(probs[match], probs):
-        return None
-    return match
+_MATCH_CAP = 1 << 14  # coordinate gaps per block of `_match`
+
+
+def _match(pts, probs, image):
+    """For each of n alphabets, the index of the point each image point lands on.
+
+    Returns that (n, M) index and, per alphabet, whether the image is the
+    alphabet itself: every image point within 1e-9 in every coordinate of
+    a point of equal probability, no two on the same point.
+    """
+    n, M, D = pts.shape
+    match = np.empty((n, M), dtype=np.intp)
+    gap = np.empty((n, M))
+    i_chunk = max(1, min(M, _MATCH_CAP // (M * D)))
+    a_chunk = max(1, _MATCH_CAP // (i_chunk * M * D))
+    for a0 in range(0, n, a_chunk):
+        for i0 in range(0, M, i_chunk):
+            rows, cols = slice(a0, a0 + a_chunk), slice(i0, i0 + i_chunk)
+            g = np.abs(image[rows, cols, None, :] - pts[rows, None, :, :]).max(axis=3)
+            j = g.argmin(axis=2)
+            match[rows, cols] = j
+            gap[rows, cols] = np.take_along_axis(g, j[..., None], axis=2)[..., 0]
+    hit = gap.max(axis=1) <= _ORBIT_TOL
+    landed = np.bincount((match + M * np.arange(n)[:, None]).ravel(), minlength=n * M)
+    hit &= landed.reshape(n, M).max(axis=1) == 1
+    hit &= (np.take_along_axis(probs, match, axis=1) == probs).all(axis=1)
+    return match, hit
 
 
 def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
@@ -377,9 +420,12 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
         method = "quadrature"
     else:
         if cfg.engine == "quadrature":
-            _log.info("quadrature on a %d-point alphabet with %d orbit representatives in %d "
-                      "dimensions needs %d operations, above budget_ops=%d: Monte Carlo with "
-                      "%d samples instead", M, reps.shape[-2], D, ops, cfg.budget_ops, cfg.mc_samples)
+            import logging  # only a fallback logs, so importing the package loads no logging
+
+            logging.getLogger("outagelab").info(
+                "quadrature on a %d-point alphabet with %d orbit representatives in %d dimensions "
+                "needs %d operations, above budget_ops=%d: Monte Carlo with %d samples instead",
+                M, reps.shape[-2], D, ops, cfg.budget_ops, cfg.mc_samples)
         rows = (zip(pts, probs, alphas, gamma) if per_row
                 else ((pts, probs, a, gamma) for a in alphas))
         nats, se = np.array([
@@ -490,56 +536,82 @@ def inv_mi_scalar(sp: ProjectionSet, target_bits: float, cfg: EngineConfig = DEF
     return snr
 
 
-def _gaussian_snr(sp: ProjectionSet, bits: float) -> float:
+def _gaussian_snr(sp: ProjectionSet, bits: float):
     """Scalar SNR at which a Gaussian input of the projection's variance carries `bits`.
 
     No input of that variance carries more, so the projection's own MI
-    stays below `bits` at every smaller SNR.
+    stays below `bits` at every smaller SNR.  One value per row of a
+    stacked ProjectionSet; each dot product is the one the unstacked set
+    takes.
     """
-    v, p = sp.values, sp.probs
-    power = float(p @ np.abs(v - p @ v) ** 2)
+    v, p = sp.values[..., None], sp.probs[..., None, :]
+    mean = p @ v
+    power = (p @ (np.abs(v - mean) ** 2))[..., 0, 0]
     return gaussian_floor(1, bits, "complex" if sp.is_complex else "real") / power
 
 
 def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """`inv_mi_scalar` of every projection in `sps`; inf where it saturates.
 
-    A projection saturates when the target is within 1e-9 bits of its
-    entropy or its solve finds no bracket.  The others are solved in
-    lock-step, one solve for each group of equal-size alphabets with as
-    many orbit representatives, under the same chain-rule scale, and one
-    kernel call per solver step for the rows that need a value; every row
-    gets the root it would get alone.  Each row's bracket starts at half
-    its Gaussian SNR (`_gaussian_snr`), below which its MI is provably
-    under the target: the 1/2 is a margin for quadrature and Monte Carlo
-    error, and the roots are the ones that doubling from `x_start` and
-    bisecting would find (`search.solve_increasing` replays that loop and
-    evaluates only the points its scouted facts leave undecided).
+    `sps` is a `ProjectionStack` (an angle family's projections, as
+    `project_stack` makes them) or a sequence of ProjectionSets, which is
+    stacked first.  A projection saturates when the target is within 1e-9
+    bits of its entropy or its solve finds no bracket.  The others are
+    solved in lock-step, one solve for each group of equal-size alphabets
+    with as many orbit representatives, under the same chain-rule scale,
+    and one kernel call per solver step for the rows that need a value;
+    every row gets the root it would get alone.  Each row's bracket starts
+    at half its Gaussian SNR (`_gaussian_snr`), below which its MI is
+    provably under the target: the 1/2 is a margin for quadrature and Monte
+    Carlo error, and the roots are the ones that doubling from `x_start`
+    and bisecting would find (`search.solve_increasing` replays that loop
+    and evaluates only the points its scouted facts leave undecided).
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
-    out = np.full(len(sps), math.inf)
-    below = np.zeros(len(sps))
-    groups = {}
-    for k, sp in enumerate(sps):
-        if target_bits < sp.entropy_bits() - 1e-9:
-            below[k] = 0.5 * _gaussian_snr(sp, target_bits)
-            form = _form(sp, cfg)
-            groups.setdefault((form.points.shape, len(form.reps), form.chain), []).append((k, form))
-    for members in groups.values():
-        rows = [k for k, _ in members]
-        stack = members[0][1]._replace(
-            **{n: np.stack([getattr(form, n) for _, form in members]) for n in _ROW_FIELDS})
+    stack = sps if isinstance(sps, ProjectionStack) else ProjectionStack.of(sps)
+    out = np.full(stack.A, math.inf)
+    below = np.zeros(stack.A)
+    live = np.zeros(stack.A, dtype=bool)
+    for rows, sp in stack.groups:
+        ok = target_bits < sp.entropy_bits() - 1e-9
+        live[rows[ok]] = True
+        below[rows[ok]] = 0.5 * _gaussian_snr(ProjectionSet(sp.values[ok], sp.probs[ok]), target_bits)
+    for rows, stack_form in _stack_forms(stack, live, cfg):
 
         def f(snr):  # called only by this group's solve, right below
-            live = np.flatnonzero(~np.isnan(snr))
+            on = np.flatnonzero(~np.isnan(snr))
             bits = np.full(snr.shape, np.nan)
-            form = stack._replace(**{n: getattr(stack, n)[live] for n in _ROW_FIELDS})
-            bits[live] = _evaluate(form, np.ones((live.size, 1)), snr[live], cfg)[0]
+            form = stack_form._replace(**{n: getattr(stack_form, n)[on] for n in _ROW_FIELDS})
+            bits[on] = _evaluate(form, np.ones((on.size, 1)), snr[on], cfg)[0]
             return bits
 
-        out[rows] = solve_increasing(f, np.full(len(rows), float(target_bits)),
+        out[rows] = solve_increasing(f, np.full(rows.size, float(target_bits)),
                                      x_start=1e-4, rel_tol=1e-6, x_below=below[rows])
+    return out
+
+
+def _stack_forms(stack: ProjectionStack, live: np.ndarray, cfg: EngineConfig) -> list:
+    """(rows, form) groups of the work forms `_form` gives the `live` members of `stack`.
+
+    A member with a real base takes its base's projection under the chain
+    rule when cfg.complex_chain is set, else its own; each group holds
+    members of one alphabet shape, orbit count and chain-rule scale.
+    """
+    chained = np.zeros(stack.A, dtype=bool)
+    parts = []
+    if cfg.complex_chain and stack.real_base is not None:
+        for rows, sp in stack.real_base.groups:
+            chained[rows] = True
+            parts.append((rows, sp, True))
+    parts += [(rows, sp, False) for rows, sp in stack.groups]
+    out = []
+    for rows, sp, chain in parts:
+        keep = live[rows] & (chain | ~chained[rows])
+        if keep.any():
+            pts, probs = sp.values[keep][..., None], sp.probs[keep]
+            out += [(rows[keep][sel], form._replace(chain=chain))
+                    for sel, form in _forms(pts, probs, sp.entropy_bits()[keep])]
     return out
 
 

@@ -7,6 +7,14 @@ the outage upper bound; it depends only on (constellation, angle, B*R),
 never on the average SNR.  The ergodic anchor is insensitive to
 orthogonal transformations, so it is reported but not optimized: only
 constellation expansion moves the inner bound.
+
+`sweep`, `optimize` and `gamma_s_at` share one array path: the angles are
+turned into one (A, B, B) stack of rotations, the constellation is
+precoded with one matrix product into an (A, M, B) stack, projected in
+one pass (`project_stack`), and every angle is solved in one lock-step
+`inv_mi_scalar_many` call.  The golden-section refinement asks for its
+probes in batches (`search.golden_min`), one such call per batch, and
+returns the float the plain one-probe-at-a-time search returns.
 """
 
 import math
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import precoders
-from .constellations import Constellation, min_product_distance, project
+from .constellations import Constellation, min_product_distances, project_stack
 from .mutual_info import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -60,11 +68,29 @@ def default_grid(B: int, step_deg: float = 0.5) -> np.ndarray:
     return np.radians(np.arange(0.0, hi + step_deg / 2, step_deg))
 
 
-def gamma_s_at(omega_z: Constellation, R: float, theta: float,
-               cfg: EngineConfig = DEFAULT_CONFIG) -> float:
-    """Axis-crossing SNR for one angle; inf when the rate saturates."""
-    sp = project(precoders.apply(precoders.rotation(omega_z.B, theta), omega_z), 1)
-    return float(inv_mi_scalar_many([sp], omega_z.B * R, cfg)[0])
+def _precoded(omega_z: Constellation, thetas: np.ndarray) -> tuple:
+    """The set and its real base (or None) under the rotation of each angle: (A, M, B) stacks."""
+    p = precoders.rotation(omega_z.B, thetas)
+    base = omega_z.real_base
+    return precoders.precode(p, omega_z.points), None if base is None else precoders.precode(p, base.points)
+
+
+def _gamma_s(omega_z: Constellation, R: float, precoded: tuple, cfg: EngineConfig) -> np.ndarray:
+    """Axis-crossing SNR of each precoded set: one lock-step solve of their axis-1 projections."""
+    points, base = precoded
+    return inv_mi_scalar_many(project_stack(points, 1, base), omega_z.B * R, cfg)
+
+
+def gamma_s_at(omega_z: Constellation, R: float, theta,
+               cfg: EngineConfig = DEFAULT_CONFIG):
+    """Axis-crossing SNR for one angle, or for each of an array of angles; inf when the rate saturates.
+
+    An array is solved in lock-step, like a sweep, and each angle gets the
+    value it gets alone.
+    """
+    thetas = np.asarray(theta, dtype=float)
+    g = _gamma_s(omega_z, R, _precoded(omega_z, thetas.reshape(-1)), cfg)
+    return g.reshape(thetas.shape) if thetas.ndim else float(g[0])
 
 
 def sweep(
@@ -76,9 +102,10 @@ def sweep(
 ) -> SweepProfile:
     """gamma_s over an angle grid, plus the Gaussian floor it cannot beat.
 
-    Every angle is projected first; the inverse solves then run in
-    lock-step over the whole grid (`inv_mi_scalar_many`), each angle
-    giving exactly its `gamma_s_at` value.
+    The whole grid is precoded with one matrix product and projected in
+    one pass (`project_stack`); the inverse solves then run in lock-step
+    over the grid (`inv_mi_scalar_many`), each angle giving exactly its
+    `gamma_s_at` value.  The product distances read the same precoded sets.
     """
     B = omega_z.B
     if grid is None:
@@ -87,20 +114,17 @@ def sweep(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
 
-    sps = [project(precoders.apply(precoders.rotation(B, t), omega_z), 1) for t in grid]
-    gamma_s = inv_mi_scalar_many(sps, B * R, cfg)
+    precoded = _precoded(omega_z, grid)
+    gamma_s = _gamma_s(omega_z, R, precoded, cfg)
     if not np.isfinite(gamma_s).any():
         raise SaturationError(
             f"rate R={R} is infeasible for {omega_z.name}: every angle saturates"
         )
-    d_pmin = None
-    if include_product_distance:
-        d_pmin = product_distance_profile(omega_z, grid)
     return SweepProfile(
         grid=grid,
         gamma_s=gamma_s,
         gamma_floor=gaussian_floor(B, R, omega_z.field),
-        d_pmin=d_pmin,
+        d_pmin=min_product_distances(precoded[0]) if include_product_distance else None,
     )
 
 
@@ -121,12 +145,16 @@ def optimize(
     lo = profile.grid[max(i_min - 1, 0)]
     hi = profile.grid[min(i_min + 1, len(profile.grid) - 1)]
 
-    def f(theta):
-        g = gamma_s_at(omega_z, R, theta, cfg)
-        return g if math.isfinite(g) else 1e300
+    seen = {}
+
+    def f(thetas):
+        g = gamma_s_at(omega_z, R, thetas, cfg)
+        g = np.where(np.isfinite(g), g, 1e300)
+        seen.update(zip(thetas.tolist(), g.tolist()))
+        return g
 
     theta_opt = golden_min(f, lo, hi, math.radians(REFINE_TOL_DEG))
-    gamma_s_opt = f(theta_opt)
+    gamma_s_opt = seen[theta_opt]  # golden_min asks f for the point it returns
     if gamma_s_opt > profile.gamma_s[i_min]:
         theta_opt, gamma_s_opt = float(profile.grid[i_min]), float(profile.gamma_s[i_min])
 
@@ -211,9 +239,4 @@ def expansion_compare(candidates, R: float, cfg: EngineConfig = DEFAULT_CONFIG) 
 
 def product_distance_profile(omega_z: Constellation, grid) -> np.ndarray:
     """Minimum product distance of the precoded constellation per angle."""
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty(grid.shape[0])
-    for k, theta in enumerate(grid):
-        omega_x = precoders.apply(precoders.rotation(omega_z.B, theta), omega_z)
-        out[k] = min_product_distance(omega_x)
-    return out
+    return min_product_distances(_precoded(omega_z, np.asarray(grid, dtype=float))[0])

@@ -124,7 +124,7 @@ class BoundaryTrace:
         return ~np.isfinite(self.rhos)
 
 
-def sample_rayleigh(rng: np.random.Generator, n: int, B: int) -> np.ndarray:
+def sample_rayleigh(rng: "np.random.Generator", n: int, B: int) -> np.ndarray:
     """Unit-power Rayleigh gains, E[alpha^2] = 1, shape (n, B)."""
     return np.sqrt(rng.exponential(1.0, size=(n, B)))
 

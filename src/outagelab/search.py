@@ -40,7 +40,8 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
     Every row of the `target` array is solved in lock-step: f takes the
     array of the points where rows need a value, nan in the others, and
     returns their values (ignored in those rows); f is never called with
-    every row nan.
+    every row nan.  A nan value at a row that needs one raises ValueError:
+    it decides no loop point, so the row would never finish.
     """
     target = np.asarray(target, dtype=float)
     x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
@@ -60,7 +61,10 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
         step &= live
         if not np.count_nonzero(step):  # every live row waits for f
             q = scout.query(x, live)
-            scout.learn(q, np.asarray(f(np.where(live, q, np.nan)), dtype=float), live)
+            v = np.asarray(f(np.where(live, q, np.nan)), dtype=float)
+            if np.isnan(v[live]).any():
+                raise ValueError("f returned nan where a row needs a value")
+            scout.learn(q, v, live)
             called = q == x
             continue
         scout.credit += step > called  # loop points decided without a call of their own
@@ -152,29 +156,70 @@ class _Scout:
             np.copyto(dst, src, where=where)  # c first: it takes the endpoint being replaced
 
 
+GOLDEN_DEPTH = 3  # comparisons of `golden_min` that one batch of probes covers
+
+
 def golden_min(f, a, b, tol):
     """Golden-section search for the minimum of a unimodal f on [a, b].
 
-    Returns the midpoint of the final interval of width <= tol.
+    Returns the midpoint of the final interval of width <= tol: the float
+    the plain loop returns, which calls f at one new point per comparison.
+    Here f takes an array of points and returns their values, and is called
+    once per stage.  A stage asks for every point the next GOLDEN_DEPTH
+    comparisons could request, whichever way each goes, and, once the
+    loop's end is among them, for every midpoint it could return; the plain
+    comparisons are then replayed in order on those values.  So f is also
+    asked for the returned point, and a caller that records f's values has
+    the minimum's value without another call.
     """
     a, b = min(a, b), max(a, b)
     h = b - a
     if h <= tol:
-        return 0.5 * (a + b)
+        x = 0.5 * (a + b)
+        f(np.array([x]))
+        return x
     n = int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))
-    c = a + INV_PHI2 * h
-    d = a + INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n - 1):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= INV_PHI
-            c = a + INV_PHI2 * h
-            yc = f(c)
+    state = (a, b, h, a + INV_PHI2 * h, a + INV_PHI * h)  # a, b, h, c, d of the plain loop
+    steps = n - 1  # loop iterations left; each calls f at one new point
+    y = {}
+    while True:
+        ask = dict.fromkeys([*state[3:], *_golden_probes(state, steps, GOLDEN_DEPTH)])
+        ask = [x for x in ask if x not in y]
+        y.update(zip(ask, np.asarray(f(np.array(ask)), dtype=float).tolist()))
+        while steps:
+            nxt, x = _golden_step(state, y[state[3]] < y[state[4]])
+            if x not in y:
+                break
+            state, steps = nxt, steps - 1
         else:
-            a, c, yc = c, d, yd
-            h *= INV_PHI
-            d = a + INV_PHI * h
-            yd = f(d)
-    return 0.5 * (a + d) if yc < yd else 0.5 * (c + b)
+            a, b, _, c, d = state
+            return 0.5 * (a + d) if y[c] < y[d] else 0.5 * (c + b)
+
+
+def _golden_step(state, left):
+    """The plain loop's next state after one comparison, and its new point."""
+    a, b, h, c, d = state
+    h *= INV_PHI
+    if left:  # f(c) < f(d): the minimum lies in [a, d]
+        b, d = d, c
+        c = a + INV_PHI2 * h
+        return (a, b, h, c, d), c
+    a, c = c, d
+    d = a + INV_PHI * h
+    return (a, b, h, c, d), d
+
+
+def _golden_probes(state, steps, depth):
+    """The points the plain loop may call f at in its next `depth` comparisons
+    from `state` with `steps` iterations left, and its candidate returns
+    when the loop ends within them."""
+    if not steps:
+        a, b, _, c, d = state
+        return [0.5 * (a + d), 0.5 * (c + b)]
+    if not depth:
+        return []
+    out = []
+    for left in (True, False):
+        nxt, x = _golden_step(state, left)
+        out += [x] + _golden_probes(nxt, steps - 1, depth - 1)
+    return out

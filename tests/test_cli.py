@@ -420,6 +420,26 @@ def test_bad_eigenphases_exit_2(phases, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["outage", "--constellation", "r2_4", "--R", "0.9", "--theta-deg", "nan", "--gamma-db", "10"],
+    ["sweep", "--constellation", "r2_4", "--R", "0.9", "--theta-grid", "nan"],
+    ["outage", "--phases-deg", "0,nan", "--gamma-db", "10"] + R3,
+], ids=["theta-deg", "theta-grid", "phases-deg"])
+def test_non_finite_precoder_angle_exits_2(argv, tmp_path, capsys):
+    # a nan matrix has a nan orthogonality error, which must fail the check
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 2
+    assert "not orthogonal" in capsys.readouterr().err
+
+
+def test_non_finite_coordinate_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"name": "nan", "B": 2, "field": "real", '
+                    '"points": [[1, 1], [1, -1], [-1, 1], [NaN, -1]]}')
+    assert cli.main(["sweep", "--constellation-file", str(path), "--R", "0.9",
+                     "--out", str(tmp_path / "a.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_b4_circulant_from_file_runs(tmp_path):
     points = [[(-1) ** (k >> b & 1) for b in range(4)] for k in range(16)]
     path = tmp_path / "b4.json"

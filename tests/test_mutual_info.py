@@ -28,6 +28,7 @@ from outagelab.mutual_info import (
     mi_scalar,
     mmse_scalar,
 )
+from outagelab.optimizer import default_grid
 
 # frozen via an independent trapezoid oracle (re-derivable with
 # scalar_mi_oracle / scalar_mmse_oracle below)
@@ -417,6 +418,52 @@ def test_mixed_lockstep_group_rows_match_alone():
     got = inv_mi_scalar_many(sps, 0.9, cfg)
     assert np.isfinite(got).all()
     assert got.tolist() == [inv_mi_scalar_many([sp], 0.9, cfg)[0] for sp in sps]
+
+
+def _stack_set(name):
+    """A registry set, or pam4 x bpsk (axes of 2 and 1 bits), centred or with
+    its bpsk axis moved off centre, which leaves its projections without an
+    orbit map at every angle but 0."""
+    if name.startswith("pam4xbpsk"):
+        shift = 0.5 if name.endswith("shifted") else 0.0
+        return cs.make_constellation(name, [[a, b + shift] for a in (-3.0, -1.0, 1.0, 3.0)
+                                            for b in (-1.0, 1.0)], "real")
+    return cs.build_named(name)
+
+
+STACK_SETS = [(name, EngineConfig()) for name in ("r2_4", "r2_8", "r2_16", "r3_8", "r3_16", "r3_64",
+                                                  "c2_16", "c2_64", "c2_256", "pam4xbpsk",
+                                                  "pam4xbpsk shifted")]
+STACK_SETS.insert(7, ("c2_16", EngineConfig(complex_chain=False)))
+
+
+@pytest.mark.parametrize("name,engine", STACK_SETS,
+                         ids=[f"{n}-chain{int(e.complex_chain)}" for n, e in STACK_SETS])
+def test_stacked_forms_equal_per_angle_forms(name, engine):
+    c = _stack_set(name)
+    grid = default_grid(c.B)
+    p = pc.rotation(c.B, grid)
+    base = None if c.real_base is None else pc.precode(p, c.real_base.points)
+    stack = cs.project_stack(pc.precode(p, c.points), 1, base)
+    projections, forms = {}, {}
+    for rows, sp in stack.groups:
+        projections.update((k, (sp.values[i], sp.probs[i])) for i, k in enumerate(rows))
+    for rows, form in mutual_info._stack_forms(stack, np.ones(grid.size, dtype=bool), engine):
+        forms.update((k, form._replace(**{n: getattr(form, n)[i] for n in mutual_info._ROW_FIELDS}))
+                     for i, k in enumerate(rows))
+    assert sorted(projections) == sorted(forms) == list(range(grid.size))
+    orbits = []
+    for k, theta in enumerate(grid):
+        sp = cs.project(pc.apply(pc.rotation(c.B, theta), c), 1)
+        assert np.array_equal(projections[k][0], sp.values) and np.array_equal(projections[k][1], sp.probs)
+        got, want = forms[k], _form(sp, engine)
+        assert (got.stacked, got.chain) == (want.stacked, want.chain)
+        for n in mutual_info._ROW_FIELDS:
+            assert np.array_equal(getattr(got, n), getattr(want, n)), (k, n)
+        if len(got.reps) < len(got.points):
+            orbits.append(k)
+    if name.startswith("pam4xbpsk"):  # the rest of the shifted set's rows take the full sum
+        assert orbits == ([0] if name.endswith("shifted") else list(range(grid.size)))
 
 
 def _swept(name, degrees):

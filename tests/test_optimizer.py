@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outagelab import constellations as cs
+from outagelab import mutual_info
 from outagelab.mutual_info import EngineConfig, SaturationError
 from outagelab.optimizer import (
     ExpansionRow,
@@ -101,6 +102,33 @@ def test_optimize_square(cfg):
     assert len(res.intervals) == 2
     assert res.gamma_s_opt <= np.min(res.profile.gamma_s)
     assert res.gamma_s_opt >= res.profile.gamma_floor
+
+
+# (theta_opt, gamma_s_opt) as the optimizer returned them when each
+# golden-section probe was its own one-row solve, as repr literals
+PINNED_OPTIMA = [
+    ("r2_4", 0.4829273116539943, 8.090321875),
+    ("r2_8", 0.08187309860325684, 6.302378125000001),
+    ("r2_16", 0.7681306283314842, 5.784126562500001),
+    ("r3_8", 0.8858119975972337, 31.3255875),
+]
+
+
+def test_angle_opt_optima_bit_identical_in_few_kernel_calls(monkeypatch):
+    # the four optimize calls of the angle-opt benchmark study; with one
+    # solve per golden-section probe they took 325 kernel calls and 43 solves
+    calls = {}
+    for name in ("_quad_nats_many", "solve_increasing"):
+        def counted(*args, _name=name, _fn=getattr(mutual_info, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mutual_info, name, counted)
+    for name, theta, gamma in PINNED_OPTIMA:
+        res = optimize(cs.build_named(name), 0.9)
+        assert (res.theta_opt, res.gamma_s_opt) == (theta, gamma), name
+    assert calls["_quad_nats_many"] <= 150
+    assert calls["solve_increasing"] <= 16
 
 
 def test_optimize_refinement_stable(cfg):

@@ -10,7 +10,7 @@ from outagelab import mutual_info, outage
 from outagelab import precoders as pc
 from outagelab.mutual_info import EngineConfig
 from outagelab.optimizer import default_grid, sweep
-from outagelab.search import SPARE_CALLS, golden_min, solve_increasing
+from outagelab.search import GOLDEN_DEPTH, INV_PHI, INV_PHI2, SPARE_CALLS, golden_min, solve_increasing
 
 
 TARGETS = np.array([1e-9, 0.3, 2.0, 17.5, 4e4])
@@ -248,3 +248,61 @@ def test_default_sweep_takes_at_most_10_kernel_rows_per_angle(monkeypatch):
 
 def test_golden_min_quadratic():
     assert golden_min(lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-6) == pytest.approx(0.3, abs=1e-6)
+
+
+def test_nan_at_a_live_row_raises():
+    with pytest.raises(ValueError, match="nan"):
+        solve_increasing(lambda x: x * np.array([1.0, np.nan]), np.array([0.5, 0.5]))
+
+
+def plain_golden_min(f, a, b, tol):
+    """Reference for `golden_min`: the loop it replays, one call of f per point."""
+    a, b = min(a, b), max(a, b)
+    h = b - a
+    if h <= tol:
+        return 0.5 * (a + b)
+    n = int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))
+    c = a + INV_PHI2 * h
+    d = a + INV_PHI * h
+    yc = f(c)
+    yd = f(d)
+    for _ in range(n - 1):
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h *= INV_PHI
+            c = a + INV_PHI2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= INV_PHI
+            d = a + INV_PHI * h
+            yd = f(d)
+    return 0.5 * (a + d) if yc < yd else 0.5 * (c + b)
+
+
+GOLDEN_CASES = [
+    ("quadratic", lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-6),
+    ("reversed bracket", lambda x: (x - 0.3) ** 2, 2.0, -1.0, 1e-3),
+    ("ties everywhere", lambda x: np.zeros_like(x), 0.0, 1.0, 1e-4),
+    ("tied steps", lambda x: np.floor(np.abs(x - 0.61) * 8.0), 0.0, 1.0, 1e-5),
+    ("1e300 plateaus", lambda x: np.where(np.abs(x - 0.45) < 0.05, (x - 0.47) ** 2, 1e300), 0.0, 1.0, 1e-6),
+    ("saturated optimum", lambda x: np.where(x < 0.2, 1e300, x), 0.0, 1.0, 1e-4),
+    ("within tol", lambda x: x, 0.3, 0.30005, 1e-4),
+]
+
+
+@pytest.mark.parametrize("f,a,b,tol", [c[1:] for c in GOLDEN_CASES], ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_min_is_the_plain_loop(f, a, b, tol):
+    batches = []
+
+    def batched(x):
+        batches.append(x.copy())
+        return f(x)
+
+    got = golden_min(batched, a, b, tol)
+    assert got == plain_golden_min(lambda x: float(f(np.array(x))), a, b, tol)  # the same float
+    asked = np.concatenate(batches)
+    assert got in asked  # a caller that records f has the value at the result
+    h = abs(b - a)
+    n = math.ceil(math.log(tol / h) / math.log(INV_PHI)) if h > tol else 0
+    assert len(batches) <= max(1, math.ceil((n - 1) / GOLDEN_DEPTH))  # n comparisons, DEPTH per batch
