@@ -108,6 +108,14 @@ class ProjectionStack:
 
 
 def _validate_points(points: np.ndarray, B: int) -> None:
+    """Raise ValueError unless `points` is a valid (M, B) alphabet.
+
+    Needs B >= 1, M >= 2, finite coordinates and points pairwise farther
+    than DISTINCT_TOL apart.  Two points that close share every
+    coordinate's gap cluster at twice that tolerance, so one
+    `group_points` pass screens the set, and the O(M^2) pairwise scan runs
+    only when the screen finds a group of more than one point.
+    """
     M = points.shape[0]
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -117,9 +125,11 @@ def _validate_points(points: np.ndarray, B: int) -> None:
         raise ValueError(f"points must have shape (M, {B})")
     if not np.isfinite(points).all():
         raise ValueError("every coordinate of a point must be finite")
-    d = _pairwise_min_distance(points)
-    if d <= DISTINCT_TOL:
-        raise ValueError(f"points are not pairwise distinct (min distance {d:.3g})")
+    _, counts = group_points(points, 2.0 * DISTINCT_TOL)
+    if counts.max() > 1:
+        d = _pairwise_min_distance(points)
+        if d <= DISTINCT_TOL:
+            raise ValueError(f"points are not pairwise distinct (min distance {d:.3g})")
 
 
 def _pairwise_min_distance(points: np.ndarray) -> float:
@@ -255,19 +265,17 @@ def group_points(points: np.ndarray, tol: float):
     one group.  For point sets whose near-duplicates differ by rounding
     noise and whose distinct points lie farther than tol apart, this is the
     pairwise rule |a - b| <= tol.  Returns the index of each group's first
-    row and the group sizes, both in order of first appearance.  A row's
-    group key is one integer, its cluster labels in mixed radix, so the
-    product of the per-column cluster counts must stay below 2^63 (every
-    registry set is far below; numpy raises ValueError otherwise).
+    row and the group sizes, both in order of first appearance.
     """
     x = np.asarray(points).reshape(len(points), -1)
     if np.iscomplexobj(x):
         x = np.hstack([x.real, x.imag])
-    labels = _gap_labels(x, tol)
-    key = np.ravel_multi_index(labels.T, labels.max(axis=0) + 1)
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    labels = _gap_labels(x, tol).T
+    order = np.lexsort(labels)  # stable: the rows of a group keep their order
+    starts = _run_starts(labels[:, order])
+    first = order[starts]
     by_first = np.argsort(first)
-    return first[by_first], counts[by_first]
+    return first[by_first], np.diff(np.append(starts, len(x)))[by_first]
 
 
 def _gap_labels(x: np.ndarray, tol: float) -> np.ndarray:
@@ -280,6 +288,15 @@ def _gap_labels(x: np.ndarray, tol: float) -> np.ndarray:
     labels = np.empty(x.shape, dtype=np.intp)
     np.put_along_axis(labels, order, ranks, axis=0)
     return labels
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Flat indices where a run of equal key columns starts in `keys` (C, ..., n),
+    whose last axis is sorted: a new run at the first column of each row
+    and wherever any of the C keys changes."""
+    new = np.ones(keys.shape[1:], dtype=bool)
+    new[..., 1:] = (keys[..., 1:] != keys[..., :-1]).any(axis=0)
+    return np.flatnonzero(new)
 
 
 def check_symmetry(c: Constellation, tol: float = SYMMETRY_TOL) -> bool:

@@ -296,10 +296,10 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     """I(X;Y) in nats for each fading row of `alphas` (quadrature engine).
 
     `points` (M, D) with `probs` (M,) is the alphabet and `alphas` (A, D)
-    the fading rows, already real/stacked; `gamma` is one SNR.  The outer
-    sum over the transmitted point runs over `reps` (R, D) weighted by
-    `rep_w` (R,): orbit representatives and their orbit masses, or the
-    points and their probabilities themselves for the full sum.  A stack of
+    the fading rows, already real/stacked; `gamma` is one SNR, or one per
+    row.  The outer sum over the transmitted point runs over `reps` (R, D)
+    weighted by `rep_w` (R,): orbit representatives and their orbit masses,
+    or the points and their probabilities themselves for the full sum.  A stack of
     equal-size alphabets, one per row, comes as points (A, M, D), probs
     (A, M), reps (A, R, D), rep_w (A, R) and gamma (A,).  Every row sums
     over the same node and point blocks, by matrix products of its own,
@@ -399,11 +399,11 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
 
     The one path behind every discrete MI flavour.  `form` is `_form` of
     one alphabet, or of equal-shape alphabets stacked per row (a leading
-    row axis on every array) with `gamma` then one SNR per row.  It
-    applies the complex chain rule (twice the real base at half the SNR),
-    chooses quadrature or Monte Carlo by the operation budget (logging a
-    fallback), and clips each evaluated alphabet's MI to [0, H].  Returns
-    the values, the method and the per-row standard errors.
+    row axis on every array); `gamma` is one SNR for all rows or one per
+    row.  It applies the complex chain rule (twice the real base at half
+    the SNR), chooses quadrature or Monte Carlo by the operation budget
+    (logging a fallback), and clips each evaluated alphabet's MI to [0, H].
+    Returns the values, the method and the per-row standard errors.
     """
     pts, probs, H, stacked, reps, rep_w, chain = form
     per_row = pts.ndim == 3
@@ -426,8 +426,9 @@ def _evaluate(form, alphas: np.ndarray, gamma, cfg: EngineConfig):
                 "quadrature on a %d-point alphabet with %d orbit representatives in %d dimensions "
                 "needs %d operations, above budget_ops=%d: Monte Carlo with %d samples instead",
                 M, reps.shape[-2], D, ops, cfg.budget_ops, cfg.mc_samples)
-        rows = (zip(pts, probs, alphas, gamma) if per_row
-                else ((pts, probs, a, gamma) for a in alphas))
+        gammas = np.broadcast_to(gamma, alphas.shape[:1])
+        rows = (zip(pts, probs, alphas, gammas) if per_row
+                else ((pts, probs, a, g) for a, g in zip(alphas, gammas)))
         nats, se = np.array([
             _mc_nats(*row, cfg.mc_samples, np.random.default_rng(cfg.seed)) for row in rows
         ]).T
@@ -460,10 +461,11 @@ def mi_per_use(omega_x: Constellation, s: ChannelSample, cfg: EngineConfig = DEF
 def mi_per_use_batch(
     omega_x: Constellation,
     alphas: np.ndarray,
-    gamma: float,
+    gamma: "float | np.ndarray",
     cfg: EngineConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """Vectorized mi_per_use over many fading points (bits per channel use).
+    """Vectorized mi_per_use over many fading points (bits per channel use),
+    at one SNR `gamma` for all rows or one per row.
 
     Quadrature only when it fits the budget; otherwise a per-point Monte
     Carlo loop with common random numbers: every point reuses the draws of

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import precoders
-from .constellations import Constellation, group_points, project
+from .constellations import Constellation, _gap_labels, _run_starts, project
 from .mutual_info import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -195,11 +195,24 @@ def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> Outag
     return OutageAnchors(alpha_o, alpha_e, "; ".join(notes))
 
 
-def _ray_cap_bits(points: np.ndarray, direction: np.ndarray, M: int) -> float:
-    """Large-radius MI limit along a ray: entropy of the merged faded points."""
-    _, counts = group_points(points * direction, RAY_CAP_TOL)
-    p = counts / M
-    return float(-np.sum(p * np.log2(p)))
+def _ray_caps_bits(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Large-radius MI limit along each ray (rows of `dirs`): the entropy of
+    the ray's faded points, merged as `group_points` merges them at
+    RAY_CAP_TOL, for all rays in one pass.
+
+    The faded coordinates of every ray are gap-labelled as columns of one
+    array; each ray then sorts its points by their labels and counts the
+    runs of equal labels.
+    """
+    faded = points * dirs[:, None, :]  # (n, M, B)
+    if np.iscomplexobj(faded):
+        faded = np.concatenate([faded.real, faded.imag], axis=2)
+    n, M, C = faded.shape
+    labels = _gap_labels(faded.transpose(1, 0, 2).reshape(M, n * C), RAY_CAP_TOL)
+    keys = labels.T.reshape(n, C, M).transpose(1, 0, 2)
+    starts = _run_starts(np.take_along_axis(keys, np.lexsort(keys)[None], axis=2))
+    p = np.diff(np.append(starts, n * M)) / M
+    return np.bincount(starts // M, weights=-p * np.log2(p), minlength=n)
 
 
 def _ray_angles(n_angles: int) -> np.ndarray:
@@ -214,15 +227,17 @@ def trace_boundary_2d(
 ) -> BoundaryTrace:
     """Outage boundary rho(lambda) for B=2 on a uniform grid over [0, pi/2].
 
-    Rays whose MI cap exceeds R are solved in lock-step (doubling from 1,
-    bisection to 1e-4 relative); the others, and unbracketed rays, saturate.
+    Each ray's MI cap, the entropy of its merged faded points, comes from
+    one grouping pass over all rays (`_ray_caps_bits`).  Rays whose cap
+    exceeds R are solved in lock-step (doubling from 1, bisection to 1e-4
+    relative); the others, and unbracketed rays, saturate.
     """
     omega_x = q.omega_x()
     if omega_x.B != 2:
         raise ValueError("boundary tracing is defined for B = 2")
     lambdas = _ray_angles(n_angles)
     dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
-    caps = np.array([_ray_cap_bits(omega_x.points, d, omega_x.M) for d in dirs]) / omega_x.B
+    caps = _ray_caps_bits(omega_x.points, dirs) / omega_x.B
     rhos = np.full(n_angles, math.inf)
     active = np.flatnonzero(caps > q.R + 1e-12)
     if active.size:
@@ -472,7 +487,7 @@ class PolarMICache:
         settle that: an in-grid value within CACHE_TOL_BITS of the
         threshold, or an out-of-grid clamped-edge value below it (MI never
         decreases when a gain grows, so the edge value is a lower bound).
-        Direct rows go through `mi_per_use_batch` once per distinct SNR.
+        The direct rows go through one `mi_per_use_batch` call, each at its own SNR.
         """
         alphas = np.asarray(alphas, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
@@ -485,7 +500,7 @@ class PolarMICache:
             direct = np.where(inside, np.abs(out - threshold) <= CACHE_TOL_BITS, out < threshold)
         if direct.any():
             rows_gamma = np.broadcast_to(gamma, out.shape)[direct]
-            out[direct] = _mi_by_snr(self.omega_x, alphas[direct], rows_gamma, self.cfg)
+            out[direct] = mi_per_use_batch(self.omega_x, alphas[direct], rows_gamma, self.cfg)
         return out
 
     def _interp(self, v):
@@ -522,17 +537,6 @@ class PolarMICache:
         scaled = self._validation_gains(seed)
         direct = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
         return float(np.max(np.abs(direct - self.mi(scaled, GAMMA_REF))))
-
-
-def _mi_by_snr(omega_x: Constellation, alphas: np.ndarray, gammas: np.ndarray,
-               cfg: EngineConfig) -> np.ndarray:
-    """Per-use MI of each row of `alphas` at its own SNR, one `mi_per_use_batch`
-    call per distinct SNR (a row's value does not depend on its batch)."""
-    out = np.empty(alphas.shape[0])
-    for g in np.unique(gammas):
-        rows = gammas == g
-        out[rows] = mi_per_use_batch(omega_x, alphas[rows], float(g), cfg)
-    return out
 
 
 def outage_mc(
@@ -600,7 +604,7 @@ def outage_mc(
         if cache is not None:
             mi = cache.mi(alphas, grid[mid], threshold=R)
         else:
-            mi = _mi_by_snr(omega_x, alphas, grid[mid], cfg)
+            mi = mi_per_use_batch(omega_x, alphas, grid[mid], cfg)
         below = mi < R
         lo[below] = mid[below] + 1
         hi[~below] = mid[~below]

@@ -268,13 +268,22 @@ def test_group_points_matches_pairwise_rule(name):
 
 
 def test_group_points_key_fits_with_every_coordinate_distinct():
-    # 1024 rows, 4 real columns, every value its own cluster: keys up to 1024^4
+    # 1024 rows, 4 real columns, every value its own cluster: 1024^4 label combinations
     pts = np.random.default_rng(3).normal(size=(1024, 2)) * (1 + 1j)
     pts[5] = pts[900] + 1e-12
     got = cs.group_points(pts, 1e-9)
     want = pairwise_groups(pts, 1e-9)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert got[0].size == 1023
+
+
+def test_group_points_beyond_one_integer_key():
+    # 256 rows, 8 columns, every value its own cluster: 256^8 label
+    # combinations, more than one int64 key could number
+    pts = np.random.default_rng(5).normal(size=(256, 8))
+    first, counts = cs.group_points(pts, 1e-9)
+    assert np.array_equal(first, np.arange(256)) and (counts == 1).all()
+    assert cs.make_constellation("wide", pts, "real").M == 256
 
 
 def json_dict(c):
@@ -316,3 +325,52 @@ def test_json_rejects_bad_field_and_unnormalized():
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         cs.make_constellation("dup", [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "real")
+
+
+@pytest.mark.parametrize("field,points", [
+    ("real", [[0.0, 1.0], [0.5e-9, 1.0], [1.0, -1.0]]),
+    ("complex", [[1j], [0.5e-9 + 1j], [1.0]]),
+])
+def test_near_duplicate_pair_rejected_with_its_distance(field, points):
+    with pytest.raises(ValueError) as exc:
+        cs.make_constellation("near", points, field)
+    assert str(exc.value) == "points are not pairwise distinct (min distance 5e-10)"
+
+
+def test_chained_coordinates_of_distant_points_accepted(monkeypatch):
+    # 100 points 1.5e-9 apart in each coordinate, 2.1e-9 apart in all: each
+    # column is one gap cluster at the screen's 2e-9, so the screen finds a
+    # group and the pairwise scan, which finds no pair within 1e-9, decides
+    scans = []
+    pairwise = cs._pairwise_min_distance
+    monkeypatch.setattr(cs, "_pairwise_min_distance", lambda pts: scans.append(len(pts)) or pairwise(pts))
+    chain = 1.0 + 1.5e-9 * np.arange(100.0)
+    pts = np.vstack([np.stack([chain, chain], axis=1), [[-1.0, -1.0]]])
+    assert cs.make_constellation("chain", pts, "real").M == 101
+    assert scans == [101]
+
+
+@given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 3), complex_=st.booleans(),
+       gap=st.floats(min_value=0.0, max_value=4e-9))
+@settings(max_examples=200, deadline=None)
+def test_distinctness_check_raises_exactly_within_the_tolerance(seed, B, complex_, gap):
+    # random sets with near-duplicates `gap` away, in a random direction or
+    # along one coordinate; `_pairwise_min_distance` is the reference
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(2, 40))
+    pts = rng.uniform(-1.0, 1.0, (M, B))
+    step = rng.normal(size=(3, B))
+    if complex_:
+        pts = pts + 1j * rng.uniform(-1.0, 1.0, (M, B))
+        step = step + 1j * rng.normal(size=(3, B))
+    axis_only = rng.random(3) < 0.5
+    step[axis_only] *= np.arange(B) == rng.integers(0, B)
+    step /= np.sqrt(np.sum(np.abs(step) ** 2, axis=1, keepdims=True))
+    pts = np.vstack([pts, pts[rng.integers(0, M, 3)] + gap * step])
+    d = cs._pairwise_min_distance(pts)
+    if d <= cs.DISTINCT_TOL:
+        with pytest.raises(ValueError) as exc:
+            cs._validate_points(pts, B)
+        assert str(exc.value) == f"points are not pairwise distinct (min distance {d:.3g})"
+    else:
+        cs._validate_points(pts, B)

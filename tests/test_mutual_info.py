@@ -287,6 +287,24 @@ def test_mc_fallback_rows_match_mi_discrete(square27, gamma_8db):
         assert got == pytest.approx(est.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("name,theta_deg,engine,n", [
+    ("r2_4", 27.0, "quadrature", 500),
+    ("c2_16", 36.0, "quadrature", 500),  # the complex chain rule, at half of each row's SNR
+    ("r2_4", 27.0, "mc", 12),
+])
+def test_batch_with_one_snr_per_row_equals_one_call_per_snr(name, theta_deg, engine, n):
+    omega_x = pc.apply(pc.rotation2(math.radians(theta_deg)), cs.build_named(name))
+    cfg = EngineConfig(engine=engine, gh_order=20, mc_samples=2_000, seed=3)
+    rng = np.random.default_rng(1)
+    alphas = np.sqrt(rng.exponential(1.0, size=(n, 2)))
+    snrs = np.array([0.5, 1.0, 3.0, 10.0, 31.6])
+    gammas = snrs[rng.integers(0, snrs.size, n)]
+    got = mi_per_use_batch(omega_x, alphas, gammas, cfg)
+    for g in snrs:
+        rows = gammas == g
+        assert np.array_equal(got[rows], mi_per_use_batch(omega_x, alphas[rows], g, cfg))
+
+
 def test_channel_sample_validation():
     with pytest.raises(ValueError):
         ChannelSample(np.array([-0.1, 1.0]), 1.0)

@@ -26,7 +26,7 @@ from outagelab.outage import (
     sample_rayleigh,
     trace_boundary_2d,
     wilson_ci,
-    _ray_cap_bits,
+    _ray_caps_bits,
 )
 
 CHI2_1_2 = 0.264241117657115  # 1 - 2/e
@@ -152,13 +152,23 @@ def test_trace_ray_without_bracket_is_saturated(cfg, gamma_8db, monkeypatch):
     # to the solver, which finds no bracket and must leave it in outage
     from outagelab import outage
 
-    def cap_bits(points, direction, M):
-        return 2.0 if direction.min() == 0.0 else _ray_cap_bits(points, direction, M)
+    solved = []
+
+    def caps_bits(points, dirs):
+        return np.where(dirs.min(axis=1) == 0.0, 2.0, _ray_caps_bits(points, dirs))
+
+    def radii(omega_x, dirs, *args, **kwargs):
+        solved.append(dirs.copy())
+        return ray_radii(omega_x, dirs, *args, **kwargs)
 
     q0 = OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.0), R=0.9, gamma=gamma_8db)
     plain = trace_boundary_2d(q0, 65, cfg)
-    monkeypatch.setattr(outage, "_ray_cap_bits", cap_bits)
+    ray_radii = outage._ray_radii
+    monkeypatch.setattr(outage, "_ray_caps_bits", caps_bits)
+    monkeypatch.setattr(outage, "_ray_radii", radii)
     tr = trace_boundary_2d(q0, 65, cfg)
+    # the lambda = 0 ray reached the solver
+    assert len(solved) == 1 and np.array_equal(solved[0][0], [1.0, 0.0])
     assert math.isinf(tr.rhos[0]) and tr.saturated[0]
     # every other ray solves exactly as it does without the failing one
     assert np.array_equal(tr.rhos[1:], plain.rhos[1:])
@@ -469,7 +479,7 @@ def test_mc_curve_moves_no_decision(mc_sets, monkeypatch, key, n, grid, seed):
     assert np.all(want[:-1] >= want[1:])
     # every decision the bisection evaluates is the per-point decision
     evaluated = []
-    owner, attr = (PolarMICache, "mi") if cache is not None else (outage, "_mi_by_snr")
+    owner, attr = (PolarMICache, "mi") if cache is not None else (outage, "mi_per_use_batch")
     fn = getattr(owner, attr)
 
     def recorded(*args, **kwargs):  # (cache, rows, gammas, ...) or (omega_x, rows, gammas, cfg)
@@ -519,6 +529,24 @@ def test_mc_curve_work_guard(mc_sets, monkeypatch):
     outage_mc(omega_x, n, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
     assert len(rows) <= 4 and max(rows) <= n
     assert sum(rows) <= 4 * n
+
+
+def test_trace_and_registry_work_guard(cfg, gamma_8db, monkeypatch):
+    # a trace labels the faded coordinates of all its rays in one pass, and
+    # no registry set needs the O(M^2) pairwise distance scan to be built
+    from outagelab import outage
+
+    passes, scans = [], []
+    gap_labels, pairwise = outage._gap_labels, cs._pairwise_min_distance
+    q = OutageQuery(cs.build_named("r2_4"), pc.rotation2(math.radians(27)), R=0.9, gamma=gamma_8db)
+    q.omega_x()
+    monkeypatch.setattr(outage, "_gap_labels", lambda x, tol: passes.append(x.shape) or gap_labels(x, tol))
+    monkeypatch.setattr(cs, "_pairwise_min_distance", lambda pts: scans.append(len(pts)) or pairwise(pts))
+    trace_boundary_2d(q, 65, cfg)
+    assert passes == [(4, 65 * 2)]
+    for name in cs.registry_names():
+        cs.build_named(name)
+    assert scans == []
 
 
 def test_b3_outage_between_bounds(cfg, gamma_8db):
@@ -628,7 +656,7 @@ def test_gaussian_geometry_rejects_bad_rate_and_traced_b3(B, R, n_angles, msg):
 
 
 def first_match_groups(rows, tol):
-    """Reference for the ray-cap grouping: the pairwise loop `_ray_cap_bits`
+    """Reference for the ray-cap grouping: the pairwise loop the ray caps
     ran before `group_points` (each row joins the first earlier group whose first member lies within
     tol, else opens a new group), with the scan over groups done in numpy
     so that 256-point alphabets stay fast; the arithmetic is the same."""
@@ -661,20 +689,36 @@ def loop_cluster_complex(col, tol):
     return np.asarray(reps, dtype=complex)[order], np.asarray(counts, dtype=float)[order]
 
 
-@pytest.mark.parametrize("name", ["r2_4", "r2_16", "c2_16", "c2_256"])
+# two pairs of points 5e-9 apart in one coordinate: distinct, but merged on
+# the rays near the axis that scales that coordinate down
+NEAR_PAIRS = {"name": "near_pairs", "B": 2, "field": "real", "points": [
+    [1.0, 1.0], [1.0 + 5e-9, 1.0], [-1.0, -1.0], [-1.0, -1.0 - 5e-9], [1.0, -1.0], [-1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("name", ["r2_4", "r2_16", "c2_16", "c2_256", "near_pairs"])
 def test_grouping_matches_loop(name):
-    c = cs.build_named(name)
+    c = cs.from_dict(NEAR_PAIRS) if name == "near_pairs" else cs.build_named(name)
     lambdas = np.linspace(0.0, math.pi / 2.0, 129)
     dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
     for theta_deg in (0.0, 27.0, 30.5, 45.0):
         omega_x = pc.apply(pc.rotation2(math.radians(theta_deg)), c)
+        caps = _ray_caps_bits(omega_x.points, dirs)
+        want_caps = []
         for d in dirs:
             want_first, want_counts = first_match_groups(omega_x.points * d, RAY_CAP_TOL)
             got_first, got_counts = cs.group_points(omega_x.points * d, RAY_CAP_TOL)
             assert np.array_equal(got_first, want_first)
             assert np.array_equal(got_counts, want_counts)
             p = want_counts / c.M
-            assert _ray_cap_bits(omega_x.points, d, c.M) == float(-np.sum(p * np.log2(p)))
+            want_caps.append(float(-np.sum(p * np.log2(p))))
+        assert np.abs(caps - want_caps).max() <= 1e-12
+        R = 0.9
+        assert np.array_equal(caps / c.B > R + 1e-12, np.array(want_caps) / c.B > R + 1e-12)
+        if name == "near_pairs" and theta_deg == 0.0:
+            # a pair merges where the ray scales its 5e-9 gap below RAY_CAP_TOL
+            off_axis = np.minimum(lambdas, math.pi / 2 - lambdas)
+            assert (caps[off_axis < 0.2] < c.m - 0.3).all()
+            assert caps[off_axis > 0.21] == pytest.approx(c.m, abs=1e-12)
         if c.field == "complex":
             for axis in (1, 2):
                 values, counts = loop_cluster_complex(omega_x.points[:, axis - 1], cs.DEDUP_TOL)
