@@ -37,5 +37,5 @@ from .outage import (
     outage_mc,
     trace_boundary_2d,
 )
-from .optimizer import expansion_compare, optimize, product_distance_profile, sweep
+from .optimizer import expansion_compare, optimize, sweep
 from .precoders import Precoder, apply, circulant_from_eigenphases, rotation, rotation2, rotation3

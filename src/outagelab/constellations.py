@@ -18,6 +18,7 @@ import numpy as np
 DEDUP_TOL = 1e-6
 DISTINCT_TOL = 1e-9
 SYMMETRY_TOL = 1e-8
+_MATCH_CAP = 1 << 14  # coordinate gaps per block of `_match`
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,36 +76,20 @@ class ProjectionSet:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionStack:
-    """Axis projections of the A members of a family of point sets, by size.
+    """Projections of the A members of a family of coordinate columns, by size.
 
-    `groups` holds one (rows, sp) pair per projection size and field: the
-    members `rows` (n,) whose projections have the same number S of
-    distinct values, and a ProjectionSet `sp` whose values and probs hold
-    their projections with a leading row axis (n, S), each row as
-    `project` gives it.  `real_base`, when present, stacks the same
-    projection of the members' real bases; a member without one is in none
-    of its groups.
+    `groups` holds one (rows, sp) pair per projection size: the members
+    `rows` (n,) whose projections have the same number S of distinct
+    values, and a ProjectionSet `sp` whose values and probs hold their
+    projections with a leading row axis (n, S), each row as `project`
+    gives it.  `real_base`, when present, stacks the same projection of
+    every member's real base: a stack has a real base for all of its
+    members or for none.
     """
 
     A: int
     groups: tuple
     real_base: "ProjectionStack | None" = None
-
-    @classmethod
-    def of(cls, sets) -> "ProjectionStack":
-        """The stack of a sequence of ProjectionSets, their real bases stacked alongside."""
-        def stack(members):
-            by_shape = {}
-            for k, sp in members:
-                by_shape.setdefault((sp.size, sp.is_complex), []).append((k, sp))
-            return tuple(
-                (np.array([k for k, _ in group]),
-                 ProjectionSet(np.stack([sp.values for _, sp in group]),
-                               np.stack([sp.probs for _, sp in group])))
-                for group in by_shape.values())
-
-        bases = [(k, sp.real_base) for k, sp in enumerate(sets) if sp.real_base is not None]
-        return cls(len(sets), stack(enumerate(sets)), cls(len(sets), stack(bases)) if bases else None)
 
 
 def _validate_points(points: np.ndarray, B: int) -> None:
@@ -133,16 +118,8 @@ def _validate_points(points: np.ndarray, B: int) -> None:
 
 
 def _pairwise_min_distance(points: np.ndarray) -> float:
-    M = points.shape[0]
-    best = math.inf
-    for i0 in range(0, M, 256):
-        block = points[i0 : i0 + 256]
-        diff = block[:, None, :] - points[None, :, :]
-        d2 = np.sum(np.abs(diff) ** 2, axis=-1)
-        rows = np.arange(block.shape[0])
-        d2[rows, i0 + rows] = math.inf
-        best = min(best, float(np.sqrt(d2.min())))
-    return best
+    """Least Euclidean distance between two points of `points` (M, B)."""
+    return float(np.sqrt(_pairwise_min(points[None], lambda g: np.sum(g**2, axis=-1))[0]))
 
 
 def make_constellation(name, points, field, real_base=None) -> Constellation:
@@ -206,55 +183,49 @@ def project(c: Constellation, axis: int) -> ProjectionSet:
     """Distinct coordinate values along `axis` (1-based), merged within DEDUP_TOL.
 
     Values come sorted (complex ones by real, then imaginary part); the
-    projection of the constellation's real base rides along as `real_base`.
-    The one-member case of `project_stack`.
+    projection of the constellation's real base, made in the same call,
+    rides along as `real_base`.  The one-member case of `project_stack`.
     """
     if not 1 <= axis <= c.B:
         raise ValueError(f"axis must be in 1..{c.B}")
-    base = project(c.real_base, axis) if c.real_base is not None else None
-    ((_, sp),) = project_stack(c.points[None], axis).groups
+    base = None if c.real_base is None else c.real_base.points[None, :, axis - 1]
+    stack = project_stack(c.points[None, :, axis - 1], base)
+    ((_, sp),) = stack.groups
+    if stack.real_base is not None:  # from the base's columns to its projection
+        ((_, b),) = stack.real_base.groups
+        base = ProjectionSet(b.values[0], b.probs[0])
     return ProjectionSet(sp.values[0], sp.probs[0], base)
 
 
-def project_stack(points: np.ndarray, axis: int, real_base=None) -> ProjectionStack:
-    """The axis projections of A point sets (A, M, B) at once, as `project` makes each.
+def project_stack(cols: np.ndarray, real_base_cols=None) -> ProjectionStack:
+    """The projections of A coordinate columns (A, M) at once, as `project` makes each.
 
-    Each set's column is clustered as `group_points` clusters it: every
-    real coordinate on its own, sorted and split at gaps wider than
-    DEDUP_TOL.  A group is represented by its first point, after the real
-    columns are sorted (so by its least value), and each projection's
-    values come sorted by real, then imaginary part, with their masses.
-    The sets are then grouped by projection size.  `real_base` (A, Mb, B),
-    the points of the sets' real bases, is projected alongside.
+    Each column is clustered as `group_points` clusters it: every real
+    coordinate on its own, sorted and split at gaps wider than DEDUP_TOL.
+    A group is represented by its first point, after a real column is
+    sorted (so by its least value), and each projection's values come
+    sorted by real, then imaginary part, with their masses.  The members
+    are then grouped by projection size.  `real_base_cols` (A, Mb), the
+    same coordinate of every member's real base, is projected alongside.
     """
-    A, M, B = points.shape
-    if not 1 <= axis <= B:
-        raise ValueError(f"axis must be in 1..{B}")
-    col = points[:, :, axis - 1]
-    if not np.iscomplexobj(col):
-        col = np.sort(col, axis=1)
-    key = np.zeros((A, M), dtype=np.intp)  # each point's cluster labels in radix M
-    for part in (col.real, col.imag) if np.iscomplexobj(col) else (col,):
-        key = key * M + _gap_labels(part.T, DEDUP_TOL).T
-    order = np.argsort(key, axis=1, kind="stable")  # equal keys keep their point order
-    key = np.take_along_axis(key, order, axis=1)
-    new = np.ones((A, M), dtype=bool)
-    new[:, 1:] = key[:, 1:] != key[:, :-1]
-    starts = np.flatnonzero(new)
+    A, M = cols.shape
+    if not np.iscomplexobj(cols):
+        cols = np.sort(cols, axis=1)
+    parts = (cols.real, cols.imag) if np.iscomplexobj(cols) else (cols,)
+    order, starts = _runs(np.stack([_gap_labels(part.T, DEDUP_TOL).T for part in parts]))
     first = order.ravel()[starts]  # the first point of each group, row by row
     counts = np.diff(np.append(starts, A * M))
-    sizes = new.sum(axis=1)
+    sizes = np.bincount(starts // M, minlength=A)
     offsets = np.cumsum(sizes) - sizes
     groups = []
     for S in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == S)
         at = offsets[rows, None] + np.arange(S)
-        reps = np.take_along_axis(col[rows], first[at], axis=1)
+        reps = np.take_along_axis(cols[rows], first[at], axis=1)
         by = np.lexsort((reps.imag, reps.real), axis=-1)
         groups.append((rows, ProjectionSet(np.take_along_axis(reps, by, axis=1),
                                            np.take_along_axis(counts[at], by, axis=1) / M)))
-    base = project_stack(real_base, axis) if real_base is not None else None
-    return ProjectionStack(A, tuple(groups), base)
+    return ProjectionStack(A, tuple(groups), None if real_base_cols is None else project_stack(real_base_cols))
 
 
 def group_points(points: np.ndarray, tol: float):
@@ -270,9 +241,7 @@ def group_points(points: np.ndarray, tol: float):
     x = np.asarray(points).reshape(len(points), -1)
     if np.iscomplexobj(x):
         x = np.hstack([x.real, x.imag])
-    labels = _gap_labels(x, tol).T
-    order = np.lexsort(labels)  # stable: the rows of a group keep their order
-    starts = _run_starts(labels[:, order])
+    order, starts = _runs(_gap_labels(x, tol).T)
     first = order[starts]
     by_first = np.argsort(first)
     return first[by_first], np.diff(np.append(starts, len(x)))[by_first]
@@ -290,13 +259,16 @@ def _gap_labels(x: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Flat indices where a run of equal key columns starts in `keys` (C, ..., n),
-    whose last axis is sorted: a new run at the first column of each row
-    and wherever any of the C keys changes."""
-    new = np.ones(keys.shape[1:], dtype=bool)
+def _runs(labels: np.ndarray):
+    """The stable lexicographic order (..., n) of the columns of `labels` (C, ..., n)
+    along the last axis (the last of the C labels first, as `np.lexsort`
+    sorts), and the flat indices into it where a run of equal columns
+    starts: at each row's first column and wherever any label changes."""
+    order = np.lexsort(labels)
+    keys = np.take_along_axis(labels, order[None], axis=-1)
+    new = np.ones(order.shape, dtype=bool)
     new[..., 1:] = (keys[..., 1:] != keys[..., :-1]).any(axis=0)
-    return np.flatnonzero(new)
+    return order, np.flatnonzero(new)
 
 
 def check_symmetry(c: Constellation, tol: float = SYMMETRY_TOL) -> bool:
@@ -305,7 +277,8 @@ def check_symmetry(c: Constellation, tol: float = SYMMETRY_TOL) -> bool:
     B=2: invariance under a quarter turn (u1, u2) -> (-u2, u1).
     B>2: invariance under a one-step cyclic shift of the components.
     Constellations passing this check project identically on every axis,
-    so a single axis-crossing radius describes all of them.
+    so a single axis-crossing radius describes all of them.  `tol` bounds,
+    per coordinate (a modulus, if complex), each image point's gap to its match.
     """
     if c.B == 1:
         return True
@@ -313,13 +286,35 @@ def check_symmetry(c: Constellation, tol: float = SYMMETRY_TOL) -> bool:
         image = np.stack([-c.points[:, 1], c.points[:, 0]], axis=1)
     else:
         image = np.roll(c.points, 1, axis=1)
-    return _set_contains(c.points, image, tol)
+    _, hit = _match(c.points[None], np.ones((1, c.M)), image[None], tol)
+    return bool(hit[0])
 
 
-def _set_contains(points, image, tol):
-    diff = image[:, None, :] - points[None, :, :]
-    d = np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1))
-    return bool(np.all(d.min(axis=1) <= tol))
+def _match(pts, probs, image, tol):
+    """For each of n point sets (n, M, D), the index of the point each image point lands on.
+
+    Returns that (n, M) index and, per set, whether the image is the set
+    itself: every image point within `tol` in every coordinate (a modulus,
+    if complex) of a point of equal probability in `probs` (n, M), no two
+    on the same point.  Blocks of _MATCH_CAP gaps keep memory off M^2.
+    """
+    n, M, D = pts.shape
+    match = np.empty((n, M), dtype=np.intp)
+    gap = np.empty((n, M))
+    i_chunk = max(1, min(M, _MATCH_CAP // (M * D)))
+    a_chunk = max(1, _MATCH_CAP // (i_chunk * M * D))
+    for a0 in range(0, n, a_chunk):
+        for i0 in range(0, M, i_chunk):
+            rows, cols = slice(a0, a0 + a_chunk), slice(i0, i0 + i_chunk)
+            g = np.abs(image[rows, cols, None, :] - pts[rows, None, :, :]).max(axis=3)
+            j = g.argmin(axis=2)
+            match[rows, cols] = j
+            gap[rows, cols] = np.take_along_axis(g, j[..., None], axis=2)[..., 0]
+    hit = gap.max(axis=1) <= tol
+    landed = np.bincount((match + M * np.arange(n)[:, None]).ravel(), minlength=n * M)
+    hit &= landed.reshape(n, M).max(axis=1) == 1
+    hit &= (np.take_along_axis(probs, match, axis=1) == probs).all(axis=1)
+    return match, hit
 
 
 def min_product_distance(c: Constellation) -> float:
@@ -329,8 +324,13 @@ def min_product_distance(c: Constellation) -> float:
 
 
 def min_product_distances(points: np.ndarray) -> np.ndarray:
-    """`min_product_distance` of each of A point sets (A, M, B), in blocks of
-    at most about 2^20 differences."""
+    """`min_product_distance` of each of A point sets (A, M, B)."""
+    return _pairwise_min(points, lambda g: np.prod(g, axis=-1))
+
+
+def _pairwise_min(points: np.ndarray, reduce) -> np.ndarray:
+    """Least `reduce(|a - b|)` over distinct point pairs of each of A point sets (A, M, B),
+    `reduce` mapping coordinate moduli (..., B) to (...); blocks of about 2^20 differences."""
     A, M, B = points.shape
     i_chunk = min(M, 256)
     a_chunk = max(1, (1 << 20) // (i_chunk * M * B))
@@ -339,10 +339,10 @@ def min_product_distances(points: np.ndarray) -> np.ndarray:
         sets = points[a0 : a0 + a_chunk]
         for i0 in range(0, M, i_chunk):
             block = sets[:, i0 : i0 + i_chunk]
-            prod = np.prod(np.abs(block[:, :, None, :] - sets[:, None, :, :]), axis=-1)
+            d = reduce(np.abs(block[:, :, None, :] - sets[:, None, :, :]))
             rows = np.arange(block.shape[1])
-            prod[:, rows, i0 + rows] = math.inf
-            np.minimum(best[a0 : a0 + a_chunk], prod.min(axis=(1, 2)), out=best[a0 : a0 + a_chunk])
+            d[:, rows, i0 + rows] = math.inf
+            np.minimum(best[a0 : a0 + a_chunk], d.min(axis=(1, 2)), out=best[a0 : a0 + a_chunk])
     return best
 
 

@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constellations import Constellation, ProjectionSet, ProjectionStack
+from .constellations import Constellation, ProjectionSet, ProjectionStack, _match
 from .search import solve_increasing
 
 LN2 = math.log(2.0)
@@ -241,9 +241,10 @@ def _orbits(pts, probs, stacked):
     """Each point's orbit representative, per alphabet: (n, M) indices.
 
     The map is the quarter turn of a stacked form if it holds, else
-    negation (see the module docstring); each orbit is represented by its
-    lowest-index point.  An alphabet under neither map has every point
-    represent itself (the full sum).
+    negation (see the module docstring); a map holds when `_match` finds
+    the image within _ORBIT_TOL of the alphabet.  Each orbit is
+    represented by its lowest-index point.  An alphabet under neither map
+    has every point represent itself (the full sum).
     """
     n, M, D = pts.shape
     h = D // 2
@@ -251,7 +252,7 @@ def _orbits(pts, probs, stacked):
     todo = np.arange(n)
     maps = [(lambda p: np.concatenate([-p[..., h:], p[..., :h]], axis=-1), 4)] if stacked else []
     for image, period in maps + [(np.negative, 2)]:
-        match, hit = _match(pts[todo], probs[todo], image(pts[todo]))
+        match, hit = _match(pts[todo], probs[todo], image(pts[todo]), _ORBIT_TOL)
         r, step = rep[todo[hit]], match[hit]
         for _ in range(period - 1):  # the orbit of i is i, match[i], match[match[i]], ...
             r = np.minimum(r, step)
@@ -261,35 +262,6 @@ def _orbits(pts, probs, stacked):
         if not todo.size:
             break
     return rep
-
-
-_MATCH_CAP = 1 << 14  # coordinate gaps per block of `_match`
-
-
-def _match(pts, probs, image):
-    """For each of n alphabets, the index of the point each image point lands on.
-
-    Returns that (n, M) index and, per alphabet, whether the image is the
-    alphabet itself: every image point within 1e-9 in every coordinate of
-    a point of equal probability, no two on the same point.
-    """
-    n, M, D = pts.shape
-    match = np.empty((n, M), dtype=np.intp)
-    gap = np.empty((n, M))
-    i_chunk = max(1, min(M, _MATCH_CAP // (M * D)))
-    a_chunk = max(1, _MATCH_CAP // (i_chunk * M * D))
-    for a0 in range(0, n, a_chunk):
-        for i0 in range(0, M, i_chunk):
-            rows, cols = slice(a0, a0 + a_chunk), slice(i0, i0 + i_chunk)
-            g = np.abs(image[rows, cols, None, :] - pts[rows, None, :, :]).max(axis=3)
-            j = g.argmin(axis=2)
-            match[rows, cols] = j
-            gap[rows, cols] = np.take_along_axis(g, j[..., None], axis=2)[..., 0]
-    hit = gap.max(axis=1) <= _ORBIT_TOL
-    landed = np.bincount((match + M * np.arange(n)[:, None]).ravel(), minlength=n * M)
-    hit &= landed.reshape(n, M).max(axis=1) == 1
-    hit &= (np.take_along_axis(probs, match, axis=1) == probs).all(axis=1)
-    return match, hit
 
 
 def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
@@ -383,13 +355,18 @@ def _mc_nats(points, probs, alpha, gamma, n, rng, chunk=131_072):
     return mean, math.sqrt(var / n)
 
 
+def _chained(x, cfg: EngineConfig) -> bool:
+    """Whether the chain rule runs `x` (a set, a projection or a stack) on its real base."""
+    return cfg.complex_chain and x.real_base is not None
+
+
 def _form(x: "Constellation | ProjectionSet", cfg: EngineConfig) -> _Form:
     """The work form `_evaluate` runs on for `x`.
 
-    `_alphabet` of x's `real_base` when cfg.complex_chain is set and x has
-    one (with `chain` set), else of x itself.
+    `_alphabet` of x's `real_base` under the chain rule (`_chained`, with
+    `chain` set), else of x itself.
     """
-    if cfg.complex_chain and x.real_base is not None:
+    if _chained(x, cfg):
         return _alphabet(x.real_base)._replace(chain=True)
     return _alphabet(x)
 
@@ -529,7 +506,13 @@ def inv_mi_scalar(sp: ProjectionSet, target_bits: float, cfg: EngineConfig = DEF
             f"target {target_bits:.6g} bits >= {cap:.6g} bits achievable by the "
             f"{sp.size}-point axis projection"
         )
-    snr = float(inv_mi_scalar_many([sp], target_bits, cfg)[0])
+
+    def one(x):  # x as a one-member stack, with its real base
+        base = None if x.real_base is None else one(x.real_base)
+        member = ProjectionSet(x.values[None], x.probs[None])
+        return ProjectionStack(1, ((np.zeros(1, dtype=np.intp), member),), base)
+
+    snr = float(inv_mi_scalar_many(one(sp), target_bits, cfg)[0])
     if math.isinf(snr):
         raise SaturationError(
             f"no bracket: the scalar MI of the {sp.size}-point axis projection stays "
@@ -552,26 +535,28 @@ def _gaussian_snr(sp: ProjectionSet, bits: float):
     return gaussian_floor(1, bits, "complex" if sp.is_complex else "real") / power
 
 
-def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """`inv_mi_scalar` of every projection in `sps`; inf where it saturates.
+def inv_mi_scalar_many(stack: ProjectionStack, target_bits: float,
+                       cfg: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """`inv_mi_scalar` of every member of `stack`; inf where it saturates.
 
-    `sps` is a `ProjectionStack` (an angle family's projections, as
-    `project_stack` makes them) or a sequence of ProjectionSets, which is
-    stacked first.  A projection saturates when the target is within 1e-9
-    bits of its entropy or its solve finds no bracket.  The others are
-    solved in lock-step, one solve for each group of equal-size alphabets
-    with as many orbit representatives, under the same chain-rule scale,
-    and one kernel call per solver step for the rows that need a value;
-    every row gets the root it would get alone.  Each row's bracket starts
-    at half its Gaussian SNR (`_gaussian_snr`), below which its MI is
-    provably under the target: the 1/2 is a margin for quadrature and Monte
-    Carlo error, and the roots are the ones that doubling from `x_start`
-    and bisecting would find (`search.solve_increasing` replays that loop
-    and evaluates only the points its scouted facts leave undecided).
+    `stack` holds a family's projections as `project_stack` makes them
+    (or, for one projection, as `inv_mi_scalar` builds it).  A projection
+    saturates when the target is within 1e-9 bits of its entropy or its
+    solve finds no bracket.  The others are solved in lock-step, one solve
+    for each group of equal-size alphabets with as many orbit
+    representatives, every member under the same chain-rule choice
+    (`_chained` of the stack), and one kernel call per solver step for the
+    rows that need a value; every row gets the root it would get alone.
+
+    Each row's bracket starts at half its Gaussian SNR (`_gaussian_snr`),
+    below which its MI is provably under the target: the 1/2 is a margin
+    for quadrature and Monte Carlo error, and the roots are the ones that
+    doubling from `x_start` and bisecting would find
+    (`search.solve_increasing` replays that loop and evaluates only the
+    points its scouted facts leave undecided).
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
-    stack = sps if isinstance(sps, ProjectionStack) else ProjectionStack.of(sps)
     out = np.full(stack.A, math.inf)
     below = np.zeros(stack.A)
     live = np.zeros(stack.A, dtype=bool)
@@ -596,20 +581,14 @@ def inv_mi_scalar_many(sps, target_bits: float, cfg: EngineConfig = DEFAULT_CONF
 def _stack_forms(stack: ProjectionStack, live: np.ndarray, cfg: EngineConfig) -> list:
     """(rows, form) groups of the work forms `_form` gives the `live` members of `stack`.
 
-    A member with a real base takes its base's projection under the chain
-    rule when cfg.complex_chain is set, else its own; each group holds
-    members of one alphabet shape, orbit count and chain-rule scale.
+    Under the chain rule (`_chained` of the stack) every member takes its
+    real base's projection, else its own; each group holds members of one
+    alphabet shape and orbit count.
     """
-    chained = np.zeros(stack.A, dtype=bool)
-    parts = []
-    if cfg.complex_chain and stack.real_base is not None:
-        for rows, sp in stack.real_base.groups:
-            chained[rows] = True
-            parts.append((rows, sp, True))
-    parts += [(rows, sp, False) for rows, sp in stack.groups]
+    chain = _chained(stack, cfg)
     out = []
-    for rows, sp, chain in parts:
-        keep = live[rows] & (chain | ~chained[rows])
+    for rows, sp in (stack.real_base if chain else stack).groups:
+        keep = live[rows]
         if keep.any():
             pts, probs = sp.values[keep][..., None], sp.probs[keep]
             out += [(rows[keep][sel], form._replace(chain=chain))

@@ -78,7 +78,8 @@ def _precoded(omega_z: Constellation, thetas: np.ndarray) -> tuple:
 def _gamma_s(omega_z: Constellation, R: float, precoded: tuple, cfg: EngineConfig) -> np.ndarray:
     """Axis-crossing SNR of each precoded set: one lock-step solve of their axis-1 projections."""
     points, base = precoded
-    return inv_mi_scalar_many(project_stack(points, 1, base), omega_z.B * R, cfg)
+    stack = project_stack(points[..., 0], None if base is None else base[..., 0])
+    return inv_mi_scalar_many(stack, omega_z.B * R, cfg)
 
 
 def gamma_s_at(omega_z: Constellation, R: float, theta,
@@ -236,7 +237,3 @@ def expansion_compare(candidates, R: float, cfg: EngineConfig = DEFAULT_CONFIG) 
         )
     return rows
 
-
-def product_distance_profile(omega_z: Constellation, grid) -> np.ndarray:
-    """Minimum product distance of the precoded constellation per angle."""
-    return min_product_distances(_precoded(omega_z, np.asarray(grid, dtype=float))[0])

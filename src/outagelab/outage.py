@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import precoders
-from .constellations import Constellation, _gap_labels, _run_starts, project
+from .constellations import Constellation, _gap_labels, _runs, project
 from .mutual_info import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -202,15 +202,14 @@ def _ray_caps_bits(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
     The faded coordinates of every ray are gap-labelled as columns of one
     array; each ray then sorts its points by their labels and counts the
-    runs of equal labels.
+    runs of equal labels (`constellations._runs`).
     """
     faded = points * dirs[:, None, :]  # (n, M, B)
     if np.iscomplexobj(faded):
         faded = np.concatenate([faded.real, faded.imag], axis=2)
     n, M, C = faded.shape
     labels = _gap_labels(faded.transpose(1, 0, 2).reshape(M, n * C), RAY_CAP_TOL)
-    keys = labels.T.reshape(n, C, M).transpose(1, 0, 2)
-    starts = _run_starts(np.take_along_axis(keys, np.lexsort(keys)[None], axis=2))
+    _, starts = _runs(labels.T.reshape(n, C, M).transpose(1, 0, 2))
     p = np.diff(np.append(starts, n * M)) / M
     return np.bincount(starts // M, weights=-p * np.log2(p), minlength=n)
 

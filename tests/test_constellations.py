@@ -116,6 +116,49 @@ def test_rectangular_grid_fails_symmetry():
     assert not cs.check_symmetry(rect)
 
 
+def test_check_symmetry_memory_guard():
+    # the image is matched in blocks, never as one M x M difference array
+    import tracemalloc
+
+    c = cs.build_named("c2_1024")
+    tracemalloc.start()
+    try:
+        assert cs.check_symmetry(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def symmetric_by_distance(c, tol):
+    """Reference for `check_symmetry`: every image point lies within
+    Euclidean distance tol of a point of the set, one image point at a time."""
+    pts = c.points
+    if c.B == 1:
+        return True
+    image = np.stack([-pts[:, 1], pts[:, 0]], axis=1) if c.B == 2 else np.roll(pts, 1, axis=1)
+    return all(np.sqrt(np.sum(np.abs(pts - x) ** 2, axis=1)).min() <= tol for x in image)
+
+
+@pytest.mark.parametrize("name", cs.registry_names() + ["rect8"])
+def test_check_symmetry_verdicts_match_distance_loop(name):
+    if name == "rect8":  # the rectangle of test_rectangular_grid_fails_symmetry
+        c = cs.make_constellation(name, [(a, b) for a in (-1.0, 1.0) for b in (-3.0, -1.0, 1.0, 3.0)], "real")
+    else:
+        c = cs.build_named(name)
+    assert cs.check_symmetry(c) == symmetric_by_distance(c, cs.SYMMETRY_TOL)
+
+
+@pytest.mark.parametrize("k,want", [(0.5, True), (2.0, False)])
+def test_check_symmetry_tolerance_per_coordinate(k, want):
+    # the quarter-turn image of the first point misses the second by
+    # k * SYMMETRY_TOL in one coordinate
+    d = k * cs.SYMMETRY_TOL
+    c = cs.from_dict({"name": "square", "B": 2, "field": "real",
+                      "points": [[1.0 + d, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]})
+    assert cs.check_symmetry(c) is want
+
+
 def test_min_distance_bpsk():
     assert cs._pairwise_min_distance(cs.build_named("bpsk").points) == pytest.approx(2.0)
 

@@ -430,12 +430,15 @@ def test_mixed_lockstep_group_rows_match_alone():
         # equal shapes, unequal orbit counts: 4 representatives, then 2
         cs.ProjectionSet(np.array([-1.2, -0.2, 0.4, 1.0]), np.full(4, 0.25)),
         cs.ProjectionSet(np.array([-1.0, -0.3, 0.3, 1.0]), np.array([0.3, 0.2, 0.2, 0.3])),
-        cs.project(pc.apply(pc.rotation2(math.radians(10.7)), cs.build_named("c2_16")), 1),
     ]
     assert len({len(_form(sp, cfg).reps) for sp in sps if sp.size == 4}) == 2
-    got = inv_mi_scalar_many(sps, 0.9, cfg)
+    groups = tuple((np.array(rows), cs.ProjectionSet(np.stack([sps[k].values for k in rows]),
+                                                     np.stack([sps[k].probs for k in rows])))
+                   for rows in ([0, 3, 4, 5], [1], [2]))
+    assert [sp.size for _, sp in groups] == [4, 3, 2]
+    got = inv_mi_scalar_many(cs.ProjectionStack(len(sps), groups), 0.9, cfg)
     assert np.isfinite(got).all()
-    assert got.tolist() == [inv_mi_scalar_many([sp], 0.9, cfg)[0] for sp in sps]
+    assert got.tolist() == [inv_mi_scalar(sp, 0.9, cfg) for sp in sps]
 
 
 def _stack_set(name):
@@ -455,17 +458,25 @@ STACK_SETS = [(name, EngineConfig()) for name in ("r2_4", "r2_8", "r2_16", "r3_8
 STACK_SETS.insert(7, ("c2_16", EngineConfig(complex_chain=False)))
 
 
+def _axis1_stack(c, thetas):
+    """One stack of c's axis-1 projections under the rotation of each angle, as a sweep makes it."""
+    p = pc.rotation(c.B, thetas)
+    base = None if c.real_base is None else pc.precode(p, c.real_base.points)[..., 0]
+    return cs.project_stack(pc.precode(p, c.points)[..., 0], base)
+
+
+def _stack_rows(stack):
+    """Each member's (values, probs), by member index."""
+    return {k: (sp.values[i], sp.probs[i]) for rows, sp in stack.groups for i, k in enumerate(rows)}
+
+
 @pytest.mark.parametrize("name,engine", STACK_SETS,
                          ids=[f"{n}-chain{int(e.complex_chain)}" for n, e in STACK_SETS])
 def test_stacked_forms_equal_per_angle_forms(name, engine):
     c = _stack_set(name)
     grid = default_grid(c.B)
-    p = pc.rotation(c.B, grid)
-    base = None if c.real_base is None else pc.precode(p, c.real_base.points)
-    stack = cs.project_stack(pc.precode(p, c.points), 1, base)
-    projections, forms = {}, {}
-    for rows, sp in stack.groups:
-        projections.update((k, (sp.values[i], sp.probs[i])) for i, k in enumerate(rows))
+    stack = _axis1_stack(c, grid)
+    projections, forms = _stack_rows(stack), {}
     for rows, form in mutual_info._stack_forms(stack, np.ones(grid.size, dtype=bool), engine):
         forms.update((k, form._replace(**{n: getattr(form, n)[i] for n in mutual_info._ROW_FIELDS}))
                      for i, k in enumerate(rows))
@@ -484,6 +495,26 @@ def test_stacked_forms_equal_per_angle_forms(name, engine):
         assert orbits == ([0] if name.endswith("shifted") else list(range(grid.size)))
 
 
+@pytest.mark.parametrize("name", ["pam4xbpsk", "pam4xbpsk shifted"])
+def test_every_axis_in_one_stack(name, cfg):
+    # every axis of a set in one projection pass and one lock-step solve,
+    # each as its own `project` and `inv_mi_scalar` give it; at 1.4 bits
+    # the 2-bit axis has a root and the 1-bit axis saturates
+    c = _stack_set(name)
+    stack = cs.project_stack(c.points.T)
+    rows = _stack_rows(stack)
+    got = inv_mi_scalar_many(stack, 1.4, cfg)
+    for b in range(1, c.B + 1):
+        sp = cs.project(c, b)
+        assert np.array_equal(rows[b - 1][0], sp.values) and np.array_equal(rows[b - 1][1], sp.probs)
+        try:
+            want = inv_mi_scalar(sp, 1.4, cfg)
+        except SaturationError:
+            want = math.inf
+        assert got[b - 1] == want
+    assert math.isfinite(got[0]) and got[1] == math.inf
+
+
 def _swept(name, degrees):
     c = cs.build_named(name)
     return [cs.project(pc.apply(pc.rotation(c.B, math.radians(d)), c), 1) for d in degrees]
@@ -499,11 +530,15 @@ _ANGLES = (0.0, 10.7, 27.0, 31.7, 45.0)
     (EngineConfig(engine="mc", mc_samples=20_000), ("r2_4", "c2_16"), (27.0,), (0.05, 1.8)),
 ])
 def test_gaussian_bound_keeps_every_root(engine, names, degrees, targets, monkeypatch):
-    sps = [sp for name in names for sp in _swept(name, degrees)]
-    got = [inv_mi_scalar_many(sps, t, engine) for t in targets]
+    stacks = [_axis1_stack(cs.build_named(name), np.radians(degrees)) for name in names]
+
+    def roots(t):
+        return np.concatenate([inv_mi_scalar_many(stack, t, engine) for stack in stacks]).tolist()
+
+    got = [roots(t) for t in targets]
     monkeypatch.setattr(mutual_info, "_gaussian_snr", lambda sp, bits: 0.0)
-    for t, roots in zip(targets, got):
-        assert roots.tolist() == inv_mi_scalar_many(sps, t, engine).tolist()
+    for t, want in zip(targets, got):
+        assert want == roots(t)
 
 
 def test_gaussian_bound_cuts_kernel_calls(cfg, monkeypatch):

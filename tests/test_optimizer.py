@@ -16,7 +16,6 @@ from outagelab.optimizer import (
     gamma_s_at,
     gaussian_floor,
     optimize,
-    product_distance_profile,
     sweep,
 )
 
@@ -192,14 +191,14 @@ def test_ergodic_snr_theta_independent(cfg):
 def test_product_distance_profile(cfg):
     grid = np.radians(np.arange(0.0, 90.5, 3.0))
     c = cs.build_named("r2_8")
-    dp = product_distance_profile(c, grid)
+    prof = sweep(c, 0.9, grid=grid, cfg=cfg, include_product_distance=True)
+    dp = prof.d_pmin
     assert dp[0] == pytest.approx(0.0, abs=1e-12)
-    prof = sweep(c, 0.9, grid=grid, cfg=cfg)
     i_dp = int(np.argmax(dp))
     i_gs = int(np.nanargmin(np.where(prof.saturated, np.nan, prof.gamma_s)))
     assert abs(grid[i_dp] - grid[i_gs]) > math.radians(5.0)
     with pytest.raises(ValueError):
-        product_distance_profile(cs.build_named("bpsk"), grid)
+        sweep(cs.build_named("bpsk"), 0.9, grid=grid, cfg=cfg, include_product_distance=True)
 
 
 @given(deg=st.floats(min_value=1.0, max_value=89.0))

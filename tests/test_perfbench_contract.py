@@ -4,9 +4,11 @@
 signatures; a changed signature makes every traced call fail.  This runs
 one traced outage curve and checks that the geometry is solved once, one
 traced `anchors` call, whose anchor solve the tracer must count, one
-traced Monte Carlo curve, whose cache attributes the tracer reads, and one
+traced Monte Carlo curve, whose cache attributes the tracer reads, one
 traced complex sweep, whose angles the tracer must see solved in one
-lock-step solve.
+lock-step solve, one traced complex boundary with a real base, whose
+chain-rule choice the tracer reads from the config, and one traced
+`optimize`, whose golden-section probes the tracer must count.
 """
 
 import sys
@@ -71,3 +73,18 @@ def test_traced_complex_sweep_call(tmp_path):
     assert metrics["optimizer.gamma_s_evals"] == 0
     assert metrics["mutual_info.inv_solves"] == 0
     assert metrics["mutual_info.scalar_evals"] == 0
+
+
+def test_traced_complex_boundary_call(tmp_path):
+    # a complex input with a real base: the tracer reads cfg.complex_chain
+    metrics = traced(["boundary", "--constellation", "c2_256", "--R", "3", "--theta-deg", "27",
+                      "--gamma-db", "16.5", "--angles", "9", "--out", str(tmp_path / "b.csv")])
+    assert metrics["outage.trace_calls"] == 1
+    assert metrics["mutual_info.mc_fallback_calls"] == 0
+
+
+def test_traced_optimize_call(tmp_path):
+    # the golden-section refinement: the tracer counts golden_min's f
+    metrics = traced(["optimize", "--constellation", "r2_4", "--R", "0.9",
+                      "--out", str(tmp_path / "o.csv")])
+    assert metrics["search.golden_f_evals"] > 0
