@@ -35,12 +35,11 @@ from .mutual_info import (
 )
 from .optimizer import default_grid, expansion_compare, optimize, sweep
 from .outage import (
-    CACHE_SHAPE,
     MC_MIN_SAMPLES,
     OutageGeometry,
     OutageQuery,
     OutageResult,
-    PolarMICache,
+    at_alphabet_limit,
     check_integration_angles,
     ergodic_snr,
     outage_mc,
@@ -81,7 +80,11 @@ def parse_range(text: str) -> list:
 
 
 def engine_from_args(args) -> EngineConfig:
-    budget = int(os.environ.get("OUTAGELAB_BUDGET_OPS", 1_000_000_000))
+    raw = os.environ.get("OUTAGELAB_BUDGET_OPS", "1000000000")
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ConfigError(f"OUTAGELAB_BUDGET_OPS takes an integer, got {raw!r}") from None
     return EngineConfig(
         engine=args.engine,
         gh_order=args.gh_order,
@@ -134,6 +137,7 @@ def resolve_rate(args, c) -> float:
 # ---------------------------------------------------------------------------
 
 CURVE_COLUMNS = ["gamma_db", "p_out", "ci_lo", "ci_hi", "p_up", "p_low", "method", "seed"]
+BOUNDS_ONLY = OutageResult("", ("", ""), "bounds_only")  # a curve row with the bounds alone
 SWEEP_COLUMNS = ["theta_deg", "gamma_s_db", "gamma_floor_db", "d_pmin", "saturated"]
 
 
@@ -226,29 +230,29 @@ def cmd_anchors(args) -> int:
 
 
 def _curve_rows(geom, gammas_db, seed, outage_curve=None) -> list:
-    """Outage-curve rows from a geometry solved once; each SNR point is a rescale.
+    """Outage-curve rows from a geometry solved once, with one `bounds` call.
 
-    `outage_curve` maps the list of SNRs to one OutageResult each; without
-    it every point integrates the geometry's boundary.
+    `outage_curve` maps the array of SNRs to one OutageResult each (default:
+    the geometry's `outage`, its boundary integrated at every SNR at once).
     """
-    gammas = [db_to_linear(gdb) for gdb in gammas_db]
-    results = outage_curve(gammas) if outage_curve else [geom.outage(g) for g in gammas]
-    return [[gdb, res.p_out, res.ci95[0], res.ci95[1], *geom.bounds(g), res.method, seed]
-            for gdb, g, res in zip(gammas_db, gammas, results)]
+    gammas = np.array([db_to_linear(gdb) for gdb in gammas_db])
+    results = (outage_curve or geom.outage)(gammas)
+    return [[gdb, res.p_out, res.ci95[0], res.ci95[1], p_up, p_low, res.method, seed]
+            for gdb, res, p_up, p_low in zip(gammas_db, results, *geom.bounds(gammas))]
 
 
 def _curve_method(c, R, method) -> str:
     """`limit` (p_out = 1) at or above m/B, else `method`; `auto` is the boundary for B = 2, else MC."""
-    if R >= c.m / c.B - 1e-12:
+    if at_alphabet_limit(c, R):
         return "limit"
     if method == "auto":
         return "boundary" if c.B == 2 else "mc"
     return method
 
 
-def _outage_curve(c, p, R, gammas_db, cfg, seed, method="auto", angles=257, mc_samples=200_000) -> list:
-    """Outage-curve rows on one geometry; the rules of `method` are checked before any solve."""
-    method = _curve_method(c, R, method)
+def _outage_curve(c, p, R, gammas_db, cfg, seed, method, angles=257, mc_samples=200_000) -> list:
+    """Outage-curve rows on one geometry by `method`, as `_curve_method` resolves
+    it; its rules are checked before any solve."""
     if method == "boundary":
         check_integration_angles(angles)
     if method == "mc" and mc_samples < MC_MIN_SAMPLES:
@@ -261,11 +265,8 @@ def _outage_curve(c, p, R, gammas_db, cfg, seed, method="auto", angles=257, mc_s
     if method == "boundary":
         return _curve_rows(geom, gammas_db, seed)
     omega_x = precoders.apply(p, c)  # one precoded set for the cache and the whole curve
-    cache = PolarMICache(omega_x, cfg) if c.B in CACHE_SHAPE else None
     return _curve_rows(
-        geom, gammas_db, seed,
-        lambda gammas: outage_mc(omega_x, mc_samples, R, gammas, seed=seed, cfg=cfg, cache=cache),
-    )
+        geom, gammas_db, seed, lambda gammas: outage_mc(omega_x, mc_samples, R, gammas, seed=seed, cfg=cfg))
 
 
 def cmd_outage(args) -> int:
@@ -275,7 +276,6 @@ def cmd_outage(args) -> int:
         reject_unread(args, GAUSSIAN_UNREAD + ("method",), "--gaussian")
         if args.R is None:
             raise ConfigError("--gaussian outage needs --R")
-        check_integration_angles(args.angles)
         rows = _curve_rows(OutageGeometry.gaussian(2, args.R, args.angles), gammas_db, args.seed)
         meta = {"seed": args.seed, "engine": "closed_form", "R": args.R}
     else:
@@ -493,15 +493,14 @@ def cmd_reproduce(args) -> int:
             continue
         if kind == "curve":
             stem = "outage"
-            rows = _outage_curve(c, p, R, gammas_db, cfg, seed)
+            rows = _outage_curve(c, p, R, gammas_db, cfg, seed, _curve_method(c, R, "auto"))
         else:  # bounds
             stem = "bounds"
             geom = OutageGeometry(
                 c.B, R, inv_mi_scalar(project(precoders.apply(p, c), 1), c.B * R, cfg),
                 ergodic_snr(c, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12))),
             )
-            rows = [[gdb, "", "", "", *geom.bounds(db_to_linear(gdb)), "bounds_only", seed]
-                    for gdb in gammas_db]
+            rows = _curve_rows(geom, gammas_db, seed, lambda gammas: [BOUNDS_ONLY] * len(gammas))
         write(f"{stem}_{name}_t{theta:g}", CURVE_COLUMNS, rows,
               {"constellation": name, "theta_deg": theta, "R": R, "seed": seed})
     print(f"wrote {tag} data to {outdir}/")

@@ -11,7 +11,7 @@ which is what the scalar channel of one surviving fading block sees.
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,22 +154,19 @@ def cartesian_product(factor: Constellation, B: int) -> Constellation:
 def _separable_real_base(factor: Constellation, B: int) -> "Constellation | None":
     """Unit-energy real product base Psi for factors of the form A + jA.
 
-    Returns None unless the factor's points are exactly the grid of one
-    real value set against itself (independent real/imaginary parts).
+    Returns None unless the factor's points are the grid of one real value
+    set against itself (independent real/imaginary parts): the grid must
+    match the points one to one within DEDUP_TOL (`_match`).
     """
     vals = factor.points[:, 0]
-    re = _levels(vals.real)
-    im = _levels(vals.imag)
-    if len(re) * len(im) != vals.size:
+    re, im = _levels(vals.real), _levels(vals.imag)
+    if len(re) != len(im) or len(re) ** 2 != vals.size or np.max(np.abs(re - im)) > DEDUP_TOL:
         return None
-    if len(re) != len(im) or np.max(np.abs(re - im)) > DEDUP_TOL:
+    grid = (re[:, None] + 1j * im[None, :]).reshape(1, -1, 1)
+    _, hit = _match(vals.reshape(1, -1, 1), np.ones((1, vals.size)), grid, DEDUP_TOL)
+    if not hit[0]:
         return None
-    grid = {(round(a / DEDUP_TOL), round(b / DEDUP_TOL)) for a in re for b in im}
-    got = {(round(v.real / DEDUP_TOL), round(v.imag / DEDUP_TOL)) for v in vals}
-    if grid != got:
-        return None
-    base1d = make_constellation(f"{factor.name}.re", re[:, None], "real")
-    return cartesian_product(base1d, B)
+    return cartesian_product(make_constellation(f"{factor.name}.re", re[:, None], "real"), B)
 
 
 def _levels(values: np.ndarray) -> np.ndarray:
@@ -395,23 +392,8 @@ def _cross_qam32():
     return make_constellation("cross_qam32", pts, "complex")
 
 
-def _r2_4():
-    pts = [(a, b) for a in (-1, 1) for b in (-1, 1)]
-    return make_constellation("r2_4", pts, "real")
-
-
 def _r2_8():
     return make_constellation("r2_8", _star8_points(), "real")
-
-
-def _r2_16():
-    c = cartesian_product(_pam4(), 2)
-    return make_constellation("r2_16", c.points, "real")
-
-
-def _r3_8():
-    c = cartesian_product(_bpsk(), 3)
-    return make_constellation("r3_8", c.points, "real")
 
 
 # Five orbits of cyclic shifts plus the origin; the base triples sit on
@@ -433,18 +415,6 @@ def _r3_16():
     return make_constellation("r3_16", pts, "real")
 
 
-def _r3_64():
-    c = cartesian_product(_pam4(), 3)
-    return make_constellation("r3_64", c.points, "real")
-
-
-def _complex_product(factor_builder, B, name):
-    c = cartesian_product(factor_builder(), B)
-    return Constellation(
-        name=name, B=c.B, field=c.field, points=c.points, m=c.m, real_base=c.real_base
-    )
-
-
 _REGISTRY = {
     "bpsk": _bpsk,
     "pam4": _pam4,
@@ -452,25 +422,28 @@ _REGISTRY = {
     "qam8_star": _qam8_star,
     "qam16_grid": _qam16_grid,
     "cross_qam32": _cross_qam32,
-    "r2_4": _r2_4,
     "r2_8": _r2_8,
-    "r2_16": _r2_16,
-    "r3_8": _r3_8,
     "r3_16": _r3_16,
-    "r3_64": _r3_64,
-    "c2_16": lambda: _complex_product(_qam4, 2, "c2_16"),
-    "c2_64": lambda: _complex_product(_qam8_star, 2, "c2_64"),
-    "c2_256": lambda: _complex_product(_qam16_grid, 2, "c2_256"),
-    "c2_1024": lambda: _complex_product(_cross_qam32, 2, "c2_1024"),
+}
+
+# Product sets: registry name -> (registry name of the 1-D factor, B)
+_PRODUCTS = {
+    "r2_4": ("bpsk", 2), "r2_16": ("pam4", 2), "r3_8": ("bpsk", 3), "r3_64": ("pam4", 3),
+    "c2_16": ("qam4", 2), "c2_64": ("qam8_star", 2), "c2_256": ("qam16_grid", 2),
+    "c2_1024": ("cross_qam32", 2),
 }
 
 
 def registry_names():
-    return sorted(_REGISTRY)
+    return sorted([*_REGISTRY, *_PRODUCTS])
 
 
 def build_named(name: str) -> Constellation:
-    """Build a constellation from the named registry."""
+    """Build a constellation from the named registry; a product set is the
+    `cartesian_product` of its factor, under its registry name."""
+    if name in _PRODUCTS:
+        factor, B = _PRODUCTS[name]
+        return replace(cartesian_product(_REGISTRY[factor](), B), name=name)
     if name not in _REGISTRY:
         raise KeyError(f"unknown constellation {name!r}; known: {', '.join(registry_names())}")
     return _REGISTRY[name]()

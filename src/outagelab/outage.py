@@ -85,19 +85,20 @@ class OutageQuery:
 @dataclass(frozen=True)
 class OutageAnchors:
     """Axis and ergodic-line crossings of the outage boundary; inf where
-    the crossing does not exist (explained by `note`)."""
+    the crossing does not exist (explained by `note`).  Anchors at an SNR
+    array hold arrays."""
 
     alpha_o: float
     alpha_e: float
     note: str = ""
 
     @property
-    def alpha_o_exists(self) -> bool:
-        return math.isfinite(self.alpha_o)
+    def alpha_o_exists(self):
+        return np.isfinite(self.alpha_o)
 
     @property
-    def alpha_e_exists(self) -> bool:
-        return math.isfinite(self.alpha_e)
+    def alpha_e_exists(self):
+        return np.isfinite(self.alpha_e)
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,8 @@ class BoundaryTrace:
     """Boundary radius rho(lambda) on a uniform angle grid over [0, pi/2].
 
     A ray whose MI stays below R at every radius has rho = +inf: the whole
-    ray belongs to the outage region, and `saturated` marks it.
+    ray belongs to the outage region, and `saturated` marks it.  Rescaled
+    to an SNR array (`OutageGeometry.trace`), rhos holds a row per SNR.
     """
 
     lambdas: np.ndarray
@@ -157,6 +159,11 @@ def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
     return solve_increasing(f, np.full(dirs.shape[0], R), x_start=x_start, rel_tol=rel_tol)
 
 
+def at_alphabet_limit(omega: Constellation, R: float) -> bool:
+    """Whether R is at the alphabet limit m/B or above (within 1e-12): outage is certain."""
+    return R >= omega.m / omega.B - 1e-12
+
+
 def ergodic_snr(omega_x: Constellation, R: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
     """Per-block SNR alpha_e^2*gamma at which the equal-gains MI reaches R.
 
@@ -165,9 +172,8 @@ def ergodic_snr(omega_x: Constellation, R: float, cfg: EngineConfig = DEFAULT_CO
     keeps all pairwise distances).  Raises SaturationError at the alphabet
     limit.
     """
-    cap = omega_x.m / omega_x.B
-    if R >= cap - 1e-12:
-        raise SaturationError(f"R >= alphabet limit m/B = {cap:.6g}")
+    if at_alphabet_limit(omega_x, R):
+        raise SaturationError(f"R >= alphabet limit m/B = {omega_x.m / omega_x.B:.6g}")
     (u,) = _ray_radii(omega_x, np.ones((1, omega_x.B)), R, GAMMA_REF, cfg, x_start=0.05, rel_tol=1e-6)
     if math.isinf(u):
         raise SaturationError(f"no bracket: the equal-gains MI stays below R = {R:.6g}")
@@ -244,13 +250,6 @@ def trace_boundary_2d(
     return BoundaryTrace(lambdas, rhos, q.R)
 
 
-def _radial_mass(rho: np.ndarray) -> np.ndarray:
-    """P(|alpha| <= rho) restricted to a ray, unit-Rayleigh gains, B=2:
-    1 - (1 + rho^2) exp(-rho^2), computed stably for small rho."""
-    r2 = rho**2
-    return -np.expm1(-r2) - r2 * np.exp(-r2)
-
-
 def check_integration_angles(n_angles: int):
     """Raise ValueError unless `n_angles` rays can be integrated (Simpson's rule takes an odd count)."""
     if n_angles < MIN_INTEGRATION_ANGLES or n_angles % 2 == 0:
@@ -258,59 +257,73 @@ def check_integration_angles(n_angles: int):
                          f"{MIN_INTEGRATION_ANGLES} angles, got {n_angles}")
 
 
-def outage_from_boundary_2d(trace: BoundaryTrace) -> OutageResult:
+def _simpson_ray_weights(lambdas: np.ndarray) -> np.ndarray:
+    """Each B=2 ray's weight in the outage integral: its Simpson coefficient
+    times sin(2*lambda), the angular density of two unit-Rayleigh gains."""
+    check_integration_angles(lambdas.shape[0])
+    coef = np.resize([2.0, 4.0], lambdas.shape[0])
+    coef[[0, -1]] = 1.0
+    return coef * ((lambdas[1] - lambdas[0]) / 3.0) * np.sin(2.0 * lambdas)
+
+
+def _ray_outage(weights: np.ndarray, rhos: np.ndarray, B: int) -> np.ndarray:
+    """Outage probability sum_k w_k P(B, rho_k^2) over weighted boundary rays,
+    per row of `rhos` (..., n); a saturated ray (rho = inf) adds its weight."""
+    return np.clip((chi_square_cdf(rhos**2, B) * weights).sum(axis=-1), 0.0, 1.0)
+
+
+def outage_from_boundary_2d(trace: BoundaryTrace):
     """Deterministic outage probability from a 2-D boundary trace.
 
-    Polar integration by Simpson's rule: each ray contributes its radial
-    Rayleigh mass up to rho(lambda) (all of it for saturated rays), weighted
-    by sin(2*lambda).
+    Polar integration by Simpson's rule: each ray contributes the
+    unit-Rayleigh mass P(2, rho^2) inside its boundary radius (all of it
+    for a saturated ray), weighted by sin(2*lambda).  A trace rescaled to
+    an SNR array (rhos (K, n)) gives a list of K results.
     """
-    check_integration_angles(trace.lambdas.shape[0])
-    mass = np.where(trace.saturated, 1.0, _radial_mass(np.where(trace.saturated, 0.0, trace.rhos)))
-    g = np.sin(2.0 * trace.lambdas) * mass
-    h = trace.lambdas[1] - trace.lambdas[0]
-    simpson = (g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-1:2].sum()) * h / 3.0
-    p = min(max(float(simpson), 0.0), 1.0)
-    return OutageResult(p_out=p, ci95=(p, p), method="boundary_integration")
+    p = _ray_outage(_simpson_ray_weights(trace.lambdas), trace.rhos, 2)
+    results = [OutageResult(pk, (pk, pk), "boundary_integration") for pk in np.atleast_1d(p).tolist()]
+    return results if p.ndim else results[0]
 
 
-def chi_square_cdf(x: float, B: int) -> float:
-    """P(sum of B squared unit-Rayleigh gains < x).
+# `chi_square_cdf`: the terms of its x < 1 tail series (the j-th is at most
+# 1/(j+1)! of the first, so the rest sum to below 1e-19 of it), and an x
+# beyond which exp(-x) is 0 in double precision and the CDF is 1
+_TAIL_TERMS, _CDF_ONE = 20, 800.0
 
-    Equals 1 - exp(-x) * sum_{k<B} x^k/k!; evaluated through the tail
-    series for small x to avoid cancellation.  Always <= x^B.
+
+def chi_square_cdf(x, B: int):
+    """P(sum of B squared unit-Rayleigh gains < x), elementwise.
+
+    Equals 1 - exp(-x) * sum_{k<B} x^k/k!.  Below x = 1 it is evaluated
+    through the tail series exp(-x) * sum_{k>=B} x^k/k!, which does not
+    cancel, to a fixed _TAIL_TERMS terms.  x = inf gives 1.  A float x
+    gives a float, an array an array of its shape.  Always <= x^B.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
         raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < 1.0:
-        term = x**B / math.factorial(B)
-        if term == 0.0:  # x**B underflowed
-            return 0.0
-        total = term
-        k = B + 1
-        while True:
-            term *= x / k
-            total += term
-            if term <= 1e-18 * total:
-                break
-            k += 1
-        return math.exp(-x) * total
-    head = sum(x**k / math.factorial(k) for k in range(B))
-    return 1.0 - math.exp(-x) * head
+    s = np.minimum(x, 1.0)
+    # s^k/k! for k >= 1 as running products, summed from k = B along the last
+    # axis: each x's terms in one order, whatever the shape of x
+    powers = np.cumprod(s[..., None] / np.arange(1, B + _TAIL_TERMS), axis=-1)
+    tail = np.exp(-s) * powers[..., B - 1:].sum(axis=-1)
+    big = np.clip(x, 1.0, _CDF_ONE)
+    head = np.polynomial.polynomial.polyval(big, [1.0 / math.factorial(k) for k in range(B)])
+    out = np.where(x < 1.0, tail, 1.0 - np.exp(-big) * head)
+    return float(out) if out.ndim == 0 else out
 
 
 def hypersphere_bounds(anchors: OutageAnchors, B: int) -> tuple:
-    """(p_up, p_low): chi-square mass of the outer/inner hyperspheres.
+    """(p_up, p_low): chi-square mass of the outer/inner hyperspheres,
+    floats, or arrays for anchors at an SNR array.
 
-    Missing alpha_o means the outer sphere is unbounded: p_up = 1.
-    Missing alpha_e leaves only the trivial lower bound: p_low = 0.
+    A missing alpha_o (inf) makes the outer sphere unbounded: p_up = 1.
+    A missing alpha_e leaves only the trivial lower bound: p_low = 0.
     """
-    p_up = chi_square_cdf(anchors.alpha_o**2, B) if anchors.alpha_o_exists else 1.0
-    p_low = chi_square_cdf(B * anchors.alpha_e**2, B) if anchors.alpha_e_exists else 0.0
+    p_up = chi_square_cdf(anchors.alpha_o**2, B)
+    p_low = chi_square_cdf(B * anchors.alpha_e**2, B) * np.isfinite(anchors.alpha_e)
     return p_up, p_low
 
 
@@ -323,8 +336,8 @@ class OutageGeometry:
     alpha_o^2*gamma, the ergodic SNR alpha_e^2*gamma and the B=2 boundary
     u(lambda) are the same at every SNR: `solve` finds them once at
     GAMMA_REF, where alpha = u, `gaussian` writes them in closed form, and
-    `anchors`, `bounds` and `trace` rescale them to one SNR.  An SNR of
-    inf marks a missing anchor (explained by `note`).
+    `anchors`, `bounds`, `trace` and `outage` rescale them to one SNR or to
+    an SNR array.  An SNR of inf marks a missing anchor (explained by `note`).
     """
 
     B: int
@@ -367,22 +380,26 @@ class OutageGeometry:
             boundary = BoundaryTrace(lambdas, np.sqrt(x), R)
         return cls(B, R, gaussian_floor(B, R), gaussian_floor(1, R), boundary=boundary)
 
-    def anchors(self, gamma: float) -> OutageAnchors:
-        return OutageAnchors(math.sqrt(self.axis_snr / gamma), math.sqrt(self.ergodic_snr / gamma),
+    def anchors(self, gamma) -> OutageAnchors:
+        """The anchors at SNR gamma, alpha = sqrt(snr/gamma); arrays for an SNR array."""
+        gamma = np.asarray(gamma, dtype=float)
+        return OutageAnchors(np.sqrt(self.axis_snr / gamma), np.sqrt(self.ergodic_snr / gamma),
                              self.note)
 
-    def bounds(self, gamma: float) -> tuple:
-        """(p_up, p_low) at SNR gamma, as `hypersphere_bounds`."""
+    def bounds(self, gamma) -> tuple:
+        """(p_up, p_low) at SNR gamma, as `hypersphere_bounds`; arrays for an SNR array."""
         return hypersphere_bounds(self.anchors(gamma), self.B)
 
-    def trace(self, gamma: float) -> BoundaryTrace:
-        """The B=2 boundary at SNR gamma: rho(lambda) = u(lambda)/sqrt(2*gamma)."""
+    def trace(self, gamma) -> BoundaryTrace:
+        """The B=2 boundary at SNR gamma, rho = u/sqrt(2*gamma); a row per SNR of an array."""
         if self.boundary is None:
             raise ValueError("the geometry was solved without a boundary trace")
-        return replace(self.boundary, rhos=self.boundary.rhos / math.sqrt(2.0 * gamma))
+        scale = np.sqrt(2.0 * np.asarray(gamma, dtype=float))[..., None]
+        return replace(self.boundary, rhos=self.boundary.rhos / scale)
 
-    def outage(self, gamma: float) -> OutageResult:
-        """Boundary-integration outage at SNR gamma."""
+    def outage(self, gamma):
+        """Boundary-integration outage at SNR gamma: one OutageResult, or a
+        list of them for an SNR array, all from one `chi_square_cdf` call."""
         return outage_from_boundary_2d(self.trace(gamma))
 
     def diversity_slope(self, gammas) -> float:
@@ -394,8 +411,8 @@ class OutageGeometry:
         if not math.isfinite(self.axis_snr):
             raise SaturationError(
                 f"diversity loss: {self.note} (outage decays slower than gamma^-{self.B})")
-        gammas = np.asarray(sorted(gammas), dtype=float)
-        p_up = np.array([self.bounds(g)[0] for g in gammas])
+        gammas = np.sort(np.asarray(gammas, dtype=float))
+        p_up = self.bounds(gammas)[0]
         top = gammas >= gammas.max() / 10.0
         return float(np.polyfit(np.log10(gammas[top]), np.log10(p_up[top]), 1)[0])
 
@@ -579,7 +596,7 @@ def outage_mc(
     if not np.all(gammas > 0):
         raise ValueError("gamma must be positive")
     B = omega_x.B
-    if R >= omega_x.m / B - 1e-12:
+    if at_alphabet_limit(omega_x, R):
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
         return [OutageResult(1.0, (1.0, 1.0), "mc") for _ in gammas]
     if B in CACHE_SHAPE and cache is None:

@@ -102,6 +102,29 @@ def test_mi_matches_library(tmp_path, gamma_8db, cfg):
     assert float(rows[0][2]) == pytest.approx(want, abs=1e-9)
 
 
+MI_R2_4 = ["mi", "--constellation", "r2_4", "--alpha", "1,1", "--gamma-db", "8"]
+
+
+@pytest.mark.parametrize("budget,engine", [(None, "quadrature"), ("10", "monte_carlo")],
+                         ids=["unset", "10"])
+def test_budget_ops_variable_picks_the_engine(budget, engine, monkeypatch, tmp_path):
+    if budget is None:
+        monkeypatch.delenv("OUTAGELAB_BUDGET_OPS", raising=False)
+    else:
+        monkeypatch.setenv("OUTAGELAB_BUDGET_OPS", budget)
+    out = tmp_path / "mi.csv"
+    assert cli.main(MI_R2_4 + ["--out", str(out)]) == 0
+    meta, _, rows = read_csv(out)
+    assert meta["engine"] == rows[0][4] == engine
+
+
+def test_budget_ops_variable_not_an_integer_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("OUTAGELAB_BUDGET_OPS", "1e9")
+    assert cli.main(MI_R2_4) == 2
+    err = capsys.readouterr().err
+    assert "OUTAGELAB_BUDGET_OPS" in err and "integer" in err
+
+
 def test_constellation_file_loading(tmp_path):
     c = cs.build_named("r2_8")
     path = tmp_path / "custom.json"
@@ -325,8 +348,10 @@ def test_outage_curve_rule_fails_before_any_solve(argv, msg, monkeypatch, capsys
     def solved(*args, **kwargs):
         raise AssertionError("solved before the rule was checked")
 
+    from outagelab import outage
+
     monkeypatch.setattr(cli.OutageGeometry, "solve", solved)
-    monkeypatch.setattr(cli, "PolarMICache", solved)
+    monkeypatch.setattr(outage, "PolarMICache", solved)  # outage_mc builds the cache
     assert cli.main(argv) == 2
     assert msg in capsys.readouterr().err
 
@@ -346,6 +371,20 @@ def test_mc_curve_precodes_once(monkeypatch, tmp_path):
     assert calls == ["r2_4", "r2_4"]
     assert len(curves) == 1 and len(curves[0][3]) == 11
     assert len(read_csv(out)[2]) == 11
+
+
+def test_boundary_curve_rows_take_three_cdf_calls(monkeypatch, cfg):
+    from outagelab import outage
+    from outagelab import precoders as pc
+
+    geom = outage.OutageGeometry.solve(
+        cs.build_named("r2_4"), pc.rotation2(math.radians(27)), 0.9, cfg, n_angles=65)
+    calls, cdf = [], outage.chi_square_cdf
+    monkeypatch.setattr(outage, "chi_square_cdf", lambda x, B: calls.append(np.shape(x)) or cdf(x, B))
+    rows = cli._curve_rows(geom, [0.0, 5.0, 10.0, 15.0, 20.0], 0)
+    assert len(rows) == 5
+    # every SNR's boundary integral in one call, then p_up and p_low of the curve
+    assert calls == [(5, 65), (5,), (5,)]
 
 
 def test_b3_boundary_curve_fails_before_the_anchors(monkeypatch, capsys):

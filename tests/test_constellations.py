@@ -196,6 +196,18 @@ def test_products_are_cyclic_symmetric(m_bits, B):
     assert cs.check_symmetry(c)
 
 
+@pytest.mark.parametrize("name", sorted(cs._PRODUCTS))
+def test_product_sets_are_cartesian_products(name):
+    factor, B = cs._PRODUCTS[name]
+    c, want = cs.build_named(name), cs.cartesian_product(cs.build_named(factor), B)
+    assert c.name == name
+    assert (c.B, c.field, c.m) == (want.B, want.field, want.m)
+    assert np.array_equal(c.points, want.points)
+    assert (c.real_base is None) == (want.real_base is None)
+    if want.real_base is not None:
+        assert np.array_equal(c.real_base.points, want.real_base.points)
+
+
 def test_real_base_detection():
     assert cs.build_named("c2_16").real_base is not None
     assert cs.build_named("c2_256").real_base is not None
@@ -273,10 +285,19 @@ def loop_levels(values, tol):
     return np.array([float(np.mean(g)) for g in groups])
 
 
+# An unnormalised separable factor with levels {-1, L}, L = 1 + 0.5e-6 on the
+# edge between two multiples of DEDUP_TOL, its two upper imaginary parts
+# 1e-13 either side of L
+_L = 1.0 + 0.5e-6
+BUCKET_EDGE = cs.Constellation("edge", 1, "complex", np.array(
+    [[-1.0 - 1.0j], [-1.0 + 1j * (_L - 1e-13)], [_L - 1.0j], [_L + 1j * (_L + 1e-13)]]), 2.0)
+
+
 @pytest.mark.parametrize("factor,base", [("qam4", True), ("qam16_grid", True),
-                                         ("qam8_star", False), ("cross_qam32", False)])
+                                         ("qam8_star", False), ("cross_qam32", False),
+                                         pytest.param(BUCKET_EDGE, True, id="bucket-edge")])
 def test_separable_real_base_matches_loop(factor, base):
-    f = cs.build_named(factor)
+    f = factor if isinstance(factor, cs.Constellation) else cs.build_named(factor)
     got = cs._separable_real_base(f, 2)
     if not base:
         assert got is None

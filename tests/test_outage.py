@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from outagelab.outage import (
     OutageAnchors,
     OutageGeometry,
     OutageQuery,
+    OutageResult,
     PolarMICache,
     chi_square_cdf,
     compute_anchors,
@@ -73,6 +75,37 @@ def test_chi_square_empirical(cfg):
 @settings(max_examples=80, deadline=None)
 def test_chi_square_below_power_bound(x, B):
     assert chi_square_cdf(x, B) <= x**B + 1e-15
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 4])
+def test_chi_square_cdf_array_equals_scalar_calls(B):
+    x = np.array([[0.0, 1e-9, 0.3, 0.999], [1.0, 2.5, 40.0, math.inf]])
+    got = chi_square_cdf(x, B)
+    want = [[chi_square_cdf(float(v), B) for v in row] for row in x]
+    assert all(type(w) is float for row in want for w in row)
+    assert got.shape == x.shape and np.array_equal(got, want)
+    assert got[1, 3] == 1.0
+
+
+def chi2_2_decimal(x):
+    """P(2, x) = 1 - (1 + x) exp(-x) in 50-digit decimal arithmetic, x taken exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d = decimal.Decimal(x)
+        return float(1 - (1 + d) * (-d).exp())
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1e-4])
+def test_boundary_integration_precise_at_small_radii(rho):
+    # a constant radius integrates to P(2, rho^2) times the saturated trace's
+    # value; the radial mass must not cancel as rho -> 0 (high SNR).  That
+    # value is clipped at 1, so the rays are enough to put the Simpson sum of
+    # sin(2*lambda) within 1e-14 of 1 (65 rays leave it 3e-8 above)
+    n = 4097
+    lam = np.linspace(0.0, math.pi / 2, n)
+    inside = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, rho), 0.9)).p_out
+    whole = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, math.inf), 0.9)).p_out
+    assert inside / whole == pytest.approx(chi2_2_decimal(rho * rho), rel=1e-13, abs=0.0)
 
 
 def test_wilson_ci_contains_point():
@@ -620,6 +653,19 @@ def test_geometry_rows_inside_bounds(cfg, theta_deg):
     for gdb in np.arange(0.0, 30.5, 2.0):
         p_up, p_low = geom.bounds(db(gdb))
         assert p_low <= geom.outage(db(gdb)).p_out <= p_up
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 27.0])
+def test_geometry_snr_array_matches_floats(cfg, theta_deg):
+    geom = OutageGeometry.solve(
+        cs.build_named("r2_4"), pc.rotation2(math.radians(theta_deg)), 0.9, cfg, n_angles=65)
+    gammas = db(np.arange(0.0, 20.5, 5.0))
+    curve, (p_up, p_low) = geom.outage(gammas), geom.bounds(gammas)
+    assert len(curve) == p_up.shape[0] == p_low.shape[0] == gammas.shape[0]
+    for k, g in enumerate(gammas.tolist()):
+        one, (up, low) = geom.outage(g), geom.bounds(g)
+        assert isinstance(one, OutageResult) and isinstance(up, float) and isinstance(low, float)
+        assert curve[k] == one and (p_up[k], p_low[k]) == (up, low)
 
 
 def gaussian_outage_oracle(R, gamma, n=40_001):
