@@ -75,11 +75,10 @@ from .constellations import Constellation, ProjectionSet, ProjectionStack, _matc
 from .search import solve_increasing
 
 LN2 = math.log(2.0)
-# (row, representative, point, node) terms of one quadrature work block; the
-# block holds at most as many floats, and the separable kernel far fewer
-_MEM_CAP = 2_000_000
-# floats per work block when every row has its own alphabet (a lock-step
-# sweep): larger blocks save no call overhead but raise peak memory
+# floats in the largest temporary of one quadrature work block (F, G or S of
+# `_quad_nats_many`) when the rows share one alphabet (a vector batch) ...
+_BLOCK_CAP = 131_072
+# ... and when every row has its own alphabet (a lock-step projection sweep)
 _STACK_CAP = 16_384
 _UNIT_GAIN = np.ones((1, 1))  # the scalar channel's fading row
 _ORBIT_TOL = 1e-9  # largest coordinate gap between a point's image and its match
@@ -278,6 +277,27 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     whatever its company, so a row's value is bit for bit the same alone
     or in any batch.
 
+    Work blocks hold whole rows, as many as keep the largest temporary
+    within _BLOCK_CAP floats for rows that share one alphabet, or within
+    _STACK_CAP when each row has its own, and at least one: per (row,
+    representative) pair, F takes D*M*order floats, G M*order^(D-1) and S
+    order^D.  A block's terms are summed over the representatives at once,
+    so the block size moves no value.  Only a row whose pairs alone exceed
+    _BLOCK_CAP (r3_64 at order 12, and larger alphabets in 3-4 dimensions)
+    is split over blocks by representatives; BLAS then groups those node
+    sums differently, which moves the last bits.
+
+    Both caps were chosen by measurement on a 2-core Xeon VM (numpy 2.4,
+    OpenBLAS, glibc's allocator), timing the benchmark's studies in fresh
+    processes and counting their minor page faults.  A shared block of 1 MB
+    keeps a 65-row boundary trace at order 32 in one or two blocks, and a
+    trace study then refaults 1-2 pages, as before; shared blocks of 32K-64K
+    floats refaulted 3,800-6,200 pages per study as their temporaries
+    were returned to the kernel and touched again, and made the study
+    about 15% slower.  Stacked blocks of 16K floats keep the angle
+    optimizer's peak memory where it was; 128K-float stacked blocks
+    raised it by 2.5 MB and refaulted 6,700 pages per study.
+
     Separable evaluation: at representative r and node x_k, with faded
     differences d_j = sqrt(gamma) * alpha * (r - p_j), the rule needs
     L_k = log sum_j p_j exp(-2 d_j.x_k - |d_j|^2).  Completing the square
@@ -303,16 +323,17 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     root_gamma = np.sqrt(np.broadcast_to(np.asarray(gamma, dtype=float), (A,)))
     out = np.empty(A)
 
-    i_chunk = max(1, min(R, _MEM_CAP // (M * K)))
-    a_chunk = max(1, (_MEM_CAP if shared else _STACK_CAP) // (i_chunk * M * K))
+    pair = max(D * M * order, M * order ** (D - 1), K)  # floats of the largest temporary
+    i_chunk = min(R, max(1, _BLOCK_CAP // pair))
+    a_chunk = max(1, (_BLOCK_CAP if shared else _STACK_CAP) // (i_chunk * pair))
     for a0 in range(0, A, a_chunk):
         rows = slice(a0, a0 + a_chunk)
         own = slice(0, 1) if shared else rows
         scale = alphas[rows] * root_gamma[rows, None]
-        acc = np.zeros(scale.shape[0])
+        terms = np.empty((scale.shape[0], R))  # each (row, representative) term, summed at once
         for i0 in range(0, R, i_chunk):
             d = (reps[own, i0 : i0 + i_chunk, None, :] - points[own, None, :, :]) * scale[:, None, None, :]
-            F = np.moveaxis(d, -1, 0)[..., None] + x  # (D, a, i, M, order)
+            F = d.transpose(3, 0, 1, 2)[..., None] + x  # (D, a, i, M, order)
             np.square(F, out=F)
             np.negative(F, out=F)
             np.exp(F, out=F)
@@ -323,8 +344,8 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
             np.maximum(S, _TINY, out=S)
             L = np.log(S, out=S)
             L += r2
-            acc -= (np.matmul(L, w) * rep_w[own, i0 : i0 + i_chunk]).sum(axis=1)
-        out[a0 : a0 + scale.shape[0]] = acc
+            np.multiply(np.matmul(L, w), rep_w[own, i0 : i0 + i_chunk], out=terms[:, i0 : i0 + i_chunk])
+        out[a0 : a0 + scale.shape[0]] = 0.0 - terms.sum(axis=1)
     return out
 
 

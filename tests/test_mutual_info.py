@@ -631,7 +631,7 @@ def test_kernel_row_alone_is_bit_identical_inside_a_large_batch():
     shared = _alphabet(rotated)
     one = _alphabet(cs.project(rotated, 1))
     stacked = one._replace(**{n: np.stack([getattr(one, n)] * 3000) for n in mutual_info._ROW_FIELDS})
-    # blocks of 244 shared rows and 64 stacked rows at order 32
+    # blocks of 64 shared rows and 64 stacked rows at order 32
     for form, al, g in ((shared, _kernel_rows(shared, 3000), np.full(3000, 2.0)),
                         (stacked, np.ones((3000, 1)), np.geomspace(0.01, 100.0, 3000))):
         batch = _quad_nats_many(form.points, form.probs, form.reps, form.rep_w, al, g, 32)
@@ -640,6 +640,32 @@ def test_kernel_row_alone_is_bit_identical_inside_a_large_batch():
                    for v in (form.points, form.probs, form.reps, form.rep_w)]
             alone = _quad_nats_many(*row, al[a : a + 1], g[a : a + 1], 32)
             assert alone[0] == batch[a]
+
+
+BLOCK_CASES = [c for c in KERNEL_CASES if c[0] in ("r2_8 projections", "r2_4", "r3_8", "c2_16")] + [
+    ("c2_16 chain", _form(cs.build_named("c2_16"), EngineConfig()), 16)]
+
+
+@pytest.mark.parametrize("label, form, order", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_kernel_values_do_not_depend_on_the_block_cap(label, form, order, monkeypatch):
+    if form.points.ndim == 3:
+        al = np.ones((form.points.shape[0], 1))
+    else:
+        al = _kernel_rows(form, 5)
+    gamma = np.geomspace(0.1, 30.0, al.shape[0])
+    args = (form.points, form.probs, form.reps, form.rep_w, al, gamma, order)
+    default = _quad_nats_many(*args)
+    (M, D), R = form.points.shape[-2:], form.reps.shape[-2]
+    pair = max(D * M * order, M * order ** (D - 1), order**D)  # floats per (row, representative)
+    # one row per block
+    monkeypatch.setattr(mutual_info, "_BLOCK_CAP", R * pair)
+    monkeypatch.setattr(mutual_info, "_STACK_CAP", R * pair)
+    np.testing.assert_array_equal(_quad_nats_many(*args), default)
+    # one pair per block splits a row's representatives over blocks, and BLAS
+    # then sums their nodes in other groupings: only the last bits move
+    monkeypatch.setattr(mutual_info, "_BLOCK_CAP", 1)
+    monkeypatch.setattr(mutual_info, "_STACK_CAP", 1)
+    np.testing.assert_allclose(_quad_nats_many(*args), default, rtol=1e-14, atol=0.0)
 
 
 def test_kernel_at_order_200_stays_finite():

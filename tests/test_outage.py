@@ -379,13 +379,14 @@ def catmull_rom_oracle(values, h, v):
 
 def synthetic_cache(B, n, seed):
     """A PolarMICache over a random cube of n points per axis, with no MI build."""
-    from outagelab.outage import _catmull_rom_table
+    from outagelab.outage import _catmull_rom_table, _cell_bounds
 
     cache = PolarMICache.__new__(PolarMICache)
     cache.B = B
     cache.axis = np.linspace(0.0, 2.5, n)
     cache.values = np.random.default_rng(seed).uniform(-1.0, 1.0, (n,) * B)
     cache._coef = _catmull_rom_table(cache.values)
+    cache._low, cache._high = _cell_bounds(cache._coef, B)
     return cache
 
 
@@ -424,6 +425,26 @@ def test_cache_interpolation_blocks(monkeypatch):
     # ragged blocks of 7 rows give the same values
     monkeypatch.setattr(outage, "_LOOKUP_CAP", 7 * 4**3)
     np.testing.assert_array_equal(cache._interp(v[:100]), whole[:100])
+
+
+@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
+def test_cell_bounds_hold_every_patch_value(B, n, monkeypatch):
+    from outagelab import outage
+    from outagelab.outage import _SCREEN_MARGIN
+
+    cache = synthetic_cache(B, n, seed=10 + B)
+    cells = (n - 1) ** B
+    rng = np.random.default_rng(B)
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=B)))
+    for t in [rng.uniform(0.0, 1.0, (cells, B)) for _ in range(50)] + [np.tile(c, (cells, 1)) for c in corners]:
+        value = cache._horner(np.arange(cells), t.T)
+        assert np.all(value >= cache._low - _SCREEN_MARGIN)
+        assert np.all(value <= cache._high + _SCREEN_MARGIN)
+    # the bounds are built in blocks; ragged blocks of 3 cells give the same bounds
+    monkeypatch.setattr(outage, "_LOOKUP_CAP", 3 * 4**B)
+    low, high = outage._cell_bounds(cache._coef, B)
+    np.testing.assert_array_equal(low, cache._low)
+    np.testing.assert_array_equal(high, cache._high)
 
 
 # outage counts of r2_4 at 27 degrees, R = 0.9, seed 0, 100k samples, as the
@@ -487,6 +508,7 @@ def mc_sets(cfg):
         "r2_4@0": cached("r2_4", 0.0, 0.9),
         "r2_4@27": cached("r2_4", 27.0, 0.9),
         "r3_8@0": cached("r3_8", 0.0, 0.9),
+        "r3_8@50.75": cached("r3_8", 50.75, 0.9),
         "c2_16@36": cached("c2_16", 36.0, 1.8),
         "bpsk4-circulant": (b4_circulant(), 0.5, None, EngineConfig(gh_order=4)),
     }
@@ -531,6 +553,73 @@ def test_mc_curve_moves_no_decision(mc_sets, monkeypatch, key, n, grid, seed):
         np.testing.assert_array_equal(below, want[snr, sample])
     assert [r.p_out for r in got] == [k / n for k in want.sum(axis=1)]
     assert [r.ci95 for r in got] == [wilson_ci(int(k), n) for k in want.sum(axis=1)]
+
+
+def unscreened_mi(cache, alphas, gamma, threshold):
+    """`PolarMICache.mi` with a threshold, every lookup interpolated: the
+    band rule on `_interp` values, and the rows it cannot settle evaluated
+    directly.  Returns the values and the direct rows."""
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import CACHE_TOL_BITS
+
+    v = np.log1p(alphas * math.sqrt(2.0 * gamma))
+    inside = (v <= cache.axis[-1]).all(axis=1)
+    mi = cache._interp(np.minimum(v, cache.axis[-1]))
+    direct = np.where(inside, np.abs(mi - threshold) <= CACHE_TOL_BITS, mi < threshold)
+    mi[direct] = mi_per_use_batch(cache.omega_x, alphas[direct], gamma, cache.cfg)
+    return mi, direct
+
+
+# at 0 degrees r2_4 loses diversity: gains beyond the cube on one axis stay in outage
+@pytest.mark.parametrize("key", ["r2_4@0", "r2_4@27", "r3_8@50.75"])
+def test_screened_lookups_decide_as_unscreened(mc_sets, monkeypatch, key):
+    from outagelab import outage
+    from outagelab.outage import CACHE_TOL_BITS
+
+    omega_x, R, cache, _ = mc_sets[key]
+    rng = np.random.default_rng(4)
+    # Rayleigh draws, plus gains beyond the cube at every SNR below
+    alphas = np.vstack([sample_rayleigh(rng, 20_000, omega_x.B),
+                        rng.uniform(0.0, 20.0, (500, omega_x.B))])
+    direct_rows = []
+    batch = outage.mi_per_use_batch
+    monkeypatch.setattr(outage, "mi_per_use_batch",
+                        lambda om, al, *a: direct_rows.append(al) or batch(om, al, *a))
+    for gamma_db in (0.0, 4.0, 8.0, 12.0, 20.0, 30.0):
+        gamma = 10.0 ** (gamma_db / 10.0)
+        want, direct = unscreened_mi(cache, alphas, gamma, R)
+        direct_rows.clear()
+        got = cache.mi(alphas, gamma, threshold=R)
+        np.testing.assert_array_equal(got < R, want < R)
+        # the same rows are evaluated directly, and every other value is
+        # the interpolated one or a cell bound beyond the band on its side
+        assert len(direct_rows) == int(direct.any())
+        if direct.any():
+            np.testing.assert_array_equal(direct_rows[0], alphas[direct])
+        moved = got != want
+        assert not (moved & direct).any()
+        assert np.all(np.abs(got[moved] - R) > CACHE_TOL_BITS)
+        assert np.all(np.abs(want[moved] - R) > CACHE_TOL_BITS)
+
+
+def test_screen_settles_most_lookups(mc_sets, monkeypatch):
+    # a count, not a time: the share of an r2_4 curve's lookups that reach Horner's rule
+    omega_x, R, cache, cfg = mc_sets["r2_4@27"]
+    lookups, interpolated = [], []
+    mi, horner = PolarMICache.mi, PolarMICache._horner
+
+    def counted_mi(self, alphas, gamma, threshold=None):
+        lookups.append(len(alphas))
+        return mi(self, alphas, gamma, threshold)
+
+    def counted_horner(self, cell, t):
+        interpolated.append(len(cell))
+        return horner(self, cell, t)
+
+    monkeypatch.setattr(PolarMICache, "mi", counted_mi)
+    monkeypatch.setattr(PolarMICache, "_horner", counted_horner)
+    outage_mc(omega_x, 20_000, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
+    assert sum(interpolated) < 0.2 * sum(lookups)
 
 
 def test_mc_curve_keeps_the_callers_order(mc_sets):
