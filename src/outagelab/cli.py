@@ -24,16 +24,14 @@ import warnings
 import numpy as np
 
 from . import __version__, constellations, precoders
-from .constellations import project
 from .mutual_info import (
     ChannelSample,
     EngineConfig,
     SaturationError,
-    inv_mi_scalar,
     mi_gaussian,
     mi_per_use,
 )
-from .optimizer import default_grid, expansion_compare, optimize, sweep
+from .optimizer import default_grid, expansion_compare, gamma_s_at, optimize, sweep
 from .outage import (
     MC_MIN_SAMPLES,
     OutageGeometry,
@@ -497,7 +495,7 @@ def cmd_reproduce(args) -> int:
         else:  # bounds
             stem = "bounds"
             geom = OutageGeometry(
-                c.B, R, inv_mi_scalar(project(precoders.apply(p, c), 1), c.B * R, cfg),
+                c.B, R, gamma_s_at(c, R, math.radians(theta), cfg),
                 ergodic_snr(c, R, dataclasses.replace(cfg, gh_order=min(cfg.gh_order, 12))),
             )
             rows = _curve_rows(geom, gammas_db, seed, lambda gammas: [BOUNDS_ONLY] * len(gammas))

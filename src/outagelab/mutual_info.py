@@ -80,6 +80,7 @@ LN2 = math.log(2.0)
 _BLOCK_CAP = 131_072
 # ... and when every row has its own alphabet (a lock-step projection sweep)
 _STACK_CAP = 16_384
+_MC_CHUNK = 131_072  # noise samples per `_mc_nats` block
 _UNIT_GAIN = np.ones((1, 1))  # the scalar channel's fading row
 _ORBIT_TOL = 1e-9  # largest coordinate gap between a point's image and its match
 _TINY = np.finfo(float).tiny
@@ -349,7 +350,7 @@ def _quad_nats_many(points, probs, reps, rep_w, alphas, gamma, order):
     return out
 
 
-def _mc_nats(points, probs, alpha, gamma, n, rng, chunk=131_072):
+def _mc_nats(points, probs, alpha, gamma, n, rng):
     """Monte Carlo I(X;Y) in nats with its standard error (stacked inputs)."""
     M, D = points.shape
     t = alpha * points
@@ -360,7 +361,7 @@ def _mc_nats(points, probs, alpha, gamma, n, rng, chunk=131_072):
     total2 = 0.0
     done = 0
     while done < n:
-        c = min(chunk, n - done)
+        c = min(_MC_CHUNK, n - done)
         idx = rng.choice(M, size=c, p=probs)
         noise = rng.normal(0.0, sigma, size=(c, D))
         proj = noise @ t.T

@@ -46,11 +46,12 @@ MC_MIN_SAMPLES = 1000  # fewest samples an MC outage estimate takes
 MIN_INTEGRATION_ANGLES = 65  # fewest rays a boundary integration takes (an odd count)
 # gathered floats per lookup block (2 MB); depending on heap layout, a single
 # 100k-point block could hand ~20 MB back to the kernel per call and refault it.
-# A lookup that its cell's bounds settle gathers nothing, but its block keeps
+# A lookup that its cell's corners settle gathers nothing, but its block keeps
 # the same rows, so the screen adds no temporary longer than a block.
 _LOOKUP_CAP = 262_144
-# slack on the cell bounds of the lookup screen: far above the rounding of
-# Horner's rule and of the Bernstein conversion (about 1e-15 bits)
+# slack on the corner values of the lookup screen: the exact MI never
+# decreases in a gain, but quadrature rounding leaves grid first differences
+# as low as -2.2e-16 bits, and the direct MI moves by as much
 _SCREEN_MARGIN = 1e-9
 # Catmull-Rom (Keys, a = -1/2): row k holds the t^k coefficient of the
 # weights of the taps at offsets -1, 0, 1, 2
@@ -59,14 +60,6 @@ _CATMULL_ROM = np.array([
     [-0.5, 0.0, 0.5, 0.0],
     [1.0, -2.5, 2.0, -0.5],
     [-0.5, 1.5, -1.5, 0.5],
-])
-# a cubic's Bernstein coefficients from its power-basis ones: b_j =
-# sum_{k<=j} C(j,k)/C(3,k) a_k; the cubic lies within their range on [0, 1]
-_POWER_TO_BERNSTEIN = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [1.0, 1.0 / 3.0, 0.0, 0.0],
-    [1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0],
-    [1.0, 1.0, 1.0, 1.0],
 ])
 
 
@@ -272,11 +265,14 @@ def check_integration_angles(n_angles: int):
 
 def _simpson_ray_weights(lambdas: np.ndarray) -> np.ndarray:
     """Each B=2 ray's weight in the outage integral: its Simpson coefficient
-    times sin(2*lambda), the angular density of two unit-Rayleigh gains."""
+    times sin(2*lambda), the angular density of two unit-Rayleigh gains,
+    scaled to sum to 1 so that a saturated trace integrates to exactly 1
+    (unscaled, 65 rays sum to 1 + 3.2e-8 and 513 rays to 1 + 7.9e-12)."""
     check_integration_angles(lambdas.shape[0])
     coef = np.resize([2.0, 4.0], lambdas.shape[0])
     coef[[0, -1]] = 1.0
-    return coef * ((lambdas[1] - lambdas[0]) / 3.0) * np.sin(2.0 * lambdas)
+    w = coef * ((lambdas[1] - lambdas[0]) / 3.0) * np.sin(2.0 * lambdas)
+    return w / w.sum()
 
 
 def _ray_outage(weights: np.ndarray, rhos: np.ndarray, B: int) -> np.ndarray:
@@ -450,29 +446,6 @@ def _catmull_rom_table(values: np.ndarray) -> np.ndarray:
     return coef.reshape((values.shape[0] - 1) ** B, 4**B)
 
 
-def _cell_bounds(coef: np.ndarray, B: int) -> tuple:
-    """Lowest and highest Bernstein coefficient of every cell's patch.
-
-    `coef` is `_catmull_rom_table` of a B-dimensional cube.  A tensor-product
-    polynomial in Bernstein form lies inside the range of its coefficients
-    on the unit cell (Farouki, "The Bernstein polynomial basis: a centennial
-    retrospective", CAGD 29(6), 2012), so every interpolated value of cell c
-    lies in [low[c], high[c]].  Each tensordot converts one axis of a
-    block's rows from the power basis; blocks of at most _LOOKUP_CAP floats
-    keep the conversion from holding a second copy of the table.
-    """
-    low, high = np.empty(coef.shape[0]), np.empty(coef.shape[0])
-    step = max(1, _LOOKUP_CAP // 4**B)
-    for lo in range(0, coef.shape[0], step):
-        b = coef[lo:lo + step].reshape((-1,) + (4,) * B)
-        for _ in range(B):
-            b = np.tensordot(b, _POWER_TO_BERNSTEIN, axes=([1], [1]))
-        b = b.reshape(b.shape[0], -1)
-        low[lo:lo + step] = b.min(axis=1)
-        high[lo:lo + step] = b.max(axis=1)
-    return low, high
-
-
 class PolarMICache:
     """Per-use MI interpolated on an SNR-free grid of scaled fading gains.
 
@@ -489,16 +462,18 @@ class PolarMICache:
     bytes: 131 KB for B=2 at 33 points and 524 KB at 65; 16.8 MB for B=3 at
     33 points (a 65-point B=3 cube would take 134 MB).
 
-    Beside the table, `_low` and `_high` hold the range of each cell's
-    patch over its cell, from the patch's Bernstein coefficients
-    (`_cell_bounds`): 16*(n-1)^B bytes, 16 KB for B=2 at 33 points, 64 KB
-    at 65 and 512 KB for B=3 at 33.  They do not depend on the rate, so one
-    cache still serves every R.  A lookup with a threshold (`mi`) first
-    asks its cell's range, and skips the gather and Horner's rule when the
-    range alone puts the point on one side of the threshold, beyond the
-    band evaluated directly: 83% of the lookups of an r2_4 curve at 27
-    degrees and 83-100% of an r3_8 curve at 50.75 degrees (4-20 dB), with
-    the same decisions.
+    The exact MI never decreases in any gain: its derivative in alpha_b is
+    alpha_b times a component MMSE (Palomar & Verdu, IEEE Trans. IT 52(1),
+    2006).  So the grid values at a cell's lowest and highest corner bound
+    the MI anywhere in the cell, and the lowest corner still bounds it from
+    below beyond the cube, where the cell is the clamped edge cell.  A
+    lookup against a threshold (`mi`) first reads its cell's two corners
+    from `values` and skips the gather and Horner's rule when they alone
+    put the point on one side of the threshold: 83% of the lookups of a
+    seed-0 r2_4 curve at 27 degrees (100k samples, 0-20 dB), and 84-100%
+    of an r3_8 curve's at 50.75 degrees (4-20 dB).  Those decisions are the
+    direct MI's own, and the corners do not depend on the rate, so one
+    cache still serves every R.
 
     Construction validates against direct evaluation at CACHE_VALIDATE_POINTS
     points and refines the grid once (33 -> 65 points per axis) if the
@@ -539,69 +514,77 @@ class PolarMICache:
         vals = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
         self.values = vals.reshape(self._sizes)
         self._coef = _catmull_rom_table(self.values)
-        self._low, self._high = _cell_bounds(self._coef, self.B)
 
-    def mi(self, alphas: np.ndarray, gamma, threshold: "float | None" = None) -> np.ndarray:
+    def mi(self, alphas: np.ndarray, gamma, threshold: float) -> np.ndarray:
         """Per-use MI at each fading point (rows of `alphas`) at SNR gamma,
-        one SNR for all rows or one per row.
+        one SNR for all rows or one per row, close enough to the MI to
+        decide `mi < threshold`.
 
-        With no threshold every out-of-grid point is evaluated directly.
-        With a threshold, the values only need to decide `mi < threshold`,
-        so a point is evaluated directly when the interpolation cannot
-        settle that: an in-grid value within CACHE_TOL_BITS of the
-        threshold, or an out-of-grid clamped-edge value below it (MI never
-        decreases when a gain grows, so the edge value is a lower bound).
-        The direct rows go through one `mi_per_use_batch` call, each at its own SNR.
+        A point is settled from its cell's corners first: not in outage
+        when the lowest corner value is above the threshold, and in outage
+        when the point lies in the cube and the highest corner value is
+        below it (each with _SCREEN_MARGIN to spare).  It takes that corner
+        value, which bounds its MI, and is never evaluated directly.  The
+        highest corner's flat index in `values` is the lowest one's plus
+        sum_d n^d.
 
-        With a threshold, the cell bounds (`_cell_bounds`) screen the
-        lookups first: a point whose cell's lowest value is above
-        threshold + CACHE_TOL_BITS, or whose cell's highest value is below
-        threshold - CACHE_TOL_BITS (each with _SCREEN_MARGIN to spare),
-        takes that bound without interpolating.  Its interpolated value lies
-        on the same side of the threshold, outside the band, so the bound
-        decides `mi < threshold` as the value would, and the band rule
-        picks the same direct rows: none in the grid, and an out-of-grid
-        point below the threshold either way.  Only the other points are
-        interpolated, and every decision and direct row is the one an
-        unscreened lookup makes.
+        Every other point is interpolated (`_interp`) and evaluated directly
+        when the interpolation cannot settle it: an in-grid value within
+        CACHE_TOL_BITS of the threshold, or an out-of-grid clamped-edge
+        value below it (MI never decreases when a gain grows, so the edge
+        value is a lower bound).  The direct rows go through one
+        `mi_per_use_batch` call, each at its own SNR.
         """
         alphas = np.asarray(alphas, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         root = np.broadcast_to(np.sqrt(2.0 * gamma), alphas.shape[:1])
-        top = self.axis[-1]
+        n, top = self.axis.shape[0], self.axis[-1]
+        corners = self.values.ravel()
+        upper = sum(n**d for d in range(self.B))
         out = np.empty(alphas.shape[0])
-        direct = np.empty(alphas.shape[0], dtype=bool)
+        direct = np.zeros(alphas.shape[0], dtype=bool)
         step = max(1, _LOOKUP_CAP // 4**self.B)
         for lo in range(0, alphas.shape[0], step):
             rows = slice(lo, lo + step)
             v = np.multiply(alphas[rows].T, root[rows], order="C")  # (B, rows): v_b = log(1+u_b)
             np.log1p(v, out=v)
             inside = (v <= top).all(axis=0)
-            x = np.divide(np.minimum(v, top, out=v), self.axis[1], out=v)
-            idx, cell = self._cells(x)
-            if threshold is None:
-                out[rows] = self._horner(cell, np.clip(x - idx, 0.0, 1.0))
-                direct[rows] = ~inside
-                continue
-            low, high = self._low[cell], self._high[cell]
-            above = low > threshold + (CACHE_TOL_BITS + _SCREEN_MARGIN)
-            below = high < threshold - (CACHE_TOL_BITS + _SCREEN_MARGIN)
+            x = np.minimum(v, top)
+            x /= self.axis[1]  # in grid steps
+            idx = np.clip(x.astype(int), 0, n - 2)
+            corner = np.ravel_multi_index(tuple(idx), self.values.shape)
+            low, high = corners[corner], corners[corner + upper]
+            above = low > threshold + _SCREEN_MARGIN
+            below = inside & (high < threshold - _SCREEN_MARGIN)
             rest = np.flatnonzero(~(above | below))
             val = np.where(above, low, high)
-            val[rest] = self._horner(cell[rest], np.clip(x[:, rest] - idx[:, rest], 0.0, 1.0))
+            guess = self._interp(v[:, rest].T)
+            val[rest] = guess
             out[rows] = val
-            direct[rows] = np.where(inside, np.abs(val - threshold) <= CACHE_TOL_BITS, val < threshold)
+            direct[lo + rest] = np.where(inside[rest], np.abs(guess - threshold) <= CACHE_TOL_BITS,
+                                         guess < threshold)
         if direct.any():
             rows_gamma = np.broadcast_to(gamma, out.shape)[direct]
             out[direct] = mi_per_use_batch(self.omega_x, alphas[direct], rows_gamma, self.cfg)
         return out
 
-    def _cells(self, x):
-        """Each point's lower grid corner idx (B, rows) and its cell's flat
-        C-order index; x (B, rows) holds the points in grid steps."""
-        n = self.axis.shape[0]
-        idx = np.clip(x.astype(int), 0, n - 2)
-        return idx, np.ravel_multi_index(tuple(idx), (n - 1,) * self.B)
+    def _interp(self, v):
+        """Separable Catmull-Rom interpolation on the uniform cube; rows of v
+        are points v_b = log(1+u_b), clamped to the cube's upper faces.
+
+        Every point gathers its cell's row of `_coef` and runs Horner's
+        rule, one block of at most _LOOKUP_CAP gathered floats at a time,
+        so that no intermediate array outgrows a block.
+        """
+        n, top = self.axis.shape[0], self.axis[-1]
+        out = np.empty(v.shape[0])
+        step = max(1, _LOOKUP_CAP // 4**self.B)
+        for lo in range(0, v.shape[0], step):
+            x = np.minimum(v[lo:lo + step].T, top) / self.axis[1]  # (B, rows) in grid steps
+            idx = np.clip(x.astype(int), 0, n - 2)
+            cell = np.ravel_multi_index(tuple(idx), (n - 1,) * self.B)
+            out[lo:lo + step] = self._horner(cell, np.clip(x - idx, 0.0, 1.0))
+        return out
 
     def _horner(self, cell, t):
         """Each point's patch value: its cell's row of `_coef` at its
@@ -613,21 +596,6 @@ class PolarMICache:
             c = ((c[..., 3] * td + c[..., 2]) * td + c[..., 1]) * td + c[..., 0]
         return c
 
-    def _interp(self, v):
-        """Separable Catmull-Rom interpolation on the uniform cube; rows of v are points.
-
-        Unscreened: every point gathers its cell's row of `_coef` and runs
-        Horner's rule, one block of at most _LOOKUP_CAP gathered floats at a
-        time, so that no intermediate array outgrows a block.
-        """
-        out = np.empty(v.shape[0])
-        step = max(1, _LOOKUP_CAP // 4**self.B)
-        for lo in range(0, v.shape[0], step):
-            x = v[lo:lo + step].T / self.axis[1]
-            idx, cell = self._cells(x)
-            out[lo:lo + step] = self._horner(cell, np.clip(x - idx, 0.0, 1.0))
-        return out
-
     def _validation_gains(self, seed):
         """CACHE_VALIDATE_POINTS scaled-gain rows drawn uniformly in v = log(1+u)."""
         rng = np.random.default_rng(seed)
@@ -638,7 +606,7 @@ class PolarMICache:
         """Maximum interpolation error at the validation points of `seed`."""
         scaled = self._validation_gains(seed)
         direct = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
-        return float(np.max(np.abs(direct - self.mi(scaled, GAMMA_REF))))
+        return float(np.max(np.abs(direct - self._interp(np.log1p(scaled)))))
 
 
 def outage_mc(

@@ -98,14 +98,14 @@ def chi2_2_decimal(x):
 @pytest.mark.parametrize("rho", [1e-3, 1e-4])
 def test_boundary_integration_precise_at_small_radii(rho):
     # a constant radius integrates to P(2, rho^2) times the saturated trace's
-    # value; the radial mass must not cancel as rho -> 0 (high SNR).  That
-    # value is clipped at 1, so the rays are enough to put the Simpson sum of
-    # sin(2*lambda) within 1e-14 of 1 (65 rays leave it 3e-8 above)
-    n = 4097
-    lam = np.linspace(0.0, math.pi / 2, n)
-    inside = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, rho), 0.9)).p_out
-    whole = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, math.inf), 0.9)).p_out
-    assert inside / whole == pytest.approx(chi2_2_decimal(rho * rho), rel=1e-13, abs=0.0)
+    # value; the radial mass must not cancel as rho -> 0 (high SNR).  The ray
+    # weights sum to 1, so the fewest rays give the same ratio (the Simpson
+    # sum of sin(2*lambda) alone is 1 + 3.2e-8 at 65 rays)
+    for n in (65, 4097):
+        lam = np.linspace(0.0, math.pi / 2, n)
+        inside = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, rho), 0.9)).p_out
+        whole = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, math.inf), 0.9)).p_out
+        assert inside / whole == pytest.approx(chi2_2_decimal(rho * rho), rel=1e-13, abs=0.0)
 
 
 def test_wilson_ci_contains_point():
@@ -314,7 +314,8 @@ def test_cache_serves_multiple_snrs(q27, cfg):
     alphas = np.array([[0.4, 0.9], [1.2, 0.1], [0.7, 0.7]])
     for gamma in (0.5, q27.gamma, 40.0):
         direct = mi_per_use_batch(q27.omega_x(), alphas, gamma, cache.cfg)
-        assert np.max(np.abs(cache.mi(alphas, gamma) - direct)) < 1e-3
+        v = np.log1p(alphas * math.sqrt(2.0 * gamma))
+        assert np.max(np.abs(cache._interp(v) - direct)) < 1e-3
 
 
 def test_cache_out_of_range_falls_back_to_direct(q27, cfg):
@@ -323,14 +324,17 @@ def test_cache_out_of_range_falls_back_to_direct(q27, cfg):
     cache = PolarMICache(q27.omega_x(), cfg)
     gamma = 1000.0
     alphas = np.array([[3.0, 2.0], [0.002, 0.001]])
-    got = cache.mi(alphas, gamma)  # no threshold: overflow evaluated directly
     direct = mi_per_use_batch(q27.omega_x(), alphas, gamma, cache.cfg)
+    # above the 1-bit cap every clamped-edge value is below the threshold:
+    # the overflow point is evaluated directly, and the in-grid point takes
+    # its cell's highest corner, which bounds it from above
+    got = cache.mi(alphas, gamma, threshold=1.5)
     assert got[0] == pytest.approx(direct[0], abs=1e-12)
-    assert got[1] == pytest.approx(direct[1], abs=1e-3)
-    # with a threshold the settled overflow point keeps the edge value,
-    # which already decides the comparison
+    assert direct[1] <= got[1] < 1.5
+    # below the edge value the overflow point keeps its cell's lowest
+    # corner, which already decides the comparison
     settled = cache.mi(alphas, gamma, threshold=0.9)
-    assert settled[0] >= 0.9
+    assert 0.9 < settled[0] <= direct[0]
 
 
 def test_cache_refines_once(cfg):
@@ -343,17 +347,24 @@ def test_cache_refines_once(cfg):
 
 def test_cache_evaluates_margin_band_directly(q27, cfg):
     from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import CACHE_TOL_BITS
+    from outagelab.outage import _SCREEN_MARGIN, CACHE_TOL_BITS
 
     cache = PolarMICache(q27.omega_x(), cfg)
     alphas = sample_rayleigh(np.random.default_rng(0), 20_000, 2)
     for gamma in (1.0, q27.gamma, 40.0):
-        interp = cache.mi(alphas, gamma)
-        band = np.abs(interp - q27.R) <= CACHE_TOL_BITS
+        # interpolated in the cube, direct beyond it
+        v = np.log1p(alphas * math.sqrt(2.0 * gamma))
+        inside = (v <= cache.axis[-1]).all(axis=1)
+        near = cache._interp(v)
+        near[~inside] = mi_per_use_batch(q27.omega_x(), alphas[~inside], gamma, cache.cfg)
+        band = np.abs(near - q27.R) <= CACHE_TOL_BITS
         assert band.any()
-        got = cache.mi(alphas, gamma, threshold=q27.R)
+        got = cache.mi(alphas, gamma, threshold=q27.R)[band]
         direct = mi_per_use_batch(q27.omega_x(), alphas[band], gamma, cache.cfg)
-        np.testing.assert_array_equal(got[band], direct)
+        # a band row is evaluated directly unless its cell's corners settle it
+        np.testing.assert_array_equal(got < q27.R, direct < q27.R)
+        settled = got != direct
+        assert np.all(np.abs(got[settled] - q27.R) > _SCREEN_MARGIN)
 
 
 def keys_kernel(s):
@@ -379,14 +390,13 @@ def catmull_rom_oracle(values, h, v):
 
 def synthetic_cache(B, n, seed):
     """A PolarMICache over a random cube of n points per axis, with no MI build."""
-    from outagelab.outage import _catmull_rom_table, _cell_bounds
+    from outagelab.outage import _catmull_rom_table
 
     cache = PolarMICache.__new__(PolarMICache)
     cache.B = B
     cache.axis = np.linspace(0.0, 2.5, n)
     cache.values = np.random.default_rng(seed).uniform(-1.0, 1.0, (n,) * B)
     cache._coef = _catmull_rom_table(cache.values)
-    cache._low, cache._high = _cell_bounds(cache._coef, B)
     return cache
 
 
@@ -425,26 +435,6 @@ def test_cache_interpolation_blocks(monkeypatch):
     # ragged blocks of 7 rows give the same values
     monkeypatch.setattr(outage, "_LOOKUP_CAP", 7 * 4**3)
     np.testing.assert_array_equal(cache._interp(v[:100]), whole[:100])
-
-
-@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
-def test_cell_bounds_hold_every_patch_value(B, n, monkeypatch):
-    from outagelab import outage
-    from outagelab.outage import _SCREEN_MARGIN
-
-    cache = synthetic_cache(B, n, seed=10 + B)
-    cells = (n - 1) ** B
-    rng = np.random.default_rng(B)
-    corners = np.array(list(itertools.product((0.0, 1.0), repeat=B)))
-    for t in [rng.uniform(0.0, 1.0, (cells, B)) for _ in range(50)] + [np.tile(c, (cells, 1)) for c in corners]:
-        value = cache._horner(np.arange(cells), t.T)
-        assert np.all(value >= cache._low - _SCREEN_MARGIN)
-        assert np.all(value <= cache._high + _SCREEN_MARGIN)
-    # the bounds are built in blocks; ragged blocks of 3 cells give the same bounds
-    monkeypatch.setattr(outage, "_LOOKUP_CAP", 3 * 4**B)
-    low, high = outage._cell_bounds(cache._coef, B)
-    np.testing.assert_array_equal(low, cache._low)
-    np.testing.assert_array_equal(high, cache._high)
 
 
 # outage counts of r2_4 at 27 degrees, R = 0.9, seed 0, 100k samples, as the
@@ -570,11 +560,19 @@ def unscreened_mi(cache, alphas, gamma, threshold):
     return mi, direct
 
 
+def cell_corners(cache, alphas, gamma):
+    """Each point's lowest and highest cell-corner value in `cache.values`,
+    and whether it lies in the cube; beyond the cube the cell is the edge cell."""
+    v = np.log1p(alphas * math.sqrt(2.0 * gamma))
+    n, top = cache.axis.shape[0], cache.axis[-1]
+    idx = np.clip((np.minimum(v, top) / cache.axis[1]).astype(int), 0, n - 2)
+    return cache.values[tuple(idx.T)], cache.values[tuple(idx.T + 1)], (v <= top).all(axis=1)
+
+
 # at 0 degrees r2_4 loses diversity: gains beyond the cube on one axis stay in outage
 @pytest.mark.parametrize("key", ["r2_4@0", "r2_4@27", "r3_8@50.75"])
 def test_screened_lookups_decide_as_unscreened(mc_sets, monkeypatch, key):
     from outagelab import outage
-    from outagelab.outage import CACHE_TOL_BITS
 
     omega_x, R, cache, _ = mc_sets[key]
     rng = np.random.default_rng(4)
@@ -592,14 +590,63 @@ def test_screened_lookups_decide_as_unscreened(mc_sets, monkeypatch, key):
         got = cache.mi(alphas, gamma, threshold=R)
         np.testing.assert_array_equal(got < R, want < R)
         # the same rows are evaluated directly, and every other value is
-        # the interpolated one or a cell bound beyond the band on its side
+        # the interpolated one or its cell's corner value, deciding as the
+        # direct MI does
         assert len(direct_rows) == int(direct.any())
         if direct.any():
             np.testing.assert_array_equal(direct_rows[0], alphas[direct])
         moved = got != want
         assert not (moved & direct).any()
-        assert np.all(np.abs(got[moved] - R) > CACHE_TOL_BITS)
-        assert np.all(np.abs(want[moved] - R) > CACHE_TOL_BITS)
+        low, high, _ = cell_corners(cache, alphas[moved], gamma)
+        assert np.all((got[moved] == low) | (got[moved] == high))
+        exact = batch(omega_x, alphas[moved], gamma, cache.cfg)
+        np.testing.assert_array_equal(got[moved] < R, exact < R)
+
+
+@pytest.mark.parametrize("key", ["r2_4@0", "r2_4@27", "r3_8@0", "r3_8@50.75", "c2_16@36"])
+def test_cell_corners_bound_the_direct_mi(mc_sets, key):
+    # the premise of the corner screen: the MI never decreases in a gain, so
+    # a cell's lowest and highest corner values bound it in the cell, and
+    # the lowest corner of the clamped edge cell bounds it beyond the cube
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import _SCREEN_MARGIN
+
+    omega_x, _, cache, _ = mc_sets[key]
+    B, top = omega_x.B, cache.axis[-1]
+    rng = np.random.default_rng(6)
+    beyond = rng.uniform(0.0, 2.0 * top, (200, B))
+    beyond[np.arange(200), rng.integers(0, B, 200)] = rng.uniform(top, 2.0 * top, 200)
+    v = np.vstack([rng.uniform(0.0, top, (1000, B)), beyond])
+    for gamma in (0.5, 10.0):
+        alphas = np.expm1(v) / math.sqrt(2.0 * gamma)
+        low, high, inside = cell_corners(cache, alphas, gamma)
+        assert inside.sum() == 1000
+        mi = mi_per_use_batch(omega_x, alphas, gamma, cache.cfg)
+        assert np.all(mi >= low - _SCREEN_MARGIN)
+        assert np.all(mi[inside] <= high[inside] + _SCREEN_MARGIN)
+
+
+@pytest.mark.parametrize("key,n", [("r2_4@0", 4000), ("r2_4@27", 4000), ("r3_8@50.75", 1000)])
+def test_settled_lookups_decide_as_the_direct_mi(mc_sets, key, n):
+    # a lookup its cell's corners settle takes a corner value and decides
+    # `mi < R` as the direct MI does, in the cube and beyond it
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import _SCREEN_MARGIN
+
+    omega_x, R, cache, _ = mc_sets[key]
+    rng = np.random.default_rng(8)
+    alphas = np.vstack([sample_rayleigh(rng, n, omega_x.B), rng.uniform(0.0, 20.0, (200, omega_x.B))])
+    for gamma_db in (0.0, 8.0, 16.0, 30.0):
+        gamma = 10.0 ** (gamma_db / 10.0)
+        low, high, inside = cell_corners(cache, alphas, gamma)
+        above = low > R + _SCREEN_MARGIN
+        below = inside & (high < R - _SCREEN_MARGIN)
+        settled = above | below
+        assert settled.any()
+        got = cache.mi(alphas, gamma, threshold=R)
+        np.testing.assert_array_equal(got[settled], np.where(above, low, high)[settled])
+        exact = mi_per_use_batch(omega_x, alphas[settled], gamma, cache.cfg)
+        np.testing.assert_array_equal(got[settled] < R, exact < R)
 
 
 def test_screen_settles_most_lookups(mc_sets, monkeypatch):
