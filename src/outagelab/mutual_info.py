@@ -100,8 +100,8 @@ class ChannelSample:
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
         object.__setattr__(self, "alpha", a)
-        if np.any(a < 0):
-            raise ValueError("fading gains must be nonnegative")
+        if not np.all((a >= 0) & (a < np.inf)):
+            raise ValueError("fading gains must be finite and nonnegative")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
@@ -123,6 +123,10 @@ class EngineConfig:
     seed: int = 0
     budget_ops: int = 1_000_000_000
     complex_chain: bool = True
+
+    def __post_init__(self):
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -577,7 +581,7 @@ def inv_mi_scalar_many(stack: ProjectionStack, target_bits: float,
     (`search.solve_increasing` replays that loop and evaluates only the
     points its scouted facts leave undecided).
     """
-    if target_bits <= 0:
+    if not target_bits > 0:
         raise ValueError("target_bits must be positive")
     out = np.full(stack.A, math.inf)
     below = np.zeros(stack.A)

@@ -205,6 +205,8 @@ def expansion_compare(candidates, R: float, cfg: EngineConfig = DEFAULT_CONFIG) 
     m >= ceil(B*R); the gap columns measure distance to the Gaussian
     floors in dB.
     """
+    if not R > 0:
+        raise ValueError("R must be positive")
     rows = []
     B = candidates[0][0].B
     for omega_z, Rc in candidates:

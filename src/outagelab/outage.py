@@ -44,10 +44,10 @@ CACHE_VALIDATE_POINTS = 1000
 CACHE_SEED = 0
 MC_MIN_SAMPLES = 1000  # fewest samples an MC outage estimate takes
 MIN_INTEGRATION_ANGLES = 65  # fewest rays a boundary integration takes (an odd count)
-# gathered floats per lookup block (2 MB); depending on heap layout, a single
-# 100k-point block could hand ~20 MB back to the kernel per call and refault it.
-# A lookup that its cell's corners settle gathers nothing, but its block keeps
-# the same rows, so the screen adds no temporary longer than a block.
+# gathered floats per block of `PolarMICache.mi`'s walk (2 MB); depending on
+# heap layout, a single 100k-point block could hand ~20 MB back to the kernel
+# per call and refault it.  A lookup that its cell's corners settle gathers
+# nothing, but its block keeps the same rows, so no temporary outgrows a block.
 _LOOKUP_CAP = 262_144
 # slack on the corner values of the lookup screen: the exact MI never
 # decreases in a gain, but quadrature rounding leaves grid first differences
@@ -73,7 +73,7 @@ class OutageQuery:
     gamma: float
 
     def __post_init__(self):
-        if self.R <= 0:
+        if not self.R > 0:  # nan too
             raise ValueError("R must be positive")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
@@ -373,10 +373,10 @@ class OutageGeometry:
         The anchors are the Gaussian floors.  On the B=2 ray (c, s) =
         (cos lambda, sin lambda) the MI equals R where (1 + x c^2)(1 + x s^2)
         = 2^(4R) with x = u^2, a quadratic in x whose positive root is
-        written here without cancellation.  Raises ValueError for R <= 0,
+        written here without cancellation.  Raises ValueError unless R > 0,
         and for a boundary (`n_angles`) with B != 2.
         """
-        if R <= 0:
+        if not R > 0:
             raise ValueError("R must be positive")
         boundary = None
         if n_angles is not None:
@@ -457,10 +457,11 @@ class PolarMICache:
     narrow near-axis structure of the surface.  Interpolation is separable
     Catmull-Rom (Keys, a = -1/2), tabulated once per cube: `_coef` holds the
     4^B power-basis coefficients of every cell's patch in one row, so a
-    lookup gathers one row per point and runs Horner's rule, in blocks of at
-    most _LOOKUP_CAP gathered floats.  The table takes 8*(4*(n-1))^B
-    bytes: 131 KB for B=2 at 33 points and 524 KB at 65; 16.8 MB for B=3 at
-    33 points (a 65-point B=3 cube would take 134 MB).
+    point is located once (`_locate`: its cell and its grid coordinates)
+    and its patch (`_patch`) gathers that row and runs Horner's rule.  The
+    table takes 8*(4*(n-1))^B bytes: 131 KB for B=2 at 33 points and 524 KB
+    at 65; 16.8 MB for B=3 at 33 points (a 65-point B=3 cube would take
+    134 MB).
 
     The exact MI never decreases in any gain: its derivative in alpha_b is
     alpha_b times a component MMSE (Palomar & Verdu, IEEE Trans. IT 52(1),
@@ -468,12 +469,13 @@ class PolarMICache:
     the MI anywhere in the cell, and the lowest corner still bounds it from
     below beyond the cube, where the cell is the clamped edge cell.  A
     lookup against a threshold (`mi`) first reads its cell's two corners
-    from `values` and skips the gather and Horner's rule when they alone
-    put the point on one side of the threshold: 83% of the lookups of a
-    seed-0 r2_4 curve at 27 degrees (100k samples, 0-20 dB), and 84-100%
-    of an r3_8 curve's at 50.75 degrees (4-20 dB).  Those decisions are the
-    direct MI's own, and the corners do not depend on the rate, so one
-    cache still serves every R.
+    from `values` and skips the patch when they alone put the point on one
+    side of the threshold: 83% of the lookups of a seed-0 r2_4 curve at 27
+    degrees (100k samples, 0-20 dB), and 84-100% of an r3_8 curve's at
+    50.75 degrees (4-20 dB).  Those decisions are the direct MI's own, and
+    the corners do not depend on the rate, so one cache still serves every
+    R.  A lookup beyond the cube that its corners leave open is evaluated
+    directly: the patch there is only clamped to the cube's faces.
 
     Construction validates against direct evaluation at CACHE_VALIDATE_POINTS
     points and refines the grid once (33 -> 65 points per axis) if the
@@ -494,53 +496,43 @@ class PolarMICache:
         self.B = omega_x.B
         self.u_max, order = CACHE_SHAPE[self.B]
         self.cfg = replace(cfg, gh_order=min(cfg.gh_order, order))
-        self._sizes = [CACHE_AXIS_POINTS] * self.B
-        self._build()
-        err = self._validate(CACHE_SEED)
-        if err > CACHE_TOL_BITS:
-            self._sizes = [2 * (n - 1) + 1 for n in self._sizes]
-            self._build()
-            err = self._validate(CACHE_SEED + 1)
-            if err > CACHE_TOL_BITS:
-                raise CacheAccuracyError(
-                    f"interpolation error {err:.2e} bits exceeds {CACHE_TOL_BITS:.1e}"
-                )
-        self.validation_error_bits = err
-
-    def _build(self):
-        self.axis = np.linspace(0.0, math.log1p(self.u_max), self._sizes[0])
-        mesh = np.meshgrid(*([self.axis] * self.B), indexing="ij")
-        scaled = np.expm1(np.stack([m.ravel() for m in mesh], axis=-1))
-        vals = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
-        self.values = vals.reshape(self._sizes)
-        self._coef = _catmull_rom_table(self.values)
+        for points, seed in ((CACHE_AXIS_POINTS, CACHE_SEED), (2 * CACHE_AXIS_POINTS - 1, CACHE_SEED + 1)):
+            self._sizes = [points] * self.B
+            self.axis = np.linspace(0.0, math.log1p(self.u_max), points)
+            mesh = np.meshgrid(*([self.axis] * self.B), indexing="ij")
+            scaled = np.expm1(np.stack([m.ravel() for m in mesh], axis=-1))
+            self.values = mi_per_use_batch(omega_x, scaled, GAMMA_REF, self.cfg).reshape(self._sizes)
+            self._coef = _catmull_rom_table(self.values)
+            self.validation_error_bits = self._validate(seed)
+            if self.validation_error_bits <= CACHE_TOL_BITS:
+                return
+        raise CacheAccuracyError(
+            f"interpolation error {self.validation_error_bits:.2e} bits exceeds {CACHE_TOL_BITS:.1e}")
 
     def mi(self, alphas: np.ndarray, gamma, threshold: float) -> np.ndarray:
         """Per-use MI at each fading point (rows of `alphas`) at SNR gamma,
         one SNR for all rows or one per row, close enough to the MI to
         decide `mi < threshold`.
 
-        A point is settled from its cell's corners first: not in outage
-        when the lowest corner value is above the threshold, and in outage
-        when the point lies in the cube and the highest corner value is
-        below it (each with _SCREEN_MARGIN to spare).  It takes that corner
-        value, which bounds its MI, and is never evaluated directly.  The
-        highest corner's flat index in `values` is the lowest one's plus
-        sum_d n^d.
+        The points are located in blocks of at most _LOOKUP_CAP gathered
+        floats.  A point is settled from its cell's corners first: not in
+        outage when the lowest corner value is above the threshold, and in
+        outage when the point lies in the cube and the highest corner value
+        is below it (each with _SCREEN_MARGIN to spare).  It takes that
+        corner value, which bounds its MI, and is never evaluated directly.
+        The highest corner's flat index in `values` is the lowest one's
+        plus sum_d n^d.
 
-        Every other point is interpolated (`_interp`) and evaluated directly
-        when the interpolation cannot settle it: an in-grid value within
-        CACHE_TOL_BITS of the threshold, or an out-of-grid clamped-edge
-        value below it (MI never decreases when a gain grows, so the edge
-        value is a lower bound).  The direct rows go through one
-        `mi_per_use_batch` call, each at its own SNR.
+        An open point in the cube takes its patch value and is evaluated
+        directly when that lies within CACHE_TOL_BITS of the threshold; an
+        open point beyond the cube is evaluated directly.  The direct rows
+        go through one `mi_per_use_batch` call, each at its own SNR.
         """
         alphas = np.asarray(alphas, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         root = np.broadcast_to(np.sqrt(2.0 * gamma), alphas.shape[:1])
-        n, top = self.axis.shape[0], self.axis[-1]
         corners = self.values.ravel()
-        upper = sum(n**d for d in range(self.B))
+        upper = sum(self.axis.shape[0]**d for d in range(self.B))
         out = np.empty(alphas.shape[0])
         direct = np.zeros(alphas.shape[0], dtype=bool)
         step = max(1, _LOOKUP_CAP // 4**self.B)
@@ -548,53 +540,49 @@ class PolarMICache:
             rows = slice(lo, lo + step)
             v = np.multiply(alphas[rows].T, root[rows], order="C")  # (B, rows): v_b = log(1+u_b)
             np.log1p(v, out=v)
-            inside = (v <= top).all(axis=0)
-            x = np.minimum(v, top)
-            x /= self.axis[1]  # in grid steps
-            idx = np.clip(x.astype(int), 0, n - 2)
+            inside = (v <= self.axis[-1]).all(axis=0)
+            idx, x = self._locate(v)
             corner = np.ravel_multi_index(tuple(idx), self.values.shape)
             low, high = corners[corner], corners[corner + upper]
             above = low > threshold + _SCREEN_MARGIN
             below = inside & (high < threshold - _SCREEN_MARGIN)
-            rest = np.flatnonzero(~(above | below))
+            rest = np.flatnonzero(inside & ~(above | below))
             val = np.where(above, low, high)
-            guess = self._interp(v[:, rest].T)
-            val[rest] = guess
+            val[rest] = self._patch(idx[:, rest], x[:, rest])
             out[rows] = val
-            direct[lo + rest] = np.where(inside[rest], np.abs(guess - threshold) <= CACHE_TOL_BITS,
-                                         guess < threshold)
+            direct[rows] = ~(above | inside)
+            direct[lo + rest] = np.abs(val[rest] - threshold) <= CACHE_TOL_BITS
         if direct.any():
             rows_gamma = np.broadcast_to(gamma, out.shape)[direct]
             out[direct] = mi_per_use_batch(self.omega_x, alphas[direct], rows_gamma, self.cfg)
         return out
 
-    def _interp(self, v):
-        """Separable Catmull-Rom interpolation on the uniform cube; rows of v
-        are points v_b = log(1+u_b), clamped to the cube's upper faces.
+    def _locate(self, v):
+        """Each point's cell idx (B, rows) and its coordinates x (B, rows) in
+        grid steps, for points v (B, rows), v_b = log(1+u_b), clamped to the
+        cube's upper faces."""
+        x = np.minimum(v, self.axis[-1])
+        x /= self.axis[1]
+        return np.clip(x.astype(int), 0, self.axis.shape[0] - 2), x
 
-        Every point gathers its cell's row of `_coef` and runs Horner's
-        rule, one block of at most _LOOKUP_CAP gathered floats at a time,
-        so that no intermediate array outgrows a block.
-        """
-        n, top = self.axis.shape[0], self.axis[-1]
-        out = np.empty(v.shape[0])
-        step = max(1, _LOOKUP_CAP // 4**self.B)
-        for lo in range(0, v.shape[0], step):
-            x = np.minimum(v[lo:lo + step].T, top) / self.axis[1]  # (B, rows) in grid steps
-            idx = np.clip(x.astype(int), 0, n - 2)
-            cell = np.ravel_multi_index(tuple(idx), (n - 1,) * self.B)
-            out[lo:lo + step] = self._horner(cell, np.clip(x - idx, 0.0, 1.0))
-        return out
-
-    def _horner(self, cell, t):
-        """Each point's patch value: its cell's row of `_coef` at its
-        coordinates t (B, rows) in the cell, by Horner's rule, last axis first."""
-        rows = cell.shape[0]
+    def _patch(self, idx, x):
+        """Each point's Catmull-Rom value: its cell's row of `_coef` at its
+        coordinates t = x - idx in the cell, by Horner's rule, last axis
+        first.  Only the points that need it pay for t, a block-sized
+        temporary otherwise."""
+        rows = idx.shape[1]
+        t = np.clip(x - idx, 0.0, 1.0)
+        cell = np.ravel_multi_index(tuple(idx), (self.axis.shape[0] - 1,) * self.B)
         c = np.take(self._coef, cell, axis=0).reshape((rows,) + (4,) * self.B)
         for d in reversed(range(self.B)):
             td = t[d].reshape((rows,) + (1,) * d)
             c = ((c[..., 3] * td + c[..., 2]) * td + c[..., 1]) * td + c[..., 0]
         return c
+
+    def _interp(self, v):
+        """Separable Catmull-Rom interpolation on the uniform cube; rows of v
+        are points v_b = log(1+u_b), clamped to the cube's upper faces."""
+        return self._patch(*self._locate(v.T))
 
     def _validation_gains(self, seed):
         """CACHE_VALIDATE_POINTS scaled-gain rows drawn uniformly in v = log(1+u)."""
@@ -644,7 +632,7 @@ def outage_mc(
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"outage_mc needs n >= {MC_MIN_SAMPLES}, got {n}")
-    if R <= 0:
+    if not R > 0:
         raise ValueError("R must be positive")
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if not np.all(gammas > 0):

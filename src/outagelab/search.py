@@ -13,9 +13,11 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
 
     The result is that of plain bracketing and bisection: each row doubles
     from `x_start` until f reaches its target, then bisects until its
-    bracket is narrower than `rel_tol` relative to the upper edge; a row
-    still below its target after `max_doublings` doublings is saturated and
-    solves to inf.  Assumes f(0) <= target; no derivative needed.
+    bracket is narrower than `rel_tol` relative to the upper edge, or until
+    no float lies strictly inside it (a root at 0); a row still below its
+    target after `max_doublings` doublings is saturated and solves to inf.
+    Assumes f(0) <= target; no derivative needed.  A nan target raises
+    ValueError.
 
     That result is a function of P(x) = f(x) < target at the loop's own
     points only, so the loop is replayed from facts: for f nondecreasing
@@ -44,6 +46,8 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
     it decides no loop point, so the row would never finish.
     """
     target = np.asarray(target, dtype=float)
+    if np.isnan(target).any():
+        raise ValueError("a nan target has no root")
     x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
     k = np.frexp(np.fmax(x_below / x_start, 0.0))[1]  # 2^(k-1) <= ratio < 2^k
     k -= (k > 0) & (np.ldexp(x_start, k - 1) > x_below)  # division rounding
@@ -76,7 +80,8 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
         np.multiply(hi, 2.0, out=hi, where=grow)
         doublings += grow
         bracketing &= below | ~step
-        live &= (doublings <= max_doublings) & (bracketing | (hi - lo > rel_tol * hi))
+        wide = hi - lo > np.maximum(rel_tol * hi, np.spacing(lo))  # a float inside, past rel_tol
+        live &= (doublings <= max_doublings) & (bracketing | wide)
         x = lo + hi
         x *= 0.5
         np.copyto(x, hi, where=bracketing)

@@ -306,7 +306,10 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     ["boundary", "--gaussian", "--R", "-1", "--gamma-db", "8"],
     ["outage", "--gaussian", "--R", "0", "--gamma-db", "8"],
     ["anchors", "--gaussian", "--B", "2", "--R", "-1", "--gamma-db", "8"],
-], ids=["boundary", "outage", "anchors"])
+    ["boundary", "--gaussian", "--R", "nan", "--gamma-db", "8"],
+    ["outage", "--gaussian", "--R", "nan", "--gamma-db", "8"],
+    ["anchors", "--gaussian", "--B", "2", "--R", "nan", "--gamma-db", "8"],
+], ids=["boundary", "outage", "anchors", "boundary-nan", "outage-nan", "anchors-nan"])
 def test_gaussian_nonpositive_rate_exits_2(argv, capsys):
     assert cli.main(argv) == 2
     assert "R must be positive" in capsys.readouterr().err
@@ -331,6 +334,34 @@ def test_gaussian_nonpositive_rate_exits_2(argv, capsys):
 def test_flag_the_chosen_input_does_not_read_exits_2(argv, unread, capsys):
     assert cli.main(argv) == 2
     assert f"does not read {unread}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["anchors", "--constellation", "r2_4", "--R", "nan", "--gamma-db", "10"],
+    ["outage", "--constellation", "r2_4", "--R", "nan", "--gamma-db", "10"],
+    ["outage", "--constellation", "r2_4", "--Rc", "nan", "--gamma-db", "10"],
+    ["boundary", "--constellation", "r2_4", "--R", "nan", "--gamma-db", "10"],
+    ["sweep", "--constellation", "r2_4", "--R", "nan"],
+    ["optimize", "--constellation", "r2_4", "--R", "nan"],
+    ["expand", "--candidates", "r2_4:0.9", "--R", "nan"],
+], ids=["anchors", "outage", "outage-Rc", "boundary", "sweep", "optimize", "expand"])
+def test_nan_rate_exits_2(argv, hang_guard, capsys):
+    assert cli.main(argv) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_mc_samples_below_one_exits_2(samples, capsys):
+    argv = ["mi", "--constellation", "r2_4", "--alpha", "1,1", "--gamma-db", "0", "--engine", "mc"]
+    assert cli.main(argv + ["--mc-samples", samples]) == 2
+    assert "mc_samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1,nan", "1,inf"])
+@pytest.mark.parametrize("source", [["--constellation", "r2_4"], ["--gaussian"]], ids=["r2_4", "gaussian"])
+def test_non_finite_gain_exits_2(source, alpha, capsys):
+    assert cli.main(["mi", "--alpha", alpha, "--gamma-db", "0"] + source) == 2
+    assert "fading gains must be finite" in capsys.readouterr().err
 
 
 CURVE27 = ["outage", "--constellation", "r2_4", "--theta-deg", "27", "--R", "0.9", "--gamma-db", "8"]

@@ -325,9 +325,9 @@ def test_cache_out_of_range_falls_back_to_direct(q27, cfg):
     gamma = 1000.0
     alphas = np.array([[3.0, 2.0], [0.002, 0.001]])
     direct = mi_per_use_batch(q27.omega_x(), alphas, gamma, cache.cfg)
-    # above the 1-bit cap every clamped-edge value is below the threshold:
-    # the overflow point is evaluated directly, and the in-grid point takes
-    # its cell's highest corner, which bounds it from above
+    # above the 1-bit cap the overflow point's corners leave it open, so it
+    # is evaluated directly, and the in-grid point takes its cell's highest
+    # corner, which bounds it from above
     got = cache.mi(alphas, gamma, threshold=1.5)
     assert got[0] == pytest.approx(direct[0], abs=1e-12)
     assert direct[1] <= got[1] < 1.5
@@ -423,18 +423,62 @@ def test_cache_interpolation_matches_tap_oracle(B, n):
     np.testing.assert_allclose(cache._interp(nodes), cache.values.ravel(), rtol=0.0, atol=1e-12)
 
 
+def stand_in_direct(monkeypatch, cache):
+    """Replace the direct MI of `mi` by 10 + sum(alpha) (above every synthetic
+    cube value), recording its rows; returns the list of recorded rows."""
+    from outagelab import outage
+
+    cache.omega_x = cache.cfg = None
+    direct = []
+    monkeypatch.setattr(outage, "mi_per_use_batch",
+                        lambda _om, al, _g, _cfg: direct.append(al) or 10.0 + al.sum(axis=1))
+    return direct
+
+
 def test_cache_interpolation_blocks(monkeypatch):
     from outagelab import outage
+    from outagelab.outage import _SCREEN_MARGIN, CACHE_TOL_BITS, GAMMA_REF
 
     # more rows than one block of _LOOKUP_CAP gathered floats (4,096 rows at B=3)
     cache = synthetic_cache(3, 6, seed=7)
-    v = np.random.default_rng(7).uniform(0.0, 1.1 * cache.axis[-1], (40_000, 3))
-    whole = cache._interp(v)
-    np.testing.assert_allclose(whole, catmull_rom_oracle(cache.values, cache.axis[1], v),
-                               rtol=0.0, atol=1e-12)
-    # ragged blocks of 7 rows give the same values
+    direct = stand_in_direct(monkeypatch, cache)
+    alphas = np.expm1(np.random.default_rng(7).uniform(0.0, 1.1 * cache.axis[-1], (40_000, 3)))
+    whole = cache.mi(alphas, GAMMA_REF, threshold=0.0)
+    low, high, inside = cell_corners(cache, alphas, GAMMA_REF)
+    above = low > _SCREEN_MARGIN
+    below = inside & (high < -_SCREEN_MARGIN) & ~above  # the random cube is not monotone
+    patch = catmull_rom_oracle(cache.values, cache.axis[1], np.log1p(alphas))
+    want = ~(above | inside) | (inside & ~(above | below) & (np.abs(patch) <= CACHE_TOL_BITS))
+    np.testing.assert_array_equal(direct[0], alphas[want])
+    np.testing.assert_array_equal(whole[above], low[above])
+    np.testing.assert_array_equal(whole[below], high[below])
+    rest = ~(above | below | want)
+    np.testing.assert_allclose(whole[rest], patch[rest], rtol=0.0, atol=1e-12)
+    # ragged blocks of 7 rows give the same values and the same direct rows
     monkeypatch.setattr(outage, "_LOOKUP_CAP", 7 * 4**3)
-    np.testing.assert_array_equal(cache._interp(v[:100]), whole[:100])
+    np.testing.assert_array_equal(cache.mi(alphas[:1000], GAMMA_REF, threshold=0.0), whole[:1000])
+    np.testing.assert_array_equal(direct[1], alphas[:1000][want[:1000]])
+
+
+@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
+def test_open_lookups_beyond_the_cube_are_evaluated_directly(monkeypatch, B, n):
+    # beyond the cube the patch is only clamped to the cube's faces: a lookup
+    # that the lowest corner of its edge cell does not settle is evaluated
+    # directly, whether its face value lies above the threshold or below it
+    from outagelab.outage import _SCREEN_MARGIN, GAMMA_REF
+
+    cache = synthetic_cache(B, n, seed=B + 10)
+    direct = stand_in_direct(monkeypatch, cache)
+    _, _, _, beyond = interpolation_points(cache, np.random.default_rng(B), 0)
+    alphas = np.expm1(beyond)
+    low, _, inside = cell_corners(cache, alphas, GAMMA_REF)
+    assert not inside.any()
+    open_ = low <= _SCREEN_MARGIN
+    face = cache._interp(np.log1p(alphas))
+    assert (open_ & (face > 0.0)).any() and (open_ & (face < 0.0)).any()
+    got = cache.mi(alphas, GAMMA_REF, threshold=0.0)
+    np.testing.assert_array_equal(direct[0], alphas[open_])
+    np.testing.assert_array_equal(got[~open_], low[~open_])
 
 
 # outage counts of r2_4 at 27 degrees, R = 0.9, seed 0, 100k samples, as the
@@ -458,22 +502,12 @@ def test_mc_outage_counts_pinned(q27, cfg, monkeypatch):
 
 def per_point_decisions(omega_x, n, R, gammas, seed, cfg, cache):
     """Draws and outage decisions, shape (SNRs, samples), with each SNR decided
-    on its own: the cache's band rule at every SNR, or every row directly."""
+    on its own: by `unscreened_mi` at every SNR, or every row directly."""
     from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import CACHE_TOL_BITS
 
     alphas = sample_rayleigh(np.random.default_rng(seed), n, omega_x.B)
-    rows = []
-    for g in gammas:
-        if cache is None:
-            rows.append(mi_per_use_batch(omega_x, alphas, g, cfg))
-            continue
-        v = np.log1p(alphas * math.sqrt(2.0 * g))
-        inside = (v <= cache.axis[-1]).all(axis=1)
-        mi = cache._interp(np.minimum(v, cache.axis[-1]))
-        direct = np.where(inside, np.abs(mi - R) <= CACHE_TOL_BITS, mi < R)
-        mi[direct] = mi_per_use_batch(omega_x, alphas[direct], g, cache.cfg)
-        rows.append(mi)
+    rows = [mi_per_use_batch(omega_x, alphas, g, cfg) if cache is None
+            else unscreened_mi(cache, alphas, g, R)[0] for g in gammas]
     return alphas, np.array(rows) < R
 
 
@@ -546,16 +580,16 @@ def test_mc_curve_moves_no_decision(mc_sets, monkeypatch, key, n, grid, seed):
 
 
 def unscreened_mi(cache, alphas, gamma, threshold):
-    """`PolarMICache.mi` with a threshold, every lookup interpolated: the
-    band rule on `_interp` values, and the rows it cannot settle evaluated
-    directly.  Returns the values and the direct rows."""
+    """`PolarMICache.mi` with a threshold and no corner screen in the cube:
+    every lookup there interpolated, with the band rule on `_interp` values;
+    beyond the cube the lowest corner of the edge cell when it lies above
+    the threshold, else the direct MI.  Returns the values and the direct rows."""
     from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import CACHE_TOL_BITS
+    from outagelab.outage import _SCREEN_MARGIN, CACHE_TOL_BITS
 
-    v = np.log1p(alphas * math.sqrt(2.0 * gamma))
-    inside = (v <= cache.axis[-1]).all(axis=1)
-    mi = cache._interp(np.minimum(v, cache.axis[-1]))
-    direct = np.where(inside, np.abs(mi - threshold) <= CACHE_TOL_BITS, mi < threshold)
+    low, _, inside = cell_corners(cache, alphas, gamma)
+    mi = np.where(inside, cache._interp(np.log1p(alphas * math.sqrt(2.0 * gamma))), low)
+    direct = np.where(inside, np.abs(mi - threshold) <= CACHE_TOL_BITS, low <= threshold + _SCREEN_MARGIN)
     mi[direct] = mi_per_use_batch(cache.omega_x, alphas[direct], gamma, cache.cfg)
     return mi, direct
 
@@ -650,21 +684,21 @@ def test_settled_lookups_decide_as_the_direct_mi(mc_sets, key, n):
 
 
 def test_screen_settles_most_lookups(mc_sets, monkeypatch):
-    # a count, not a time: the share of an r2_4 curve's lookups that reach Horner's rule
+    # a count, not a time: the share of an r2_4 curve's lookups that reach the patch
     omega_x, R, cache, cfg = mc_sets["r2_4@27"]
     lookups, interpolated = [], []
-    mi, horner = PolarMICache.mi, PolarMICache._horner
+    mi, patch = PolarMICache.mi, PolarMICache._patch
 
     def counted_mi(self, alphas, gamma, threshold=None):
         lookups.append(len(alphas))
         return mi(self, alphas, gamma, threshold)
 
-    def counted_horner(self, cell, t):
-        interpolated.append(len(cell))
-        return horner(self, cell, t)
+    def counted_patch(self, idx, x):
+        interpolated.append(idx.shape[1])
+        return patch(self, idx, x)
 
     monkeypatch.setattr(PolarMICache, "mi", counted_mi)
-    monkeypatch.setattr(PolarMICache, "_horner", counted_horner)
+    monkeypatch.setattr(PolarMICache, "_patch", counted_patch)
     outage_mc(omega_x, 20_000, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
     assert sum(interpolated) < 0.2 * sum(lookups)
 

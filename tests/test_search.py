@@ -255,6 +255,22 @@ def test_nan_at_a_live_row_raises():
         solve_increasing(lambda x: x * np.array([1.0, np.nan]), np.array([0.5, 0.5]))
 
 
+def test_nan_target_raises(hang_guard):
+    with pytest.raises(ValueError, match="nan"):
+        solve_increasing(lambda x: x, np.array([0.5, np.nan]))
+
+
+def test_root_at_zero_stops(hang_guard):
+    # f jumps from 0 to 1 at 0: the bracket [0, hi] halves until no float lies
+    # inside it, where rel_tol*hi has underflowed to 0; the other row solves as alone
+    def f(x):
+        return np.array([float(x[0] > 0), x[1]])
+
+    roots = solve_increasing(f, np.array([0.5, 0.3]))
+    assert roots[0] == 0.0
+    assert roots[1] == solve_increasing(lambda x: x, np.array([0.3]))[0]
+
+
 def plain_golden_min(f, a, b, tol):
     """Reference for `golden_min`: the loop it replays, one call of f per point."""
     a, b = min(a, b), max(a, b)
