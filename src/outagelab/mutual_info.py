@@ -102,7 +102,7 @@ class ChannelSample:
         object.__setattr__(self, "alpha", a)
         if not np.all((a >= 0) & (a < np.inf)):
             raise ValueError("fading gains must be finite and nonnegative")
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # nan too
             raise ValueError("gamma must be positive")
 
 

@@ -8,10 +8,12 @@ threshold crossings of an interpolated MI surface cached on an
 SNR-invariant grid of scaled fading gains, a whole SNR curve in one pass:
 a sample's MI does not decrease in gamma, so along the sorted SNR grid its
 outage decisions form a prefix, and each sample bisects the grid for the
-end of that prefix.  The axis anchor alpha_o and the ergodic anchor
+end of that prefix, starting from the bracket that its direction's radii
+on the cache grid give.  The axis anchor alpha_o and the ergodic anchor
 alpha_e give the radii of the outer and inner hypersphere bounds.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -53,6 +55,9 @@ _LOOKUP_CAP = 262_144
 # decreases in a gain, but quadrature rounding leaves grid first differences
 # as low as -2.2e-16 bits, and the direct MI moves by as much
 _SCREEN_MARGIN = 1e-9
+# direction bins per axis of `PolarMICache.bracket`'s radius table, by B:
+# a power of two, so that a ratio times the bin count rounds exactly
+_BRACKET_BINS = {2: 128, 3: 16}
 # Catmull-Rom (Keys, a = -1/2): row k holds the t^k coefficient of the
 # weights of the taps at offsets -1, 0, 1, 2
 _CATMULL_ROM = np.array([
@@ -75,7 +80,7 @@ class OutageQuery:
     def __post_init__(self):
         if not self.R > 0:  # nan too
             raise ValueError("R must be positive")
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # nan too
             raise ValueError("gamma must be positive")
         if self.precoder.B != self.omega_z.B:
             raise ValueError("precoder and constellation dimensions differ")
@@ -469,13 +474,21 @@ class PolarMICache:
     the MI anywhere in the cell, and the lowest corner still bounds it from
     below beyond the cube, where the cell is the clamped edge cell.  A
     lookup against a threshold (`mi`) first reads its cell's two corners
-    from `values` and skips the patch when they alone put the point on one
-    side of the threshold: 83% of the lookups of a seed-0 r2_4 curve at 27
-    degrees (100k samples, 0-20 dB), and 84-100% of an r3_8 curve's at
-    50.75 degrees (4-20 dB).  Those decisions are the direct MI's own, and
-    the corners do not depend on the rate, so one cache still serves every
-    R.  A lookup beyond the cube that its corners leave open is evaluated
-    directly: the patch there is only clamped to the cube's faces.
+    from `values` (`_screen`) and skips the patch when they alone put the
+    point on one side of the threshold.  Those decisions are the direct
+    MI's own, and the corners do not depend on the rate, so one cache still
+    serves every R.  A lookup beyond the cube that its corners leave open
+    is evaluated directly: the patch there is only clamped to the cube's
+    faces.
+
+    The same screen, run along rays, brackets a whole SNR curve before any
+    lookup (`bracket`): for a rate R, each bin of fading directions gets a
+    scaled radius below which the screen puts the bin's highest direction
+    in outage and one above which it puts the bin's lowest direction out
+    of it.  A sample then needs lookups only at the SNRs between the two:
+    a seed-0 r2_4 curve at 27 degrees (100k samples, 0-20 dB) makes 64,235
+    lookups instead of 366,926, and those reach the patch and the direct
+    MI exactly as before.
 
     Construction validates against direct evaluation at CACHE_VALIDATE_POINTS
     points and refines the grid once (33 -> 65 points per axis) if the
@@ -515,13 +528,12 @@ class PolarMICache:
         decide `mi < threshold`.
 
         The points are located in blocks of at most _LOOKUP_CAP gathered
-        floats.  A point is settled from its cell's corners first: not in
-        outage when the lowest corner value is above the threshold, and in
-        outage when the point lies in the cube and the highest corner value
-        is below it (each with _SCREEN_MARGIN to spare).  It takes that
-        corner value, which bounds its MI, and is never evaluated directly.
-        The highest corner's flat index in `values` is the lowest one's
-        plus sum_d n^d.
+        floats.  A point is settled from its cell's corners first
+        (`_screen`): not in outage when the lowest corner value is above
+        the threshold, and in outage when the point lies in the cube and
+        the highest corner value is below it (each with _SCREEN_MARGIN to
+        spare).  It takes that corner value, which bounds its MI, and is
+        never evaluated directly.
 
         An open point in the cube takes its patch value and is evaluated
         directly when that lies within CACHE_TOL_BITS of the threshold; an
@@ -531,8 +543,6 @@ class PolarMICache:
         alphas = np.asarray(alphas, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         root = np.broadcast_to(np.sqrt(2.0 * gamma), alphas.shape[:1])
-        corners = self.values.ravel()
-        upper = sum(self.axis.shape[0]**d for d in range(self.B))
         out = np.empty(alphas.shape[0])
         direct = np.zeros(alphas.shape[0], dtype=bool)
         step = max(1, _LOOKUP_CAP // 4**self.B)
@@ -540,14 +550,8 @@ class PolarMICache:
             rows = slice(lo, lo + step)
             v = np.multiply(alphas[rows].T, root[rows], order="C")  # (B, rows): v_b = log(1+u_b)
             np.log1p(v, out=v)
-            inside = (v <= self.axis[-1]).all(axis=0)
-            idx, x = self._locate(v)
-            corner = np.ravel_multi_index(tuple(idx), self.values.shape)
-            low, high = corners[corner], corners[corner + upper]
-            above = low > threshold + _SCREEN_MARGIN
-            below = inside & (high < threshold - _SCREEN_MARGIN)
+            idx, x, inside, above, below, val = self._screen(v, threshold)
             rest = np.flatnonzero(inside & ~(above | below))
-            val = np.where(above, low, high)
             val[rest] = self._patch(idx[:, rest], x[:, rest])
             out[rows] = val
             direct[rows] = ~(above | inside)
@@ -557,13 +561,112 @@ class PolarMICache:
             out[direct] = mi_per_use_batch(self.omega_x, alphas[direct], rows_gamma, self.cfg)
         return out
 
+    def bracket(self, alphas: np.ndarray, gammas: np.ndarray, threshold: float) -> tuple:
+        """The range [lo, hi) of the ascending SNR grid `gammas` that each
+        fading point (rows of `alphas`) leaves open against `threshold`:
+        its MI lies below the threshold at every grid SNR before lo and
+        not below it from hi on.
+
+        A point is binned by direction on the faces of the unit cube: with
+        rho = max_b alpha_b, each ratio alpha_b/rho falls in one of nb =
+        _BRACKET_BINS[B] equal bins or is 1, and the bin code floor(nb *
+        alpha_b/rho) has a coordinate nb.  `_radii` gives each bin two
+        scaled radii.  At an SNR the point's scaled gains are s*d, with s =
+        sqrt(2*gamma)*rho and d its direction, so lo counts the grid points
+        where s <= t_lo and hi those where s < t_hi.  The MI never decreases
+        in a gain, so those decisions are the direct MI's own.  An all-zero
+        row takes the code 0, which no direction has, and stays open.
+        """
+        nb = _BRACKET_BINS[self.B]
+        t_lo, t_hi = self._radii(threshold)
+        # column by column: a reduction along the rows' short axis is 50 times slower
+        rho = np.maximum(functools.reduce(np.maximum, alphas.T), np.finfo(float).tiny)
+        codes = alphas / rho[:, None]
+        codes *= nb
+        np.floor(codes, out=codes)
+        box = (codes @ (nb + 1.0) ** np.arange(self.B - 1, -1, -1)).astype(np.intp)
+        roots = np.sqrt(2.0 * gammas)
+        with np.errstate(over="ignore"):  # a tiny rho: every s lies below both radii
+            lo = np.searchsorted(roots, t_lo[box] / rho, side="right")
+            hi = np.searchsorted(roots, t_hi[box] / rho, side="left")
+        return lo, hi
+
+    def _radii(self, threshold):
+        """Two scaled radii per direction bin of `bracket`, flat over the
+        (nb + 1)^B bin codes: t_hi (inf where none) at which the lowest
+        corner of the cell of t_hi*d_lo lies above the threshold, and t_lo
+        (-inf where none) at which t_lo*d_hi lies in the cube and its
+        cell's highest corner lies below it, as `_screen` decides them.
+        d_lo and d_hi are the componentwise lowest and highest direction of
+        the bin.
+
+        Along a ray t*d the cell changes only where a coordinate crosses a
+        grid line, so the candidate radii are those crossings, just past
+        each one for t_hi and just short of it for t_lo.  The screen's
+        answer flips once along the sorted candidates, so a lock-step
+        binary search over every bin finds the least candidate the screen
+        settles for t_hi and the greatest for t_lo.  Each is then screened
+        again at the returned radius, so that none rests on the search.
+        """
+        nb, B = _BRACKET_BINS[self.B], self.B
+        codes = np.indices((nb + 1,) * B).reshape(B, -1).T
+        boxes = np.flatnonzero(codes.max(axis=1) == nb)  # the codes a direction can have
+        m = boxes.size
+        d = np.concatenate([codes[boxes], np.minimum(codes[boxes] + 1, nb)]) / nb  # d_lo, d_hi rows
+        rows = np.arange(2 * m)
+        up = rows < m  # the rows searching for t_hi
+        # a zero coordinate crosses no grid line: it repeats the face's crossings
+        crossings = np.expm1(self.axis[1:])[:, None] / np.where(d > 0, d, 1.0)[:, None]
+        cand = np.sort(crossings.reshape(2 * m, -1), axis=1)
+        cand *= np.where(up, 1.0 + 1e-12, 1.0 - 1e-12)[:, None]
+
+        def settled(j):  # the screen at each row's candidate j: above for t_hi, below for t_lo
+            _, _, _, above, below, _ = self._screen(np.log1p(cand[rows, j] * d.T), threshold)
+            return np.where(up, above, below)
+
+        # run: the leading candidates of each row that t_hi's screen leaves
+        # open, or that t_lo's screen settles
+        run = np.zeros(2 * m, dtype=np.intp)
+        size = cand.shape[1]
+        for step in 1 << np.arange(size.bit_length())[::-1]:
+            grow = (run + step <= size) & (settled(np.minimum(run + step, size) - 1) != up)
+            run[grow] += step
+        j = np.where(up, run, run - 1)
+        found = (j >= 0) & (j < size)
+        j = np.clip(j, 0, size - 1)
+        t = np.where(found & settled(j), cand[rows, j], np.where(up, np.inf, -np.inf))
+        t_lo = np.full(codes.shape[0], -np.inf)
+        t_hi = np.full(codes.shape[0], np.inf)
+        t_hi[boxes], t_lo[boxes] = t[:m], t[m:]
+        return t_lo, t_hi
+
+    def _screen(self, v, threshold):
+        """Locate points v (B, rows), v_b = log(1+u_b), and screen each by
+        its cell's corner values in `values`: `above` when the lowest
+        corner lies above the threshold, `below` when the point lies in
+        the cube and the highest corner lies below it, each with
+        _SCREEN_MARGIN to spare.  The highest corner's flat index is the
+        lowest one's plus sum_d n^d.  Returns the cell idx and coordinates
+        x (`_locate`), inside, above, below, and the corner value a
+        settled point takes: its lowest when above, else its highest."""
+        inside = (v <= self.axis[-1]).all(axis=0)
+        idx, x = self._locate(v)
+        corners = self.values.ravel()
+        corner = np.ravel_multi_index(tuple(idx), self.values.shape)
+        low = corners[corner]
+        high = corners[corner + sum(self.axis.shape[0]**d for d in range(self.B))]
+        above = low > threshold + _SCREEN_MARGIN
+        below = inside & (high < threshold - _SCREEN_MARGIN)
+        return idx, x, inside, above, below, np.where(above, low, high)
+
     def _locate(self, v):
         """Each point's cell idx (B, rows) and its coordinates x (B, rows) in
         grid steps, for points v (B, rows), v_b = log(1+u_b), clamped to the
         cube's upper faces."""
         x = np.minimum(v, self.axis[-1])
         x /= self.axis[1]
-        return np.clip(x.astype(int), 0, self.axis.shape[0] - 2), x
+        idx = x.astype(int)
+        return np.clip(idx, 0, self.axis.shape[0] - 2, out=idx), x
 
     def _patch(self, idx, x):
         """Each point's Catmull-Rom value: its cell's row of `_coef` at its
@@ -617,18 +720,22 @@ def outage_mc(
     decisions form a prefix, and each sample bisects the grid for the end
     of that prefix.  It keeps the bracket [lo, hi) of grid points it has
     not decided yet and, in each round, evaluates its MI at the bracket's
-    midpoint SNR.  That takes ceil(log2(K+1)) evaluations per sample for K
-    SNRs instead of K, no round's arrays are longer than n, and the count
-    at the i-th sorted SNR is #{lo > i}.  Every decision is the one a
-    separate test at that SNR would make, as long as the evaluated MI does
-    not decrease in gamma: the direct rows are exact, and the cache must
-    stay within CACHE_TOL_BITS of the MI, the premise its band around R
-    already rests on.
+    midpoint SNR.  That takes at most ceil(log2(K+1)) evaluations per
+    sample for K SNRs instead of K, no round's arrays are longer than n,
+    and the count at the i-th sorted SNR is #{lo > i}.  With a cache, each
+    sample's bracket starts from its direction's radii
+    (`PolarMICache.bracket`) instead of [0, K): the decisions outside it
+    are the direct MI's own, and most samples need one lookup or none.
+    Every decision is the one a separate test at that SNR would make, as
+    long as the evaluated MI does not decrease in gamma: the direct rows
+    are exact, and the cache must stay within CACHE_TOL_BITS of the MI, the
+    premise its band around R already rests on.
 
     For B in CACHE_SHAPE the MI comes from the scaled-gain cache (built
-    here unless `cache` is given), which evaluates directly every sample it
-    cannot place on the right side of R; dimensions without a cache shape
-    evaluate every sample directly (slow for large n).
+    here unless `cache` is given; a cache of another set raises
+    ValueError), which evaluates directly every sample it cannot place on
+    the right side of R; dimensions without a cache shape evaluate every
+    sample directly (slow for large n).
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"outage_mc needs n >= {MC_MIN_SAMPLES}, got {n}")
@@ -638,6 +745,8 @@ def outage_mc(
     if not np.all(gammas > 0):
         raise ValueError("gamma must be positive")
     B = omega_x.B
+    if cache is not None and (cache.B != B or not np.array_equal(cache.omega_x.points, omega_x.points)):
+        raise ValueError("the cache was built for a different constellation")
     if at_alphabet_limit(omega_x, R):
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
         return [OutageResult(1.0, (1.0, 1.0), "mc") for _ in gammas]
@@ -648,8 +757,11 @@ def outage_mc(
     grid = gammas[order]
     # an open sample is in outage below grid point lo and not from hi on; a
     # settled one (lo == hi) adds its prefix length to `ends` and leaves
-    lo = np.zeros(n, dtype=np.intp)
-    hi = np.full(n, grid.size, dtype=np.intp)
+    if cache is not None:
+        lo, hi = cache.bracket(alphas, grid, R)
+    else:
+        lo = np.zeros(n, dtype=np.intp)
+        hi = np.full(n, grid.size, dtype=np.intp)
     ends = np.zeros(grid.size + 1, dtype=np.intp)
     while True:
         done = lo == hi

@@ -314,6 +314,12 @@ def test_channel_sample_validation():
     assert isinstance(s.alpha, np.ndarray) and s.gamma == 2.0
 
 
+def test_channel_sample_rejects_nan_snr():
+    # a nan SNR fails every `gamma <= 0` test and gave a nan MI
+    with pytest.raises(ValueError, match="gamma"):
+        ChannelSample([1.0, 1.0], math.nan)
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_mc_vector_and_batch_agree_at_low_snr(seed):
     # one evaluator, one clip: the vector MI is B times the per-use batch

@@ -684,23 +684,86 @@ def test_settled_lookups_decide_as_the_direct_mi(mc_sets, key, n):
 
 
 def test_screen_settles_most_lookups(mc_sets, monkeypatch):
-    # a count, not a time: the share of an r2_4 curve's lookups that reach the patch
+    # a count, not a time: the rows of an r2_4 curve that reach the patch, at
+    # most a fifth of the 73,327 lookups its bisection made over the whole
+    # SNR grid (the bracket leaves fewer lookups, but the same patched rows)
     omega_x, R, cache, cfg = mc_sets["r2_4@27"]
-    lookups, interpolated = [], []
-    mi, patch = PolarMICache.mi, PolarMICache._patch
-
-    def counted_mi(self, alphas, gamma, threshold=None):
-        lookups.append(len(alphas))
-        return mi(self, alphas, gamma, threshold)
+    interpolated = []
+    patch = PolarMICache._patch
 
     def counted_patch(self, idx, x):
         interpolated.append(idx.shape[1])
         return patch(self, idx, x)
 
-    monkeypatch.setattr(PolarMICache, "mi", counted_mi)
     monkeypatch.setattr(PolarMICache, "_patch", counted_patch)
     outage_mc(omega_x, 20_000, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
-    assert sum(interpolated) < 0.2 * sum(lookups)
+    assert sum(interpolated) <= 0.2 * 73_327
+
+
+def bracket_rows(B, rng):
+    """Hand-built fading rows for `PolarMICache.bracket`: all-zero gains, one
+    zero coordinate, directions on bin edges, and gains beyond the cube."""
+    from outagelab.outage import _BRACKET_BINS
+
+    nb = _BRACKET_BINS[B]
+    rows = [np.zeros(B)]
+    for scale in (0.125, 0.5, 1.0, 2.0, 8.0):  # powers of two: ratios j/nb stay exact
+        for j in (0, 1, nb // 2, nb - 1, nb):
+            for face in range(B):
+                edge = np.full(B, j / nb)
+                edge[face] = 1.0
+                rows.append(scale * edge)
+    return np.vstack(rows + [rng.uniform(0.0, 40.0, (200, B))])
+
+
+@pytest.mark.parametrize("key", ["r2_4@0", "r2_4@27", "r3_8@0", "r3_8@50.75", "c2_16@36"])
+def test_bracket_decides_as_the_direct_mi(mc_sets, key):
+    # every (sample, SNR) pair outside a sample's bracket [lo, hi) is settled
+    # without a lookup: in outage before lo, not from hi on, as the direct MI
+    # decides it at the cache's config
+    from outagelab.mutual_info import mi_per_use_batch
+
+    omega_x, R, cache, _ = mc_sets[key]
+    B = omega_x.B
+    grid = np.array(GRID_2DB if B == 2 else GRID_4DB)
+    hand = bracket_rows(B, np.random.default_rng(B))
+    for seed in (0, 1, 2):
+        alphas = np.vstack([sample_rayleigh(np.random.default_rng(seed), 3000, B), hand])
+        lo, hi = cache.bracket(alphas, grid, R)
+        assert np.all(lo <= hi) and (lo == hi).mean() > 0.3
+        # an all-zero row has no direction: it stays open
+        assert (lo[3000], hi[3000]) == (0, grid.size)
+        for k, gamma in enumerate(grid):
+            settled = (k < lo) | (k >= hi)
+            mi = mi_per_use_batch(omega_x, alphas[settled], gamma, cache.cfg)
+            np.testing.assert_array_equal(mi < R, k < lo[settled])
+
+
+def test_bracket_is_the_whole_grid_when_no_corner_clears_the_rate():
+    cache = synthetic_cache(2, 9, seed=0)
+    cache.values[...] = 0.5  # every corner value is the rate itself
+    alphas = bracket_rows(2, np.random.default_rng(0))
+    lo, hi = cache.bracket(alphas, np.array(GRID_2DB), 0.5)
+    assert np.all(lo == 0) and np.all(hi == len(GRID_2DB))
+
+
+@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
+def test_bracket_puts_no_gains_beyond_the_cube_in_outage(B, n):
+    # the MI beyond the cube is not bounded above by any corner: even where
+    # every corner lies below the rate, the bracket leaves such rows open
+    cache = synthetic_cache(B, n, seed=0)
+    cache.values[...] = 0.0
+    rng = np.random.default_rng(B)
+    dirs = rng.uniform(0.0, 1.0, (500, B))
+    dirs[np.arange(500), rng.integers(0, B, 500)] = 1.0
+    u_max, grid = np.expm1(cache.axis[-1]), np.array(GRID_2DB)
+    # the largest gain lies beyond the cube at every SNR of the grid
+    alphas = dirs * rng.uniform(1.01, 2.0, (500, 1)) * u_max / np.sqrt(2.0 * grid[0])
+    lo, hi = cache.bracket(alphas, grid, 1.0)
+    assert np.all(lo == 0) and np.all(hi == grid.size)
+    # inside the cube the same corners settle every SNR of the grid
+    lo, hi = cache.bracket(alphas * (0.24 * grid[0] / grid[-1]) ** 0.5, grid, 1.0)
+    assert np.all(lo == grid.size)
 
 
 def test_mc_curve_keeps_the_callers_order(mc_sets):
@@ -731,7 +794,9 @@ def test_mc_curve_work_guard(mc_sets, monkeypatch):
     n = 20_000
     outage_mc(omega_x, n, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
     assert len(rows) <= 4 and max(rows) <= n
-    assert sum(rows) <= 4 * n
+    # the direction bracket settles most decisions before any lookup: the
+    # whole-grid bisection made 73,327 lookups here
+    assert sum(rows) <= 0.7 * n
 
 
 def test_trace_and_registry_work_guard(cfg, gamma_8db, monkeypatch):
@@ -790,6 +855,20 @@ def test_query_validation(gamma_8db):
         OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.1), R=0.9, gamma=0.0)
     with pytest.raises(ValueError):
         OutageQuery(cs.build_named("r3_8"), pc.rotation2(0.1), R=0.9, gamma=gamma_8db)
+
+
+def test_query_rejects_nan_snr():
+    # a nan SNR fails every `gamma <= 0` test and gave nan anchors with no note
+    with pytest.raises(ValueError, match="gamma"):
+        OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.4), R=0.9, gamma=math.nan)
+
+
+def test_outage_mc_rejects_a_cache_of_another_set(mc_sets):
+    # a cache built for another set would count against the wrong surface
+    omega_x, R, _, cfg = mc_sets["r2_4@27"]
+    for other in ("r2_4@0", "r3_8@0"):  # other points, then another B
+        with pytest.raises(ValueError, match="different constellation"):
+            outage_mc(omega_x, 1000, R, GRID_2DB, cfg=cfg, cache=mc_sets[other][2])
 
 
 def db(x):
