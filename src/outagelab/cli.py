@@ -40,6 +40,7 @@ from .outage import (
     at_alphabet_limit,
     check_integration_angles,
     ergodic_snr,
+    mc_config,
     outage_mc,
     trace_boundary_2d,
 )
@@ -284,13 +285,10 @@ def cmd_outage(args) -> int:
         unread = {"limit": ["angles", "method"], "mc": ["angles"]}.get(method, [])
         reject_unread(args, unread, f"the {method} method")
         rows = _outage_curve(c, p, R, gammas_db, cfg, args.seed, method, args.angles, args.mc_samples)
-        meta = {
-            "seed": args.seed,
-            "engine": cfg.engine,
-            "gh_order": cfg.gh_order,
-            "mc_samples": cfg.mc_samples,
-            "R": R,
-        }
+        meta = {"seed": args.seed, "engine": cfg.engine, "gh_order": cfg.gh_order}
+        if method == "mc":  # the order the Monte Carlo rows were decided at
+            meta["mc_gh_order"] = mc_config(c.B, cfg).gh_order
+        meta.update(mc_samples=cfg.mc_samples, R=R)
     write_table(args.out, CURVE_COLUMNS, rows, meta, args.format)
     return 0
 

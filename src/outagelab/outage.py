@@ -4,13 +4,13 @@ The fading point alpha lives in the positive orthant of R^B; the outage
 region is where the per-use mutual information falls below the rate R.
 Deterministic outage for B=2 integrates the traced boundary radius in
 polar coordinates against the unit-Rayleigh density.  Monte Carlo counts
-threshold crossings of an interpolated MI surface cached on an
-SNR-invariant grid of scaled fading gains, a whole SNR curve in one pass:
-a sample's MI does not decrease in gamma, so along the sorted SNR grid its
+the samples whose MI falls below R, a whole SNR curve in one pass: a
+sample's MI does not decrease in gamma, so along the sorted SNR grid its
 outage decisions form a prefix, and each sample bisects the grid for the
-end of that prefix, starting from the bracket that its direction's radii
-on the cache grid give.  The axis anchor alpha_o and the ergodic anchor
-alpha_e give the radii of the outer and inner hypersphere bounds.
+end of that prefix.  For B = 2 and 3 the bisection starts from the bracket
+that exact ray roots on a lattice of fading directions give, and every
+decision is the direct MI's.  The axis anchor alpha_o and the ergodic
+anchor alpha_e give the radii of the outer and inner hypersphere bounds.
 """
 
 import functools
@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import precoders
 from .constellations import Constellation, _gap_labels, _runs, project
@@ -32,40 +31,29 @@ from .mutual_info import (
     mi_per_use_batch,
 )
 from .precoders import Precoder
-from .search import solve_increasing
+from .search import _solve, solve_increasing
 
 Z95 = 1.959963984540054
 RAY_CAP_TOL = 1e-9
 GAMMA_REF = 0.5  # the SNR at which fading gains equal scaled gains sqrt(2*gamma)*alpha
 
-# The MI interpolation cache (PolarMICache): a log(1+u) cube per B
-CACHE_SHAPE = {2: (21.0, 20), 3: (15.0, 10)}  # B -> (u_max, highest build gh_order)
-CACHE_AXIS_POINTS = 33  # per axis; refined once to 65
-CACHE_TOL_BITS = 1e-3  # validated error, and the band around R evaluated directly
-CACHE_VALIDATE_POINTS = 1000
-CACHE_SEED = 0
+# highest gh_order of the Monte Carlo decisions, by B (`mc_config`)
+CACHE_SHAPE = {2: 20, 3: 10}
 MC_MIN_SAMPLES = 1000  # fewest samples an MC outage estimate takes
 MIN_INTEGRATION_ANGLES = 65  # fewest rays a boundary integration takes (an odd count)
-# gathered floats per block of `PolarMICache.mi`'s walk (2 MB); depending on
-# heap layout, a single 100k-point block could hand ~20 MB back to the kernel
-# per call and refault it.  A lookup that its cell's corners settle gathers
-# nothing, but its block keeps the same rows, so no temporary outgrows a block.
-_LOOKUP_CAP = 262_144
-# slack on the corner values of the lookup screen: the exact MI never
-# decreases in a gain, but quadrature rounding leaves grid first differences
-# as low as -2.2e-16 bits, and the direct MI moves by as much
+# slack on a decided MI value: the exact MI never decreases in a gain, but
+# quadrature rounding moves the direct MI at nearby points by up to ~2e-16 bits
 _SCREEN_MARGIN = 1e-9
-# direction bins per axis of `PolarMICache.bracket`'s radius table, by B:
-# a power of two, so that a ratio times the bin count rounds exactly
+# direction bins per axis of `PolarMICache`'s face lattice, by B: a power of
+# two, so that a ratio times the bin count rounds exactly.  Of 64/128/256 at
+# B=2 and 8/16/32 at B=3, these gave the fastest r2_4 curves and fig9 r3_8
+# curves on a 2-core VM.
 _BRACKET_BINS = {2: 128, 3: 16}
-# Catmull-Rom (Keys, a = -1/2): row k holds the t^k coefficient of the
-# weights of the taps at offsets -1, 0, 1, 2
-_CATMULL_ROM = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-0.5, 0.0, 0.5, 0.0],
-    [1.0, -2.5, 2.0, -0.5],
-    [-0.5, 1.5, -1.5, 0.5],
-])
+_LATTICE_REL_TOL = 1e-3  # relative width of the lattice ray solves
+# rows per block of `PolarMICache.bracket`: its temporaries stay in cache, where
+# one pass over 100k rows allocating fresh pages for each took 1.6 times as
+# long (2-core VM)
+_BRACKET_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -154,20 +142,25 @@ def wilson_ci(k: int, n: int) -> tuple:
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
-def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
-               cfg: EngineConfig, x_start: float, rel_tol: float) -> np.ndarray:
-    """Radius along each ray (rows of `dirs`) where the MI at SNR gamma reaches R.
-
-    All rays are solved in lock-step by `solve_increasing`, one batch of the
-    rays still open per kernel call; an unbracketed ray solves to inf.
-    """
-    def f(r):  # MI along the live rays at radii r (nan in finished rays)
+def _ray_mi(omega_x: Constellation, dirs: np.ndarray, gamma: float, cfg: EngineConfig):
+    """The lock-step solver's f along the rays (rows of `dirs`) at SNR gamma:
+    the MI at radii r, one batch of the rays still open per kernel call
+    (nan in finished rays)."""
+    def f(r):
         live = np.flatnonzero(~np.isnan(r))
         vals = np.full(r.shape, np.nan)
         vals[live] = mi_per_use_batch(omega_x, dirs[live] * r[live, None], gamma, cfg)
         return vals
 
-    return solve_increasing(f, np.full(dirs.shape[0], R), x_start=x_start, rel_tol=rel_tol)
+    return f
+
+
+def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
+               cfg: EngineConfig, x_start: float, rel_tol: float) -> np.ndarray:
+    """Radius along each ray (rows of `dirs`) where the MI at SNR gamma
+    reaches R, all rays in lock-step; an unbracketed ray solves to inf."""
+    return solve_increasing(_ray_mi(omega_x, dirs, gamma, cfg), np.full(dirs.shape[0], R),
+                            x_start=x_start, rel_tol=rel_tol)
 
 
 def at_alphabet_limit(omega: Constellation, R: float) -> bool:
@@ -431,273 +424,162 @@ class OutageGeometry:
         return float(np.polyfit(np.log10(gammas[top]), np.log10(p_up[top]), 1)[0])
 
 
-class CacheAccuracyError(RuntimeError):
-    """Interpolated MI surface failed its validation tolerance."""
-
-
-def _catmull_rom_table(values: np.ndarray) -> np.ndarray:
-    """Power-basis coefficients of the Catmull-Rom patch of every cell of a cube.
-
-    Returns shape ((n-1)^B, 4^B) for a cube of n points per axis: row c holds
-    the coefficients of t_1^k_1 ... t_B^k_B (k_b in 0..3, last axis fastest)
-    of cell c in C order.  Edge padding repeats the taps that fall off the
-    cube, and each tensordot turns one axis of a cell's 4^B taps into the
-    t^0..t^3 coefficients of its weights.
-    """
-    B = values.ndim
-    coef = sliding_window_view(np.pad(values, 1, mode="edge"), (4,) * B)
-    for _ in range(B):
-        coef = np.tensordot(coef, _CATMULL_ROM, axes=([B], [1]))
-    return coef.reshape((values.shape[0] - 1) ** B, 4**B)
+def mc_config(B: int, cfg: EngineConfig = DEFAULT_CONFIG) -> EngineConfig:
+    """The engine config that decides a Monte Carlo outage curve over B
+    blocks: `cfg` with its gh_order capped at CACHE_SHAPE[B] (20 at B=2,
+    10 at B=3), and `cfg` itself at larger B."""
+    if B not in CACHE_SHAPE:
+        return cfg
+    return replace(cfg, gh_order=min(cfg.gh_order, CACHE_SHAPE[B]))
 
 
 class PolarMICache:
-    """Per-use MI interpolated on an SNR-free grid of scaled fading gains.
+    """Exact ray roots of the per-use MI at rate R on a face lattice of
+    fading directions, which settle most outage decisions of a Monte Carlo
+    curve before any kernel call.
 
     The MI at fading point alpha and SNR gamma depends only on the scaled
-    gains u = sqrt(2*gamma)*alpha, so the surface is tabulated once at
-    GAMMA_REF, where alpha = u, and then serves every SNR.  The grid is a
-    cube of CACHE_AXIS_POINTS points per axis over v_b = log(1+u_b) up to
-    the u_max of CACHE_SHAPE; its axis-aligned resolution tracks the
-    narrow near-axis structure of the surface.  Interpolation is separable
-    Catmull-Rom (Keys, a = -1/2), tabulated once per cube: `_coef` holds the
-    4^B power-basis coefficients of every cell's patch in one row, so a
-    point is located once (`_locate`: its cell and its grid coordinates)
-    and its patch (`_patch`) gathers that row and runs Horner's rule.  The
-    table takes 8*(4*(n-1))^B bytes: 131 KB for B=2 at 33 points and 524 KB
-    at 65; 16.8 MB for B=3 at 33 points (a 65-point B=3 cube would take
-    134 MB).
+    gains u = sqrt(2*gamma)*alpha, so the roots are solved once at
+    GAMMA_REF, where alpha = u, and serve every SNR.  The lattice holds the
+    directions d with max_b d_b = 1 and every coordinate in {0, 1/nb, ...,
+    1}, nb = _BRACKET_BINS[B]: the (nb+1)^B - nb^B rays on the faces of the
+    unit cube (257 at B=2, 817 at B=3).  All rays are solved in one
+    lock-step `solve_increasing` call at `mc_config`'s order; a ray whose MI
+    cap (`_ray_caps_bits`) is not above R saturates without a call.  Each
+    ray keeps the solver's last decided bracket: a, where its MI was below
+    R, and b, where it was not.  An end is kept when its MI clears R by
+    _SCREEN_MARGIN.  Otherwise one more kernel call checks the end widened
+    by _LATTICE_REL_TOL, and an end that fails that too decides nothing (a
+    = 0, b = inf).
 
     The exact MI never decreases in any gain: its derivative in alpha_b is
     alpha_b times a component MMSE (Palomar & Verdu, IEEE Trans. IT 52(1),
-    2006).  So the grid values at a cell's lowest and highest corner bound
-    the MI anywhere in the cell, and the lowest corner still bounds it from
-    below beyond the cube, where the cell is the clamped edge cell.  A
-    lookup against a threshold (`mi`) first reads its cell's two corners
-    from `values` (`_screen`) and skips the patch when they alone put the
-    point on one side of the threshold.  Those decisions are the direct
-    MI's own, and the corners do not depend on the rate, so one cache still
-    serves every R.  A lookup beyond the cube that its corners leave open
-    is evaluated directly: the patch there is only clamped to the cube's
-    faces.
+    2006).  So a scaled gain vector below a(c)*c, componentwise, is in
+    outage and one above b(c)*c is not, for any lattice ray c, as the
+    direct MI decides them.  `bracket` applies that to the corners of each
+    sample's direction bin: with the bin's componentwise lowest and highest
+    directions d_lo and d_hi, every gain s*d of the bin with s <= a(d_hi)
+    is in outage and every one with s >= b(d_lo) is not, and the other
+    corners settle more where the boundary runs along an axis.  Every other
+    pair of a sample and an SNR takes the direct MI at the same order
+    (`mi`), so no decision rests on an interpolant.  On the seed-0 r2_4
+    curve at 27 degrees (100k samples, 0-20 dB) that is 1,928 ray rows and
+    1,533 direct rows.
 
-    The same screen, run along rays, brackets a whole SNR curve before any
-    lookup (`bracket`): for a rate R, each bin of fading directions gets a
-    scaled radius below which the screen puts the bin's highest direction
-    in outage and one above which it puts the bin's lowest direction out
-    of it.  A sample then needs lookups only at the SNRs between the two:
-    a seed-0 r2_4 curve at 27 degrees (100k samples, 0-20 dB) makes 64,235
-    lookups instead of 366,926, and those reach the patch and the direct
-    MI exactly as before.
-
-    Construction validates against direct evaluation at CACHE_VALIDATE_POINTS
-    points and refines the grid once (33 -> 65 points per axis) if the
-    maximum error exceeds CACHE_TOL_BITS.  The points are drawn uniformly in
-    v over the cube up to 0.98*u_max, not uniformly in u: most of the
-    u-cube is saturated, so v-sampling puts far more points on the
-    transition where outage decisions are made.  The name is historical:
-    the B=2 surface was once tabulated on a polar grid.
-
-    The cache holds no draws: `outage_mc` draws the gains of a curve once
-    and sends each sample to `mi` at its own SNR.
+    The name is historical: the class once interpolated the MI on a cube of
+    scaled gains.  It keeps the name, `__init__`, `mi` and `_sizes` (whose
+    product is the ray count) because the benchmark tracer
+    (`perfbench/tracing.py`) patches the first two by name and reads the
+    last.  A cache holds no draws: `outage_mc` draws the gains of a curve
+    once.
     """
 
-    def __init__(self, omega_x: Constellation, cfg: EngineConfig = DEFAULT_CONFIG):
-        if omega_x.B not in CACHE_SHAPE:
-            raise ValueError("the MI cache supports B in {2, 3}")
-        self.omega_x = omega_x
-        self.B = omega_x.B
-        self.u_max, order = CACHE_SHAPE[self.B]
-        self.cfg = replace(cfg, gh_order=min(cfg.gh_order, order))
-        for points, seed in ((CACHE_AXIS_POINTS, CACHE_SEED), (2 * CACHE_AXIS_POINTS - 1, CACHE_SEED + 1)):
-            self._sizes = [points] * self.B
-            self.axis = np.linspace(0.0, math.log1p(self.u_max), points)
-            mesh = np.meshgrid(*([self.axis] * self.B), indexing="ij")
-            scaled = np.expm1(np.stack([m.ravel() for m in mesh], axis=-1))
-            self.values = mi_per_use_batch(omega_x, scaled, GAMMA_REF, self.cfg).reshape(self._sizes)
-            self._coef = _catmull_rom_table(self.values)
-            self.validation_error_bits = self._validate(seed)
-            if self.validation_error_bits <= CACHE_TOL_BITS:
-                return
-        raise CacheAccuracyError(
-            f"interpolation error {self.validation_error_bits:.2e} bits exceeds {CACHE_TOL_BITS:.1e}")
-
-    def mi(self, alphas: np.ndarray, gamma, threshold: float) -> np.ndarray:
-        """Per-use MI at each fading point (rows of `alphas`) at SNR gamma,
-        one SNR for all rows or one per row, close enough to the MI to
-        decide `mi < threshold`.
-
-        The points are located in blocks of at most _LOOKUP_CAP gathered
-        floats.  A point is settled from its cell's corners first
-        (`_screen`): not in outage when the lowest corner value is above
-        the threshold, and in outage when the point lies in the cube and
-        the highest corner value is below it (each with _SCREEN_MARGIN to
-        spare).  It takes that corner value, which bounds its MI, and is
-        never evaluated directly.
-
-        An open point in the cube takes its patch value and is evaluated
-        directly when that lies within CACHE_TOL_BITS of the threshold; an
-        open point beyond the cube is evaluated directly.  The direct rows
-        go through one `mi_per_use_batch` call, each at its own SNR.
-        """
-        alphas = np.asarray(alphas, dtype=float)
-        gamma = np.asarray(gamma, dtype=float)
-        root = np.broadcast_to(np.sqrt(2.0 * gamma), alphas.shape[:1])
-        out = np.empty(alphas.shape[0])
-        direct = np.zeros(alphas.shape[0], dtype=bool)
-        step = max(1, _LOOKUP_CAP // 4**self.B)
-        for lo in range(0, alphas.shape[0], step):
-            rows = slice(lo, lo + step)
-            v = np.multiply(alphas[rows].T, root[rows], order="C")  # (B, rows): v_b = log(1+u_b)
-            np.log1p(v, out=v)
-            idx, x, inside, above, below, val = self._screen(v, threshold)
-            rest = np.flatnonzero(inside & ~(above | below))
-            val[rest] = self._patch(idx[:, rest], x[:, rest])
-            out[rows] = val
-            direct[rows] = ~(above | inside)
-            direct[lo + rest] = np.abs(val[rest] - threshold) <= CACHE_TOL_BITS
-        if direct.any():
-            rows_gamma = np.broadcast_to(gamma, out.shape)[direct]
-            out[direct] = mi_per_use_batch(self.omega_x, alphas[direct], rows_gamma, self.cfg)
-        return out
-
-    def bracket(self, alphas: np.ndarray, gammas: np.ndarray, threshold: float) -> tuple:
-        """The range [lo, hi) of the ascending SNR grid `gammas` that each
-        fading point (rows of `alphas`) leaves open against `threshold`:
-        its MI lies below the threshold at every grid SNR before lo and
-        not below it from hi on.
-
-        A point is binned by direction on the faces of the unit cube: with
-        rho = max_b alpha_b, each ratio alpha_b/rho falls in one of nb =
-        _BRACKET_BINS[B] equal bins or is 1, and the bin code floor(nb *
-        alpha_b/rho) has a coordinate nb.  `_radii` gives each bin two
-        scaled radii.  At an SNR the point's scaled gains are s*d, with s =
-        sqrt(2*gamma)*rho and d its direction, so lo counts the grid points
-        where s <= t_lo and hi those where s < t_hi.  The MI never decreases
-        in a gain, so those decisions are the direct MI's own.  An all-zero
-        row takes the code 0, which no direction has, and stays open.
-        """
-        nb = _BRACKET_BINS[self.B]
-        t_lo, t_hi = self._radii(threshold)
-        # column by column: a reduction along the rows' short axis is 50 times slower
-        rho = np.maximum(functools.reduce(np.maximum, alphas.T), np.finfo(float).tiny)
-        codes = alphas / rho[:, None]
-        codes *= nb
-        np.floor(codes, out=codes)
-        box = (codes @ (nb + 1.0) ** np.arange(self.B - 1, -1, -1)).astype(np.intp)
-        roots = np.sqrt(2.0 * gammas)
-        with np.errstate(over="ignore"):  # a tiny rho: every s lies below both radii
-            lo = np.searchsorted(roots, t_lo[box] / rho, side="right")
-            hi = np.searchsorted(roots, t_hi[box] / rho, side="left")
-        return lo, hi
-
-    def _radii(self, threshold):
-        """Two scaled radii per direction bin of `bracket`, flat over the
-        (nb + 1)^B bin codes: t_hi (inf where none) at which the lowest
-        corner of the cell of t_hi*d_lo lies above the threshold, and t_lo
-        (-inf where none) at which t_lo*d_hi lies in the cube and its
-        cell's highest corner lies below it, as `_screen` decides them.
-        d_lo and d_hi are the componentwise lowest and highest direction of
-        the bin.
-
-        Along a ray t*d the cell changes only where a coordinate crosses a
-        grid line, so the candidate radii are those crossings, just past
-        each one for t_hi and just short of it for t_lo.  The screen's
-        answer flips once along the sorted candidates, so a lock-step
-        binary search over every bin finds the least candidate the screen
-        settles for t_hi and the greatest for t_lo.  Each is then screened
-        again at the returned radius, so that none rests on the search.
-        """
+    def __init__(self, omega_x: Constellation, R: float, cfg: EngineConfig = DEFAULT_CONFIG):
+        if omega_x.B not in _BRACKET_BINS:
+            raise ValueError("the MC ray lattice supports B in {2, 3}")
+        if not R > 0:  # nan too
+            raise ValueError("R must be positive")
+        self.omega_x, self.B, self.R = omega_x, omega_x.B, R
+        self.cfg = mc_config(self.B, cfg)
         nb, B = _BRACKET_BINS[self.B], self.B
         codes = np.indices((nb + 1,) * B).reshape(B, -1).T
         boxes = np.flatnonzero(codes.max(axis=1) == nb)  # the codes a direction can have
-        m = boxes.size
-        d = np.concatenate([codes[boxes], np.minimum(codes[boxes] + 1, nb)]) / nb  # d_lo, d_hi rows
-        rows = np.arange(2 * m)
-        up = rows < m  # the rows searching for t_hi
-        # a zero coordinate crosses no grid line: it repeats the face's crossings
-        crossings = np.expm1(self.axis[1:])[:, None] / np.where(d > 0, d, 1.0)[:, None]
-        cand = np.sort(crossings.reshape(2 * m, -1), axis=1)
-        cand *= np.where(up, 1.0 + 1e-12, 1.0 - 1e-12)[:, None]
+        self._sizes = (boxes.size,)
+        # each code's ray ends; the all-zero code, which no direction has, decides nothing
+        self._a, self._b = np.zeros(codes.shape[0]), np.full(codes.shape[0], np.inf)
+        self._a[boxes], self._b[boxes] = self._radii(codes[boxes] / nb)
 
-        def settled(j):  # the screen at each row's candidate j: above for t_hi, below for t_lo
-            _, _, _, above, below, _ = self._screen(np.log1p(cand[rows, j] * d.T), threshold)
-            return np.where(up, above, below)
+    def _radii(self, dirs):
+        """Each lattice ray's inner radius a, where its MI lies below R by
+        _SCREEN_MARGIN (0 where none), and outer radius b, where it lies at
+        least _SCREEN_MARGIN above R (inf where none)."""
+        m, R = dirs.shape[0], self.R
+        inner, outer = np.zeros(m), np.full(m, np.inf)
+        live = np.flatnonzero(_ray_caps_bits(self.omega_x.points, dirs) / self.B > R + 1e-12)
+        f = _ray_mi(self.omega_x, dirs[live], GAMMA_REF, self.cfg)
+        _, (a, fa, b, fb) = _solve(f, np.full(live.size, R), x_start=1.0, rel_tol=_LATTICE_REL_TOL,
+                                   max_doublings=80, x_below=0.0)
+        ends, vals = np.concatenate([a, b]), np.concatenate([fa, fb])
+        up = np.arange(ends.size) >= live.size  # the outer ends
 
-        # run: the leading candidates of each row that t_hi's screen leaves
-        # open, or that t_lo's screen settles
-        run = np.zeros(2 * m, dtype=np.intp)
-        size = cand.shape[1]
-        for step in 1 << np.arange(size.bit_length())[::-1]:
-            grow = (run + step <= size) & (settled(np.minimum(run + step, size) - 1) != up)
-            run[grow] += step
-        j = np.where(up, run, run - 1)
-        found = (j >= 0) & (j < size)
-        j = np.clip(j, 0, size - 1)
-        t = np.where(found & settled(j), cand[rows, j], np.where(up, np.inf, -np.inf))
-        t_lo = np.full(codes.shape[0], -np.inf)
-        t_hi = np.full(codes.shape[0], np.inf)
-        t_hi[boxes], t_lo[boxes] = t[:m], t[m:]
+        def clear(vals, up):
+            return np.where(up, vals >= R + _SCREEN_MARGIN, vals < R - _SCREEN_MARGIN)
+
+        ok = clear(vals, up)
+        redo = np.flatnonzero(~ok & (ends > 0) & (ends < np.inf))
+        if redo.size:
+            ends[redo] *= np.where(up[redo], 1.0 + _LATTICE_REL_TOL, 1.0 - _LATTICE_REL_TOL)
+            gains = dirs[np.tile(live, 2)[redo]] * ends[redo, None]
+            ok[redo] = clear(mi_per_use_batch(self.omega_x, gains, GAMMA_REF, self.cfg), up[redo])
+        ends = np.where(ok, ends, np.where(up, np.inf, 0.0))
+        inner[live], outer[live] = ends[:live.size], ends[live.size:]
+        return inner, outer
+
+    def mi(self, alphas: np.ndarray, gamma) -> np.ndarray:
+        """The direct per-use MI at each fading point (rows of `alphas`) at
+        SNR gamma (one for all rows or one per row), at the cache's order,
+        in one `mi_per_use_batch` call."""
+        return mi_per_use_batch(self.omega_x, alphas, gamma, self.cfg)
+
+    def bracket(self, alphas: np.ndarray, gammas: np.ndarray) -> tuple:
+        """The range [lo, hi) of the ascending SNR grid `gammas` that each
+        fading point (rows of `alphas`) leaves open at the cache's rate: its
+        MI lies below R at every grid SNR before lo and not below it from
+        hi on.
+
+        A point is binned by direction on the faces of the unit cube: with
+        rho = max_b alpha_b, each ratio d_b = alpha_b/rho falls in one of
+        nb = _BRACKET_BINS[B] equal bins or is 1.  The bin's lowest lattice
+        direction d_lo has the coordinates floor(nb*d_b)/nb, and its highest
+        d_hi adds 1/nb to every coordinate below 1; its corners take each
+        coordinate from one of the two.  At an SNR the point's scaled gains
+        are s*d, with s = sqrt(2*gamma)*rho.  A corner c bounds them both
+        ways: s*d <= a(c)*c when s <= a(c)*min_b c_b/d_b, and s*d >= b(c)*c
+        when s >= b(c)*max_b c_b/d_b.  So lo counts the grid points where s
+        is at most the largest of the corners' inner radii (a(d_hi) among
+        them), and hi those where s lies below the smallest of their outer
+        radii (b(d_lo) among them).  A corner near which the boundary runs
+        along an axis settles most of the bin that way.  An all-zero row
+        takes the code 0, which no direction has, and stays open.
+        """
+        lo = np.empty(alphas.shape[0], dtype=np.intp)
+        hi = np.empty(alphas.shape[0], dtype=np.intp)
+        roots = np.sqrt(2.0 * gammas)
+        for start in range(0, alphas.shape[0], _BRACKET_BLOCK):
+            rows = slice(start, start + _BRACKET_BLOCK)
+            t_lo, t_hi = self._corner_radii(alphas[rows])
+            # counts, not `searchsorted`: a handful of passes beats a branchy search per row
+            lo[rows] = sum(r <= t_lo for r in roots)
+            hi[rows] = sum(r < t_hi for r in roots)
+        return lo, hi
+
+    def _corner_radii(self, alphas):
+        """Each point's inner and outer radius over rho, as `bracket` takes them."""
+        nb, B = _BRACKET_BINS[self.B], self.B
+        # column by column: a reduction along the rows' short axis is 50 times slower
+        rho = np.maximum(functools.reduce(np.maximum, alphas.T), np.finfo(float).tiny)
+        ratios = alphas.T / rho
+        ratios *= nb
+        low = np.floor(ratios)
+        high = np.minimum(low + 1.0, nb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_lo, q_hi = low / ratios, high / ratios  # c_b/d_b: 0/0 where d_b = 0 bounds nothing
+        weights = (nb + 1) ** np.arange(B - 1, -1, -1)
+        base = (weights @ low).astype(np.intp)  # the flat code of d_lo
+        steps = ((high - low) * weights[:, None]).astype(np.intp)  # 0 at the largest coordinate
+        t_lo, t_hi = np.full(rho.shape, -np.inf), np.full(rho.shape, np.inf)
+        # d_lo, d_hi and, at B = 3, the corners one coordinate of d_hi reaches from d_lo
+        for up in [(), tuple(range(B))] + [(b,) for b in range(B) if B == 3]:
+            flat = base + sum(steps[b] for b in up)
+            # fmin and fmax skip the nan of a zero coordinate
+            inner = functools.reduce(np.fmin, [q_lo[b] for b in range(B) if b not in up], 1.0)
+            outer = functools.reduce(np.fmax, [q_hi[b] for b in up], 1.0)
+            np.maximum(t_lo, self._a[flat] * inner, out=t_lo)
+            np.minimum(t_hi, self._b[flat] * outer, out=t_hi)
+        with np.errstate(over="ignore"):  # a tiny rho: every s lies below both radii
+            t_lo /= rho
+            t_hi /= rho
         return t_lo, t_hi
-
-    def _screen(self, v, threshold):
-        """Locate points v (B, rows), v_b = log(1+u_b), and screen each by
-        its cell's corner values in `values`: `above` when the lowest
-        corner lies above the threshold, `below` when the point lies in
-        the cube and the highest corner lies below it, each with
-        _SCREEN_MARGIN to spare.  The highest corner's flat index is the
-        lowest one's plus sum_d n^d.  Returns the cell idx and coordinates
-        x (`_locate`), inside, above, below, and the corner value a
-        settled point takes: its lowest when above, else its highest."""
-        inside = (v <= self.axis[-1]).all(axis=0)
-        idx, x = self._locate(v)
-        corners = self.values.ravel()
-        corner = np.ravel_multi_index(tuple(idx), self.values.shape)
-        low = corners[corner]
-        high = corners[corner + sum(self.axis.shape[0]**d for d in range(self.B))]
-        above = low > threshold + _SCREEN_MARGIN
-        below = inside & (high < threshold - _SCREEN_MARGIN)
-        return idx, x, inside, above, below, np.where(above, low, high)
-
-    def _locate(self, v):
-        """Each point's cell idx (B, rows) and its coordinates x (B, rows) in
-        grid steps, for points v (B, rows), v_b = log(1+u_b), clamped to the
-        cube's upper faces."""
-        x = np.minimum(v, self.axis[-1])
-        x /= self.axis[1]
-        idx = x.astype(int)
-        return np.clip(idx, 0, self.axis.shape[0] - 2, out=idx), x
-
-    def _patch(self, idx, x):
-        """Each point's Catmull-Rom value: its cell's row of `_coef` at its
-        coordinates t = x - idx in the cell, by Horner's rule, last axis
-        first.  Only the points that need it pay for t, a block-sized
-        temporary otherwise."""
-        rows = idx.shape[1]
-        t = np.clip(x - idx, 0.0, 1.0)
-        cell = np.ravel_multi_index(tuple(idx), (self.axis.shape[0] - 1,) * self.B)
-        c = np.take(self._coef, cell, axis=0).reshape((rows,) + (4,) * self.B)
-        for d in reversed(range(self.B)):
-            td = t[d].reshape((rows,) + (1,) * d)
-            c = ((c[..., 3] * td + c[..., 2]) * td + c[..., 1]) * td + c[..., 0]
-        return c
-
-    def _interp(self, v):
-        """Separable Catmull-Rom interpolation on the uniform cube; rows of v
-        are points v_b = log(1+u_b), clamped to the cube's upper faces."""
-        return self._patch(*self._locate(v.T))
-
-    def _validation_gains(self, seed):
-        """CACHE_VALIDATE_POINTS scaled-gain rows drawn uniformly in v = log(1+u)."""
-        rng = np.random.default_rng(seed)
-        v = rng.uniform(0.0, math.log1p(0.98 * self.u_max), (CACHE_VALIDATE_POINTS, self.B))
-        return np.expm1(v)
-
-    def _validate(self, seed):
-        """Maximum interpolation error at the validation points of `seed`."""
-        scaled = self._validation_gains(seed)
-        direct = mi_per_use_batch(self.omega_x, scaled, GAMMA_REF, self.cfg)
-        return float(np.max(np.abs(direct - self._interp(np.log1p(scaled)))))
 
 
 def outage_mc(
@@ -722,20 +604,16 @@ def outage_mc(
     not decided yet and, in each round, evaluates its MI at the bracket's
     midpoint SNR.  That takes at most ceil(log2(K+1)) evaluations per
     sample for K SNRs instead of K, no round's arrays are longer than n,
-    and the count at the i-th sorted SNR is #{lo > i}.  With a cache, each
-    sample's bracket starts from its direction's radii
-    (`PolarMICache.bracket`) instead of [0, K): the decisions outside it
-    are the direct MI's own, and most samples need one lookup or none.
-    Every decision is the one a separate test at that SNR would make, as
-    long as the evaluated MI does not decrease in gamma: the direct rows
-    are exact, and the cache must stay within CACHE_TOL_BITS of the MI, the
-    premise its band around R already rests on.
+    and the count at the i-th sorted SNR is #{lo > i}.
 
-    For B in CACHE_SHAPE the MI comes from the scaled-gain cache (built
-    here unless `cache` is given; a cache of another set raises
-    ValueError), which evaluates directly every sample it cannot place on
-    the right side of R; dimensions without a cache shape evaluate every
-    sample directly (slow for large n).
+    For B in CACHE_SHAPE each sample's bracket starts from its direction's
+    ray roots on the face lattice (`PolarMICache.bracket`; the lattice is
+    solved here unless `cache` is given, and a cache of another set or rate
+    raises ValueError) instead of [0, K), and most samples need one
+    evaluation or none.  Every decision, inside the bracket or outside it,
+    is the direct MI's at `mc_config`'s order, the one a separate test at
+    that SNR would make.  Larger B evaluates every sample directly at the
+    run's order (slow for large n).
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"outage_mc needs n >= {MC_MIN_SAMPLES}, got {n}")
@@ -747,18 +625,20 @@ def outage_mc(
     B = omega_x.B
     if cache is not None and (cache.B != B or not np.array_equal(cache.omega_x.points, omega_x.points)):
         raise ValueError("the cache was built for a different constellation")
+    if cache is not None and cache.R != R:
+        raise ValueError(f"the cache was solved at R = {cache.R:g}, not at R = {R:g}")
     if at_alphabet_limit(omega_x, R):
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
         return [OutageResult(1.0, (1.0, 1.0), "mc") for _ in gammas]
     if B in CACHE_SHAPE and cache is None:
-        cache = PolarMICache(omega_x, cfg)
+        cache = PolarMICache(omega_x, R, cfg)
     alphas = sample_rayleigh(np.random.default_rng(seed), n, B)
     order = np.argsort(gammas, kind="stable")
     grid = gammas[order]
     # an open sample is in outage below grid point lo and not from hi on; a
     # settled one (lo == hi) adds its prefix length to `ends` and leaves
     if cache is not None:
-        lo, hi = cache.bracket(alphas, grid, R)
+        lo, hi = cache.bracket(alphas, grid)
     else:
         lo = np.zeros(n, dtype=np.intp)
         hi = np.full(n, grid.size, dtype=np.intp)
@@ -774,7 +654,7 @@ def outage_mc(
             break
         mid = (lo + hi) // 2
         if cache is not None:
-            mi = cache.mi(alphas, grid[mid], threshold=R)
+            mi = cache.mi(alphas, grid[mid])
         else:
             mi = mi_per_use_batch(omega_x, alphas, grid[mid], cfg)
         below = mi < R

@@ -45,6 +45,14 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
     every row nan.  A nan value at a row that needs one raises ValueError:
     it decides no loop point, so the row would never finish.
     """
+    return _solve(f, target, x_start, rel_tol, max_doublings, x_below)[0]
+
+
+def _solve(f, target, x_start, rel_tol, max_doublings, x_below):
+    """`solve_increasing`'s roots, and each row's last decided bracket
+    (a, f(a), b, f(b)): a is the largest point where f was found below the
+    target (x_below or 0, with f(a) nan, until f is called below it) and b
+    the smallest where it was not (inf, with f(b) inf, when none was)."""
     target = np.asarray(target, dtype=float)
     if np.isnan(target).any():
         raise ValueError("a nan target has no root")
@@ -85,7 +93,8 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
         x = lo + hi
         x *= 0.5
         np.copyto(x, hi, where=bracketing)
-    return np.where(doublings > max_doublings, np.inf, 0.5 * (lo + hi))
+    roots = np.where(doublings > max_doublings, np.inf, 0.5 * (lo + hi))
+    return roots, (scout.a, scout.fa, scout.b, scout.fb)
 
 
 SPARE_CALLS = 4  # most calls a row of `solve_increasing` makes beyond plain bisection

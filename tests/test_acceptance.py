@@ -69,11 +69,11 @@ def square():
 
 @pytest.fixture(scope="module")
 def caches(square):
-    """Scaled-gain MI caches shared by the Monte Carlo criteria."""
+    """Ray-root lattices at R = 0.9 shared by the Monte Carlo criteria."""
     out = {}
     for theta in (0.0, 27.0):
         omega_x = pc.apply(pc.rotation2(math.radians(theta)), square)
-        out[theta] = PolarMICache(omega_x, CFG)
+        out[theta] = PolarMICache(omega_x, 0.9, CFG)
     return out
 
 

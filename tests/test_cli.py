@@ -404,6 +404,36 @@ def test_mc_curve_precodes_once(monkeypatch, tmp_path):
     assert len(read_csv(out)[2]) == 11
 
 
+def b4_file(tmp_path):
+    points = [[(-1) ** (k >> b & 1) for b in range(4)] for k in range(16)]
+    path = tmp_path / "b4.json"
+    path.write_text(json.dumps({"name": "bpsk4", "B": 4, "field": "real", "points": points}))
+    return ["--constellation-file", str(path), "--phases-deg", "0,30,180"]
+
+
+@pytest.mark.parametrize("source,order,want", [
+    (["--constellation", "r2_4", "--theta-deg", "27"], "32", "20"),
+    (["--constellation", "r2_4", "--theta-deg", "27"], "12", "12"),
+    (["--constellation", "r3_8"], "32", "10"),
+    (None, "4", "4"),
+], ids=["B2", "B2-below-the-cap", "B3", "B4"])
+def test_mc_header_states_the_decision_order(tmp_path, source, order, want):
+    # Monte Carlo rows are decided at the lattice's capped order at B = 2
+    # and 3 and at the run's own order beyond; the header says which
+    out = tmp_path / "mc.csv"
+    argv = ["outage"] + (source or b4_file(tmp_path)) + [
+        "--R", "0.5", "--method", "mc", "--mc-samples", "1000", "--gamma-db", "8",
+        "--gh-order", order, "--out", str(out)]
+    assert cli.main(argv) == 0
+    meta, _, rows = read_csv(out)
+    assert (meta["gh_order"], meta["mc_gh_order"]) == (order, want)
+    assert len(rows) == 1
+    # a boundary curve has no Monte Carlo rows, and no such line
+    argv = ["outage", "--constellation", "r2_4", "--R", "0.9", "--gamma-db", "8", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "mc_gh_order" not in read_csv(out)[0]
+
+
 def test_boundary_curve_rows_take_three_cdf_calls(monkeypatch, cfg):
     from outagelab import outage
     from outagelab import precoders as pc
@@ -511,12 +541,9 @@ def test_non_finite_coordinate_exits_2(tmp_path, capsys):
 
 
 def test_b4_circulant_from_file_runs(tmp_path):
-    points = [[(-1) ** (k >> b & 1) for b in range(4)] for k in range(16)]
-    path = tmp_path / "b4.json"
-    path.write_text(json.dumps({"name": "bpsk4", "B": 4, "field": "real", "points": points}))
     out = tmp_path / "mi.csv"
-    argv = ["mi", "--constellation-file", str(path), "--phases-deg", "0,30,180", "--alpha", "1,1,1,1",
-            "--gamma-db", "8", "--gh-order", "8", "--out", str(out)]
+    argv = ["mi"] + b4_file(tmp_path) + ["--alpha", "1,1,1,1", "--gamma-db", "8", "--gh-order", "8",
+                                          "--out", str(out)]
     assert cli.main(argv) == 0
     _, _, rows = read_csv(out)
     assert 0 < float(rows[0][2]) <= 1

@@ -1,5 +1,4 @@
 import decimal
-import itertools
 import math
 
 import numpy as np
@@ -288,208 +287,85 @@ def test_bounds_coincide_when_spheres_match():
     assert p_up == pytest.approx(p_low)
 
 
-def test_cache_validates_below_tolerance(q27, cfg):
-    cache = PolarMICache(q27.omega_x(), cfg)
-    assert cache.validation_error_bits < 1e-3
-
-
-def test_cache_validation_samples_the_transition(q27, cfg):
-    # uniform in u, 2.2% of the points lay below 0.9 of the 1-bit cap and
-    # 92% within 1e-3 bits of it; uniform in log(1+u) the share is 19.2%
-    from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import CACHE_SEED, CACHE_VALIDATE_POINTS, GAMMA_REF
-
-    cache = PolarMICache(q27.omega_x(), cfg)
-    gains = cache._validation_gains(CACHE_SEED)
-    assert gains.shape == (CACHE_VALIDATE_POINTS, 2)
-    assert gains.min() >= 0.0 and gains.max() <= 0.98 * cache.u_max
-    mi = mi_per_use_batch(q27.omega_x(), gains, GAMMA_REF, cache.cfg)
-    assert np.mean(mi < 0.9) > 0.15
-
-
 def test_cache_serves_multiple_snrs(q27, cfg):
+    # the lattice is solved once, at GAMMA_REF; `mi` is the direct MI at the
+    # cache's capped order at any SNR, one value per row or one for all rows
     from outagelab.mutual_info import mi_per_use_batch
 
-    cache = PolarMICache(q27.omega_x(), cfg)
+    cache = PolarMICache(q27.omega_x(), q27.R, cfg)
+    assert cache.cfg.gh_order == 20 and cache.R == q27.R
     alphas = np.array([[0.4, 0.9], [1.2, 0.1], [0.7, 0.7]])
-    for gamma in (0.5, q27.gamma, 40.0):
+    gammas = np.array([0.5, q27.gamma, 40.0])
+    for gamma in gammas:
         direct = mi_per_use_batch(q27.omega_x(), alphas, gamma, cache.cfg)
-        v = np.log1p(alphas * math.sqrt(2.0 * gamma))
-        assert np.max(np.abs(cache._interp(v) - direct)) < 1e-3
+        np.testing.assert_array_equal(cache.mi(alphas, gamma), direct)
+    per_row = [mi_per_use_batch(q27.omega_x(), alphas[k:k + 1], g, cache.cfg)[0] for k, g in enumerate(gammas)]
+    np.testing.assert_array_equal(cache.mi(alphas, gammas), per_row)
 
 
-def test_cache_out_of_range_falls_back_to_direct(q27, cfg):
-    from outagelab.mutual_info import mi_per_use_batch
-
-    cache = PolarMICache(q27.omega_x(), cfg)
-    gamma = 1000.0
-    alphas = np.array([[3.0, 2.0], [0.002, 0.001]])
-    direct = mi_per_use_batch(q27.omega_x(), alphas, gamma, cache.cfg)
-    # above the 1-bit cap the overflow point's corners leave it open, so it
-    # is evaluated directly, and the in-grid point takes its cell's highest
-    # corner, which bounds it from above
-    got = cache.mi(alphas, gamma, threshold=1.5)
-    assert got[0] == pytest.approx(direct[0], abs=1e-12)
-    assert direct[1] <= got[1] < 1.5
-    # below the edge value the overflow point keeps its cell's lowest
-    # corner, which already decides the comparison
-    settled = cache.mi(alphas, gamma, threshold=0.9)
-    assert 0.9 < settled[0] <= direct[0]
-
-
-def test_cache_refines_once(cfg):
-    # r2_8 at 5 degrees misses the tolerance on the 33-point cube
-    omega_x = pc.apply(pc.rotation2(math.radians(5)), cs.build_named("r2_8"))
-    cache = PolarMICache(omega_x, cfg)
-    assert cache._sizes == [65, 65]
-    assert cache.validation_error_bits < 1e-3
-
-
-def test_cache_evaluates_margin_band_directly(q27, cfg):
-    from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import _SCREEN_MARGIN, CACHE_TOL_BITS
-
-    cache = PolarMICache(q27.omega_x(), cfg)
-    alphas = sample_rayleigh(np.random.default_rng(0), 20_000, 2)
-    for gamma in (1.0, q27.gamma, 40.0):
-        # interpolated in the cube, direct beyond it
-        v = np.log1p(alphas * math.sqrt(2.0 * gamma))
-        inside = (v <= cache.axis[-1]).all(axis=1)
-        near = cache._interp(v)
-        near[~inside] = mi_per_use_batch(q27.omega_x(), alphas[~inside], gamma, cache.cfg)
-        band = np.abs(near - q27.R) <= CACHE_TOL_BITS
-        assert band.any()
-        got = cache.mi(alphas, gamma, threshold=q27.R)[band]
-        direct = mi_per_use_batch(q27.omega_x(), alphas[band], gamma, cache.cfg)
-        # a band row is evaluated directly unless its cell's corners settle it
-        np.testing.assert_array_equal(got < q27.R, direct < q27.R)
-        settled = got != direct
-        assert np.all(np.abs(got[settled] - q27.R) > _SCREEN_MARGIN)
-
-
-def keys_kernel(s):
-    """Keys' cubic convolution kernel with a = -1/2, as a function of tap distance."""
-    s = np.abs(s)
-    near = 1.5 * s**3 - 2.5 * s**2 + 1.0
-    far = -0.5 * s**3 + 2.5 * s**2 - 4.0 * s + 2.0
-    return np.where(s <= 1.0, near, np.where(s < 2.0, far, 0.0))
-
-
-def catmull_rom_oracle(values, h, v):
-    """Tap-by-tap tensor-product Catmull-Rom with edge-clamped taps; rows of v are points."""
-    n, B = values.shape[0], values.ndim
-    x = np.clip(v / h, 0.0, n - 1.0)
-    base = np.minimum(np.floor(x).astype(int), n - 2)
-    out = np.zeros(v.shape[0])
-    for offsets in itertools.product(range(-1, 3), repeat=B):
-        tap = base + np.array(offsets)
-        weight = np.prod(keys_kernel(x - tap), axis=1)
-        out += weight * values[tuple(np.clip(tap, 0, n - 1).T)]
-    return out
-
-
-def synthetic_cache(B, n, seed):
-    """A PolarMICache over a random cube of n points per axis, with no MI build."""
-    from outagelab.outage import _catmull_rom_table
-
-    cache = PolarMICache.__new__(PolarMICache)
-    cache.B = B
-    cache.axis = np.linspace(0.0, 2.5, n)
-    cache.values = np.random.default_rng(seed).uniform(-1.0, 1.0, (n,) * B)
-    cache._coef = _catmull_rom_table(cache.values)
-    return cache
-
-
-def interpolation_points(cache, rng, rows):
-    """Interior points, every grid node, points on the upper faces and beyond the cube."""
-    B, top = cache.B, cache.axis[-1]
-    interior = rng.uniform(0.0, top, (rows, B))
-    nodes = np.stack(np.meshgrid(*([cache.axis] * B), indexing="ij"), axis=-1).reshape(-1, B)
-    face = rng.uniform(0.0, top, (200, B))
-    face[np.arange(200), rng.integers(0, B, 200)] = top
-    beyond = rng.uniform(0.0, 2.0 * top, (200, B))
-    beyond[:, 0] = rng.uniform(top, 2.0 * top, 200)
-    return interior, nodes, face, beyond
-
-
-@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
-def test_cache_interpolation_matches_tap_oracle(B, n):
-    cache = synthetic_cache(B, n, seed=B)
-    h = cache.axis[1]
-    interior, nodes, face, beyond = interpolation_points(cache, np.random.default_rng(B), 5000)
-    for v in (interior, face, beyond):
-        np.testing.assert_allclose(cache._interp(v), catmull_rom_oracle(cache.values, h, v),
-                                   rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(cache._interp(nodes), cache.values.ravel(), rtol=0.0, atol=1e-12)
-
-
-def stand_in_direct(monkeypatch, cache):
-    """Replace the direct MI of `mi` by 10 + sum(alpha) (above every synthetic
-    cube value), recording its rows; returns the list of recorded rows."""
+def margin_stand_in(monkeypatch, R, slope):
+    """Lattice solves at rate R whose every bracket end lies within
+    _SCREEN_MARGIN of R (a = 1 - 1e-6, b = 1 + 1e-6 on every ray), and a
+    stand-in MI of R + slope*(rho - 1) at gains of largest coordinate rho;
+    returns the list of gain arrays the stand-in was called with."""
     from outagelab import outage
+    from outagelab.outage import _SCREEN_MARGIN
 
-    cache.omega_x = cache.cfg = None
-    direct = []
-    monkeypatch.setattr(outage, "mi_per_use_batch",
-                        lambda _om, al, _g, _cfg: direct.append(al) or 10.0 + al.sum(axis=1))
-    return direct
+    calls = []
 
+    def solve(f, target, **kwargs):
+        m = target.size
+        ends = (np.full(m, 1.0 - 1e-6), np.full(m, R - 0.5 * _SCREEN_MARGIN),
+                np.full(m, 1.0 + 1e-6), np.full(m, R + 0.5 * _SCREEN_MARGIN))
+        return None, ends
 
-def test_cache_interpolation_blocks(monkeypatch):
-    from outagelab import outage
-    from outagelab.outage import _SCREEN_MARGIN, CACHE_TOL_BITS, GAMMA_REF
+    def mi(_om, gains, _gamma, _cfg):
+        calls.append(gains)
+        return R + slope * (gains.max(axis=1) - 1.0)
 
-    # more rows than one block of _LOOKUP_CAP gathered floats (4,096 rows at B=3)
-    cache = synthetic_cache(3, 6, seed=7)
-    direct = stand_in_direct(monkeypatch, cache)
-    alphas = np.expm1(np.random.default_rng(7).uniform(0.0, 1.1 * cache.axis[-1], (40_000, 3)))
-    whole = cache.mi(alphas, GAMMA_REF, threshold=0.0)
-    low, high, inside = cell_corners(cache, alphas, GAMMA_REF)
-    above = low > _SCREEN_MARGIN
-    below = inside & (high < -_SCREEN_MARGIN) & ~above  # the random cube is not monotone
-    patch = catmull_rom_oracle(cache.values, cache.axis[1], np.log1p(alphas))
-    want = ~(above | inside) | (inside & ~(above | below) & (np.abs(patch) <= CACHE_TOL_BITS))
-    np.testing.assert_array_equal(direct[0], alphas[want])
-    np.testing.assert_array_equal(whole[above], low[above])
-    np.testing.assert_array_equal(whole[below], high[below])
-    rest = ~(above | below | want)
-    np.testing.assert_allclose(whole[rest], patch[rest], rtol=0.0, atol=1e-12)
-    # ragged blocks of 7 rows give the same values and the same direct rows
-    monkeypatch.setattr(outage, "_LOOKUP_CAP", 7 * 4**3)
-    np.testing.assert_array_equal(cache.mi(alphas[:1000], GAMMA_REF, threshold=0.0), whole[:1000])
-    np.testing.assert_array_equal(direct[1], alphas[:1000][want[:1000]])
+    monkeypatch.setattr(outage, "_solve", solve)
+    monkeypatch.setattr(outage, "mi_per_use_batch", mi)
+    return calls
 
 
-@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
-def test_open_lookups_beyond_the_cube_are_evaluated_directly(monkeypatch, B, n):
-    # beyond the cube the patch is only clamped to the cube's faces: a lookup
-    # that the lowest corner of its edge cell does not settle is evaluated
-    # directly, whether its face value lies above the threshold or below it
-    from outagelab.outage import _SCREEN_MARGIN, GAMMA_REF
+def lattice_rays(B):
+    """The flat codes of the face lattice's rays and their directions."""
+    from outagelab.outage import _BRACKET_BINS
 
-    cache = synthetic_cache(B, n, seed=B + 10)
-    direct = stand_in_direct(monkeypatch, cache)
-    _, _, _, beyond = interpolation_points(cache, np.random.default_rng(B), 0)
-    alphas = np.expm1(beyond)
-    low, _, inside = cell_corners(cache, alphas, GAMMA_REF)
-    assert not inside.any()
-    open_ = low <= _SCREEN_MARGIN
-    face = cache._interp(np.log1p(alphas))
-    assert (open_ & (face > 0.0)).any() and (open_ & (face < 0.0)).any()
-    got = cache.mi(alphas, GAMMA_REF, threshold=0.0)
-    np.testing.assert_array_equal(direct[0], alphas[open_])
-    np.testing.assert_array_equal(got[~open_], low[~open_])
+    nb = _BRACKET_BINS[B]
+    codes = np.indices((nb + 1,) * B).reshape(B, -1).T
+    rays = np.flatnonzero(codes.max(axis=1) == nb)
+    return rays, codes[rays] / nb
+
+
+def test_cache_evaluates_margin_band_directly(q27, cfg, monkeypatch):
+    # the solver's secant often ends a bracket within rounding of R: such an
+    # end is widened by the solve's tolerance and checked in one more kernel
+    # call, and kept only when that check clears R by the margin
+    from outagelab.outage import _LATTICE_REL_TOL
+
+    rays, _ = lattice_rays(2)
+    calls = margin_stand_in(monkeypatch, q27.R, slope=1.0)
+    cache = PolarMICache(q27.omega_x(), q27.R, cfg)
+    assert len(calls) == 1 and calls[0].shape == (2 * rays.size, 2)
+    np.testing.assert_array_equal(cache._a[rays], (1.0 - 1e-6) * (1.0 - _LATTICE_REL_TOL))
+    np.testing.assert_array_equal(cache._b[rays], (1.0 + 1e-6) * (1.0 + _LATTICE_REL_TOL))
+    # an MI that stays within the margin after widening decides nothing
+    calls = margin_stand_in(monkeypatch, q27.R, slope=1e-8)
+    cache = PolarMICache(q27.omega_x(), q27.R, cfg)
+    assert len(calls) == 1
+    assert np.all(cache._a[rays] == 0.0) and np.all(cache._b[rays] == np.inf)
 
 
 # outage counts of r2_4 at 27 degrees, R = 0.9, seed 0, 100k samples, as the
-# tap-by-tap interpolation decided them: the table lookup must not flip one
+# direct MI at the cache's order 20 decides them
 PINNED_MC_COUNTS = [(0.0, 93384), (10.0, 8591), (20.0, 103)]
 
 
 def test_mc_outage_counts_pinned(q27, cfg, monkeypatch):
     from outagelab import outage
 
-    cache = PolarMICache(q27.omega_x(), cfg)
+    cache = PolarMICache(q27.omega_x(), q27.R, cfg)
     n = 100_000
     draws = []
     monkeypatch.setattr(outage, "sample_rayleigh", lambda *a: draws.append(a) or sample_rayleigh(*a))
@@ -502,13 +378,24 @@ def test_mc_outage_counts_pinned(q27, cfg, monkeypatch):
 
 def per_point_decisions(omega_x, n, R, gammas, seed, cfg, cache):
     """Draws and outage decisions, shape (SNRs, samples), with each SNR decided
-    on its own: by `unscreened_mi` at every SNR, or every row directly."""
+    on its own by the direct MI at the order the curve states (`cache.cfg`).
+
+    The MI does not decrease in gamma, so a sample out of outage at one SNR
+    of the ascending `gammas` stays out at the next, and each SNR evaluates
+    only the samples in outage at the one below.  The first 2,000 samples,
+    evaluated at every SNR, check that premise."""
     from outagelab.mutual_info import mi_per_use_batch
 
     alphas = sample_rayleigh(np.random.default_rng(seed), n, omega_x.B)
-    rows = [mi_per_use_batch(omega_x, alphas, g, cfg) if cache is None
-            else unscreened_mi(cache, alphas, g, R)[0] for g in gammas]
-    return alphas, np.array(rows) < R
+    order_cfg = cfg if cache is None else cache.cfg
+    below = np.zeros((len(gammas), n), dtype=bool)
+    live = np.arange(n)
+    for k, gamma in enumerate(gammas):
+        below[k, live] = mi_per_use_batch(omega_x, alphas[live], gamma, order_cfg) < R
+        live = live[below[k, live]]
+    head = [mi_per_use_batch(omega_x, alphas[:2000], gamma, order_cfg) < R for gamma in gammas]
+    np.testing.assert_array_equal(head, below[:, :2000])
+    return alphas, below
 
 
 def b4_circulant():
@@ -522,11 +409,11 @@ GRID_4DB = [10.0 ** (g / 10.0) for g in np.arange(0.0, 20.5, 4.0)]
 
 @pytest.fixture(scope="module")
 def mc_sets(cfg):
-    """name -> (precoded set, rate, cache or None, engine config)."""
+    """name -> (precoded set, rate, ray lattice or None, engine config)."""
     def cached(name, theta_deg, R):
         c = cs.build_named(name)
         omega_x = pc.apply(pc.rotation(c.B, math.radians(theta_deg)), c)
-        return omega_x, R, PolarMICache(omega_x, cfg), cfg
+        return omega_x, R, PolarMICache(omega_x, R, cfg), cfg
 
     return {
         "r2_4@0": cached("r2_4", 0.0, 0.9),
@@ -554,14 +441,12 @@ def test_mc_curve_moves_no_decision(mc_sets, monkeypatch, key, n, grid, seed):
 
     omega_x, R, cache, cfg = mc_sets[key]
     alphas, want = per_point_decisions(omega_x, n, R, grid, seed, cfg, cache)
-    # each sample's decisions along the ascending grid form a prefix
-    assert np.all(want[:-1] >= want[1:])
     # every decision the bisection evaluates is the per-point decision
     evaluated = []
     owner, attr = (PolarMICache, "mi") if cache is not None else (outage, "mi_per_use_batch")
     fn = getattr(owner, attr)
 
-    def recorded(*args, **kwargs):  # (cache, rows, gammas, ...) or (omega_x, rows, gammas, cfg)
+    def recorded(*args, **kwargs):  # (cache, rows, gammas) or (omega_x, rows, gammas, cfg)
         mi = fn(*args, **kwargs)
         rows, gammas = args[1:3]
         evaluated.append((rows, np.broadcast_to(gammas, mi.shape), mi < R))
@@ -579,130 +464,79 @@ def test_mc_curve_moves_no_decision(mc_sets, monkeypatch, key, n, grid, seed):
     assert [r.ci95 for r in got] == [wilson_ci(int(k), n) for k in want.sum(axis=1)]
 
 
-def unscreened_mi(cache, alphas, gamma, threshold):
-    """`PolarMICache.mi` with a threshold and no corner screen in the cube:
-    every lookup there interpolated, with the band rule on `_interp` values;
-    beyond the cube the lowest corner of the edge cell when it lies above
-    the threshold, else the direct MI.  Returns the values and the direct rows."""
-    from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import _SCREEN_MARGIN, CACHE_TOL_BITS
-
-    low, _, inside = cell_corners(cache, alphas, gamma)
-    mi = np.where(inside, cache._interp(np.log1p(alphas * math.sqrt(2.0 * gamma))), low)
-    direct = np.where(inside, np.abs(mi - threshold) <= CACHE_TOL_BITS, low <= threshold + _SCREEN_MARGIN)
-    mi[direct] = mi_per_use_batch(cache.omega_x, alphas[direct], gamma, cache.cfg)
-    return mi, direct
-
-
-def cell_corners(cache, alphas, gamma):
-    """Each point's lowest and highest cell-corner value in `cache.values`,
-    and whether it lies in the cube; beyond the cube the cell is the edge cell."""
-    v = np.log1p(alphas * math.sqrt(2.0 * gamma))
-    n, top = cache.axis.shape[0], cache.axis[-1]
-    idx = np.clip((np.minimum(v, top) / cache.axis[1]).astype(int), 0, n - 2)
-    return cache.values[tuple(idx.T)], cache.values[tuple(idx.T + 1)], (v <= top).all(axis=1)
-
-
-# at 0 degrees r2_4 loses diversity: gains beyond the cube on one axis stay in outage
+# at 0 degrees r2_4 loses diversity: the lattice's axis rays saturate
 @pytest.mark.parametrize("key", ["r2_4@0", "r2_4@27", "r3_8@50.75"])
 def test_screened_lookups_decide_as_unscreened(mc_sets, monkeypatch, key):
-    from outagelab import outage
-
-    omega_x, R, cache, _ = mc_sets[key]
-    rng = np.random.default_rng(4)
-    # Rayleigh draws, plus gains beyond the cube at every SNR below
-    alphas = np.vstack([sample_rayleigh(rng, 20_000, omega_x.B),
-                        rng.uniform(0.0, 20.0, (500, omega_x.B))])
-    direct_rows = []
-    batch = outage.mi_per_use_batch
-    monkeypatch.setattr(outage, "mi_per_use_batch",
-                        lambda om, al, *a: direct_rows.append(al) or batch(om, al, *a))
-    for gamma_db in (0.0, 4.0, 8.0, 12.0, 20.0, 30.0):
-        gamma = 10.0 ** (gamma_db / 10.0)
-        want, direct = unscreened_mi(cache, alphas, gamma, R)
-        direct_rows.clear()
-        got = cache.mi(alphas, gamma, threshold=R)
-        np.testing.assert_array_equal(got < R, want < R)
-        # the same rows are evaluated directly, and every other value is
-        # the interpolated one or its cell's corner value, deciding as the
-        # direct MI does
-        assert len(direct_rows) == int(direct.any())
-        if direct.any():
-            np.testing.assert_array_equal(direct_rows[0], alphas[direct])
-        moved = got != want
-        assert not (moved & direct).any()
-        low, high, _ = cell_corners(cache, alphas[moved], gamma)
-        assert np.all((got[moved] == low) | (got[moved] == high))
-        exact = batch(omega_x, alphas[moved], gamma, cache.cfg)
-        np.testing.assert_array_equal(got[moved] < R, exact < R)
+    # a curve whose samples start from the lattice's bracket counts what the
+    # bisection of the whole grid counts, with every decision a direct row
+    omega_x, R, cache, cfg = mc_sets[key]
+    grid = [db(g) for g in (0.0, 4.0, 8.0, 12.0, 16.0, 20.0)]
+    screened = outage_mc(omega_x, 20_000, R, grid, seed=4, cfg=cfg, cache=cache)
+    monkeypatch.setattr(cache, "bracket", lambda alphas, gammas: (
+        np.zeros(len(alphas), dtype=np.intp), np.full(len(alphas), len(gammas), dtype=np.intp)))
+    unscreened = outage_mc(omega_x, 20_000, R, grid, seed=4, cfg=cfg, cache=cache)
+    assert [r.p_out for r in screened] == [r.p_out for r in unscreened]
+    assert 0.0 < screened[-1].p_out < screened[0].p_out < 1.0
 
 
 @pytest.mark.parametrize("key", ["r2_4@0", "r2_4@27", "r3_8@0", "r3_8@50.75", "c2_16@36"])
 def test_cell_corners_bound_the_direct_mi(mc_sets, key):
-    # the premise of the corner screen: the MI never decreases in a gain, so
-    # a cell's lowest and highest corner values bound it in the cell, and
-    # the lowest corner of the clamped edge cell bounds it beyond the cube
+    # the premise of the bracket: every corner ray of every face bin has its
+    # inner end below R - margin and its outer end at least R + margin, as
+    # the direct MI at the cache's order decides them, so a(d_hi)*d_hi and
+    # b(d_lo)*d_lo bound the MI of the whole bin
     from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import _SCREEN_MARGIN
+    from outagelab.outage import _SCREEN_MARGIN, GAMMA_REF
 
-    omega_x, _, cache, _ = mc_sets[key]
-    B, top = omega_x.B, cache.axis[-1]
-    rng = np.random.default_rng(6)
-    beyond = rng.uniform(0.0, 2.0 * top, (200, B))
-    beyond[np.arange(200), rng.integers(0, B, 200)] = rng.uniform(top, 2.0 * top, 200)
-    v = np.vstack([rng.uniform(0.0, top, (1000, B)), beyond])
-    for gamma in (0.5, 10.0):
-        alphas = np.expm1(v) / math.sqrt(2.0 * gamma)
-        low, high, inside = cell_corners(cache, alphas, gamma)
-        assert inside.sum() == 1000
-        mi = mi_per_use_batch(omega_x, alphas, gamma, cache.cfg)
-        assert np.all(mi >= low - _SCREEN_MARGIN)
-        assert np.all(mi[inside] <= high[inside] + _SCREEN_MARGIN)
+    omega_x, R, cache, _ = mc_sets[key]
+    rays, dirs = lattice_rays(omega_x.B)
+    assert cache._sizes == (rays.size,) == ({2: 257, 3: 817}[omega_x.B],)
+    a, b = cache._a[rays], cache._b[rays]
+    inner, outer = a > 0.0, np.isfinite(b)
+    # every ray whose MI cap lies above R keeps both ends; the others saturate
+    caps = _ray_caps_bits(omega_x.points, dirs) / omega_x.B
+    np.testing.assert_array_equal(inner, caps > R + 1e-12)
+    np.testing.assert_array_equal(outer, inner)
+    low = mi_per_use_batch(omega_x, dirs[inner] * a[inner, None], GAMMA_REF, cache.cfg)
+    high = mi_per_use_batch(omega_x, dirs[outer] * b[outer, None], GAMMA_REF, cache.cfg)
+    assert np.all(low < R - _SCREEN_MARGIN) and np.all(high >= R + _SCREEN_MARGIN)
+    # the solve's own bracket: each ray's ends lie within 2e-3 of each other
+    both = inner & outer
+    assert np.all(b[both] <= a[both] * 1.002)
 
 
 @pytest.mark.parametrize("key,n", [("r2_4@0", 4000), ("r2_4@27", 4000), ("r3_8@50.75", 1000)])
 def test_settled_lookups_decide_as_the_direct_mi(mc_sets, key, n):
-    # a lookup its cell's corners settle takes a corner value and decides
-    # `mi < R` as the direct MI does, in the cube and beyond it
+    # a pair the bracket settles at one SNR decides `mi < R` as the direct
+    # MI does, for Rayleigh draws and for gains far beyond the boundary
     from outagelab.mutual_info import mi_per_use_batch
-    from outagelab.outage import _SCREEN_MARGIN
 
     omega_x, R, cache, _ = mc_sets[key]
     rng = np.random.default_rng(8)
     alphas = np.vstack([sample_rayleigh(rng, n, omega_x.B), rng.uniform(0.0, 20.0, (200, omega_x.B))])
     for gamma_db in (0.0, 8.0, 16.0, 30.0):
-        gamma = 10.0 ** (gamma_db / 10.0)
-        low, high, inside = cell_corners(cache, alphas, gamma)
-        above = low > R + _SCREEN_MARGIN
-        below = inside & (high < R - _SCREEN_MARGIN)
-        settled = above | below
-        assert settled.any()
-        got = cache.mi(alphas, gamma, threshold=R)
-        np.testing.assert_array_equal(got[settled], np.where(above, low, high)[settled])
+        gamma = db(gamma_db)
+        lo, hi = cache.bracket(alphas, np.array([gamma]))
+        settled = lo == hi
+        assert settled.mean() > 0.5
         exact = mi_per_use_batch(omega_x, alphas[settled], gamma, cache.cfg)
-        np.testing.assert_array_equal(got[settled] < R, exact < R)
+        np.testing.assert_array_equal(exact < R, lo[settled] == 1)
 
 
 def test_screen_settles_most_lookups(mc_sets, monkeypatch):
-    # a count, not a time: the rows of an r2_4 curve that reach the patch, at
-    # most a fifth of the 73,327 lookups its bisection made over the whole
-    # SNR grid (the bracket leaves fewer lookups, but the same patched rows)
+    # a count, not a time: the seed-0 r2_4 curve at 27 degrees (100k samples,
+    # 0-20 dB in 2-dB steps) sends at most 3,000 rows to the direct MI
     omega_x, R, cache, cfg = mc_sets["r2_4@27"]
-    interpolated = []
-    patch = PolarMICache._patch
-
-    def counted_patch(self, idx, x):
-        interpolated.append(idx.shape[1])
-        return patch(self, idx, x)
-
-    monkeypatch.setattr(PolarMICache, "_patch", counted_patch)
-    outage_mc(omega_x, 20_000, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
-    assert sum(interpolated) <= 0.2 * 73_327
+    rows = []
+    mi = PolarMICache.mi
+    monkeypatch.setattr(PolarMICache, "mi", lambda self, al, g: rows.append(len(al)) or mi(self, al, g))
+    outage_mc(omega_x, 100_000, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
+    assert 0 < sum(rows) <= 3000
 
 
 def bracket_rows(B, rng):
     """Hand-built fading rows for `PolarMICache.bracket`: all-zero gains, one
-    zero coordinate, directions on bin edges, and gains beyond the cube."""
+    zero coordinate, directions on bin edges, and gains far out."""
     from outagelab.outage import _BRACKET_BINS
 
     nb = _BRACKET_BINS[B]
@@ -719,8 +553,8 @@ def bracket_rows(B, rng):
 @pytest.mark.parametrize("key", ["r2_4@0", "r2_4@27", "r3_8@0", "r3_8@50.75", "c2_16@36"])
 def test_bracket_decides_as_the_direct_mi(mc_sets, key):
     # every (sample, SNR) pair outside a sample's bracket [lo, hi) is settled
-    # without a lookup: in outage before lo, not from hi on, as the direct MI
-    # decides it at the cache's config
+    # without a kernel row: in outage before lo, not from hi on, as the
+    # direct MI decides it at the cache's config
     from outagelab.mutual_info import mi_per_use_batch
 
     omega_x, R, cache, _ = mc_sets[key]
@@ -729,8 +563,8 @@ def test_bracket_decides_as_the_direct_mi(mc_sets, key):
     hand = bracket_rows(B, np.random.default_rng(B))
     for seed in (0, 1, 2):
         alphas = np.vstack([sample_rayleigh(np.random.default_rng(seed), 3000, B), hand])
-        lo, hi = cache.bracket(alphas, grid, R)
-        assert np.all(lo <= hi) and (lo == hi).mean() > 0.3
+        lo, hi = cache.bracket(alphas, grid)
+        assert np.all(lo <= hi) and (lo == hi).mean() > 0.6
         # an all-zero row has no direction: it stays open
         assert (lo[3000], hi[3000]) == (0, grid.size)
         for k, gamma in enumerate(grid):
@@ -739,31 +573,33 @@ def test_bracket_decides_as_the_direct_mi(mc_sets, key):
             np.testing.assert_array_equal(mi < R, k < lo[settled])
 
 
-def test_bracket_is_the_whole_grid_when_no_corner_clears_the_rate():
-    cache = synthetic_cache(2, 9, seed=0)
-    cache.values[...] = 0.5  # every corner value is the rate itself
+def test_bracket_is_the_whole_grid_when_no_corner_clears_the_rate(q27, cfg, monkeypatch):
+    cache = PolarMICache(q27.omega_x(), q27.R, cfg)
+    margin_stand_in(monkeypatch, q27.R, slope=1e-8)  # every ray end within the margin of R
+    open_cache = PolarMICache(q27.omega_x(), q27.R, cfg)
     alphas = bracket_rows(2, np.random.default_rng(0))
-    lo, hi = cache.bracket(alphas, np.array(GRID_2DB), 0.5)
+    lo, hi = open_cache.bracket(alphas, np.array(GRID_2DB))
     assert np.all(lo == 0) and np.all(hi == len(GRID_2DB))
+    lo, hi = cache.bracket(alphas, np.array(GRID_2DB))
+    assert (lo == hi).mean() > 0.5
 
 
-@pytest.mark.parametrize("B,n", [(2, 9), (3, 6)])
-def test_bracket_puts_no_gains_beyond_the_cube_in_outage(B, n):
-    # the MI beyond the cube is not bounded above by any corner: even where
-    # every corner lies below the rate, the bracket leaves such rows open
-    cache = synthetic_cache(B, n, seed=0)
-    cache.values[...] = 0.0
-    rng = np.random.default_rng(B)
-    dirs = rng.uniform(0.0, 1.0, (500, B))
-    dirs[np.arange(500), rng.integers(0, B, 500)] = 1.0
-    u_max, grid = np.expm1(cache.axis[-1]), np.array(GRID_2DB)
-    # the largest gain lies beyond the cube at every SNR of the grid
-    alphas = dirs * rng.uniform(1.01, 2.0, (500, 1)) * u_max / np.sqrt(2.0 * grid[0])
-    lo, hi = cache.bracket(alphas, grid, 1.0)
-    assert np.all(lo == 0) and np.all(hi == grid.size)
-    # inside the cube the same corners settle every SNR of the grid
-    lo, hi = cache.bracket(alphas * (0.24 * grid[0] / grid[-1]) ** 0.5, grid, 1.0)
-    assert np.all(lo == grid.size)
+@pytest.mark.parametrize("key", ["r2_4@27", "r3_8@50.75"])
+def test_bracket_blocks(mc_sets, monkeypatch, key):
+    # `bracket` walks its rows in blocks of _BRACKET_BLOCK: ragged blocks of 7
+    # rows give the same brackets as one block
+    from outagelab import outage
+
+    omega_x, _, cache, _ = mc_sets[key]
+    alphas = np.vstack([sample_rayleigh(np.random.default_rng(9), 1000, omega_x.B),
+                        bracket_rows(omega_x.B, np.random.default_rng(9))])
+    whole = cache.bracket(alphas, np.array(GRID_4DB))
+    monkeypatch.setattr(outage, "_BRACKET_BLOCK", 7)
+    blocked = cache.bracket(alphas, np.array(GRID_4DB))
+    np.testing.assert_array_equal(blocked[0], whole[0])
+    np.testing.assert_array_equal(blocked[1], whole[1])
+    # an empty grid leaves nothing open
+    assert [x.tolist() for x in cache.bracket(alphas[:3], np.array([]))] == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_mc_curve_keeps_the_callers_order(mc_sets):
@@ -786,16 +622,16 @@ def test_mc_curve_work_guard(mc_sets, monkeypatch):
     rows = []
     mi = PolarMICache.mi
 
-    def counted(self, alphas, gamma, threshold=None):
+    def counted(self, alphas, gamma):
         rows.append(len(alphas))
-        return mi(self, alphas, gamma, threshold)
+        return mi(self, alphas, gamma)
 
     monkeypatch.setattr(PolarMICache, "mi", counted)
     n = 20_000
     outage_mc(omega_x, n, R, GRID_2DB, seed=0, cfg=cfg, cache=cache)
     assert len(rows) <= 4 and max(rows) <= n
-    # the direction bracket settles most decisions before any lookup: the
-    # whole-grid bisection made 73,327 lookups here
+    # the direction bracket settles most decisions before any kernel row:
+    # the whole-grid bisection made 73,327 rows here
     assert sum(rows) <= 0.7 * n
 
 
@@ -869,6 +705,15 @@ def test_outage_mc_rejects_a_cache_of_another_set(mc_sets):
     for other in ("r2_4@0", "r3_8@0"):  # other points, then another B
         with pytest.raises(ValueError, match="different constellation"):
             outage_mc(omega_x, 1000, R, GRID_2DB, cfg=cfg, cache=mc_sets[other][2])
+
+
+def test_outage_mc_rejects_a_cache_of_another_rate(mc_sets):
+    # a lattice solved at another rate would bracket against the wrong boundary
+    omega_x, R, cache, cfg = mc_sets["r2_4@27"]
+    with pytest.raises(ValueError, match="solved at R = 0.9, not at R = 0.8"):
+        outage_mc(omega_x, 1000, 0.8, GRID_2DB, cfg=cfg, cache=cache)
+    with pytest.raises(ValueError, match="R must be positive"):
+        PolarMICache(omega_x, math.nan, cfg)
 
 
 def db(x):

@@ -59,7 +59,8 @@ def test_traced_mc_outage_call(tmp_path):
                       "--method", "mc", "--mc-samples", "2000", "--gamma-db", "0:20:2",
                       "--out", str(tmp_path / "m.csv")])
     assert metrics["outage.cache_builds"] == 1
-    assert metrics["outage.cache_grid_points"] == 33 * 33
+    # the face lattice's rays at B=2: 129^2 - 128^2
+    assert metrics["outage.cache_grid_points"] == 257
     assert metrics["outage.cache_direct_rows"] > 0
 
 

@@ -106,6 +106,25 @@ def test_bracket_failure_saturates_only_its_row():
     assert (got <= oracle).all()
 
 
+@pytest.mark.parametrize("f,target", [
+    (lambda x: np.log1p(SCALES * x), np.log1p(SCALES * TARGETS)),
+    (lambda x: np.minimum(x, np.array([1.0, 10.0, 1.0])), np.array([0.5, 20.0, 0.25])),
+    (lambda x: np.floor(8.0 * x) / 8.0, np.array([0.3, 1.0, 2.0 + 1e-9])),
+], ids=["smooth", "capped", "steps"])
+def test_solve_returns_each_rows_last_decided_bracket(f, target):
+    # `_solve`, behind `solve_increasing`: the same roots bit for bit, and each
+    # row's last decided points, f(a) < target <= f(b), at f's own values
+    from outagelab.search import _solve
+
+    roots, (a, fa, b, fb) = _solve(f, target, 1e-4, 1e-6, 40, 0.0)
+    assert roots.tolist() == solve_increasing(f, target, max_doublings=40).tolist()
+    assert np.all(fa < target) and np.all(target <= fb)
+    np.testing.assert_array_equal(f(a), fa)
+    found = np.isfinite(b)  # a row that saturates keeps b = f(b) = inf
+    np.testing.assert_array_equal(f(np.where(found, b, 0.0))[found], fb[found])
+    assert np.array_equal(found, np.isfinite(roots)) and np.all(a < b)
+
+
 def test_bound_start_gives_the_same_roots_with_fewer_calls():
     def f(x):
         return np.log1p(SCALES * x)
