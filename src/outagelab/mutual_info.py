@@ -102,8 +102,8 @@ class ChannelSample:
         object.__setattr__(self, "alpha", a)
         if not np.all((a >= 0) & (a < np.inf)):
             raise ValueError("fading gains must be finite and nonnegative")
-        if not self.gamma > 0:  # nan too
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:  # nan too
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 The fading point alpha lives in the positive orthant of R^B; the outage
 region is where the per-use mutual information falls below the rate R.
+Each fading direction asks one question: where along its ray does the MI
+reach R?  One lock-step ray solve (`_ray_radii`) answers it for the B=2
+boundary trace, the ergodic anchor and the Monte Carlo ray lattice.
 Deterministic outage for B=2 integrates the traced boundary radius in
 polar coordinates against the unit-Rayleigh density.  Monte Carlo counts
 the samples whose MI falls below R, a whole SNR curve in one pass: a
@@ -31,7 +34,7 @@ from .mutual_info import (
     mi_per_use_batch,
 )
 from .precoders import Precoder
-from .search import _solve, solve_increasing
+from .search import _solve
 
 Z95 = 1.959963984540054
 RAY_CAP_TOL = 1e-9
@@ -68,8 +71,8 @@ class OutageQuery:
     def __post_init__(self):
         if not self.R > 0:  # nan too
             raise ValueError("R must be positive")
-        if not self.gamma > 0:  # nan too
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:  # nan too
+            raise ValueError("gamma must be positive and finite")
         if self.precoder.B != self.omega_z.B:
             raise ValueError("precoder and constellation dimensions differ")
 
@@ -142,25 +145,32 @@ def wilson_ci(k: int, n: int) -> tuple:
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
-def _ray_mi(omega_x: Constellation, dirs: np.ndarray, gamma: float, cfg: EngineConfig):
-    """The lock-step solver's f along the rays (rows of `dirs`) at SNR gamma:
-    the MI at radii r, one batch of the rays still open per kernel call
-    (nan in finished rays)."""
+def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
+               cfg: EngineConfig, x_start: float, rel_tol: float) -> tuple:
+    """Radius along each ray (rows of `dirs`) where the MI at SNR gamma
+    reaches R, and each ray's last decided bracket (a, f(a), b, f(b)): the
+    MI f lies below R at a and not at b.
+
+    A ray whose MI cap (`_ray_caps_bits`) is not above R saturates without
+    a kernel call (root inf, a = 0, b = f(b) = inf).  The others are solved
+    in one lock-step `search._solve` call, one batch of the rays still open
+    per kernel call; an unbracketed ray solves to inf.
+    """
+    m = dirs.shape[0]
+    roots, b, fb = np.full((3, m), np.inf)
+    a, fa = np.zeros(m), np.full(m, np.nan)
+    live = np.flatnonzero(_ray_caps_bits(omega_x.points, dirs) / omega_x.B > R + 1e-12)
+
     def f(r):
-        live = np.flatnonzero(~np.isnan(r))
+        on = np.flatnonzero(~np.isnan(r))
         vals = np.full(r.shape, np.nan)
-        vals[live] = mi_per_use_batch(omega_x, dirs[live] * r[live, None], gamma, cfg)
+        vals[on] = mi_per_use_batch(omega_x, dirs[live[on]] * r[on, None], gamma, cfg)
         return vals
 
-    return f
-
-
-def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
-               cfg: EngineConfig, x_start: float, rel_tol: float) -> np.ndarray:
-    """Radius along each ray (rows of `dirs`) where the MI at SNR gamma
-    reaches R, all rays in lock-step; an unbracketed ray solves to inf."""
-    return solve_increasing(_ray_mi(omega_x, dirs, gamma, cfg), np.full(dirs.shape[0], R),
-                            x_start=x_start, rel_tol=rel_tol)
+    if live.size:
+        roots[live], (a[live], fa[live], b[live], fb[live]) = _solve(
+            f, np.full(live.size, R), x_start, rel_tol, 0.0)
+    return roots, (a, fa, b, fb)
 
 
 def at_alphabet_limit(omega: Constellation, R: float) -> bool:
@@ -178,7 +188,7 @@ def ergodic_snr(omega_x: Constellation, R: float, cfg: EngineConfig = DEFAULT_CO
     """
     if at_alphabet_limit(omega_x, R):
         raise SaturationError(f"R >= alphabet limit m/B = {omega_x.m / omega_x.B:.6g}")
-    (u,) = _ray_radii(omega_x, np.ones((1, omega_x.B)), R, GAMMA_REF, cfg, x_start=0.05, rel_tol=1e-6)
+    (u,), _ = _ray_radii(omega_x, np.ones((1, omega_x.B)), R, GAMMA_REF, cfg, x_start=0.05, rel_tol=1e-6)
     if math.isinf(u):
         raise SaturationError(f"no bracket: the equal-gains MI stays below R = {R:.6g}")
     return float(u) ** 2 * GAMMA_REF
@@ -236,21 +246,16 @@ def trace_boundary_2d(
 ) -> BoundaryTrace:
     """Outage boundary rho(lambda) for B=2 on a uniform grid over [0, pi/2].
 
-    Each ray's MI cap, the entropy of its merged faded points, comes from
-    one grouping pass over all rays (`_ray_caps_bits`).  Rays whose cap
-    exceeds R are solved in lock-step (doubling from 1, bisection to 1e-4
-    relative); the others, and unbracketed rays, saturate.
+    All rays are solved in one `_ray_radii` call (doubling from 1,
+    bisection to 1e-4 relative); rays whose MI cap is not above R, and
+    unbracketed rays, saturate.
     """
     omega_x = q.omega_x()
     if omega_x.B != 2:
         raise ValueError("boundary tracing is defined for B = 2")
     lambdas = _ray_angles(n_angles)
     dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
-    caps = _ray_caps_bits(omega_x.points, dirs) / omega_x.B
-    rhos = np.full(n_angles, math.inf)
-    active = np.flatnonzero(caps > q.R + 1e-12)
-    if active.size:
-        rhos[active] = _ray_radii(omega_x, dirs[active], q.R, q.gamma, cfg, x_start=1.0, rel_tol=1e-4)
+    rhos, _ = _ray_radii(omega_x, dirs, q.R, q.gamma, cfg, x_start=1.0, rel_tol=1e-4)
     return BoundaryTrace(lambdas, rhos, q.R)
 
 
@@ -292,33 +297,37 @@ def outage_from_boundary_2d(trace: BoundaryTrace):
     return results if p.ndim else results[0]
 
 
-# `chi_square_cdf`: the terms of its x < 1 tail series (the j-th is at most
-# 1/(j+1)! of the first, so the rest sum to below 1e-19 of it), and an x
-# beyond which exp(-x) is 0 in double precision and the CDF is 1
-_TAIL_TERMS, _CDF_ONE = 20, 800.0
+# `chi_square_cdf`: the terms of its tail series below x = 1 at B <= 3 (the
+# j-th is at most 1/(j+1)! of the first, so the rest sum to below 1e-19 of
+# it), the terms it adds per block at B >= 4, where the series runs up to
+# x = B, and an x beyond which exp(-x) is 0 in double precision and the CDF is 1
+_TAIL_TERMS, _TAIL_TERMS_PER_B, _CDF_ONE = 20, 4, 800.0
 
 
 def chi_square_cdf(x, B: int):
     """P(sum of B squared unit-Rayleigh gains < x), elementwise.
 
-    Equals 1 - exp(-x) * sum_{k<B} x^k/k!.  Below x = 1 it is evaluated
-    through the tail series exp(-x) * sum_{k>=B} x^k/k!, which does not
-    cancel, to a fixed _TAIL_TERMS terms.  x = inf gives 1.  A float x
-    gives a float, an array an array of its shape.  Always <= x^B.
+    Equals 1 - exp(-x) * sum_{k<B} x^k/k!, which cancels below x of about
+    B.  There it is evaluated through the tail series exp(-x) *
+    sum_{k>=B} x^k/k!, which does not cancel: below x = 1 to _TAIL_TERMS
+    terms at B <= 3, below x = B to _TAIL_TERMS + _TAIL_TERMS_PER_B*B terms
+    at larger B.  x = inf gives 1.  A float x gives a float, an array an
+    array of its shape.  Always <= x^B.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     x = np.asarray(x, dtype=float)
     if (x < 0).any():
         raise ValueError("x must be >= 0")
-    s = np.minimum(x, 1.0)
+    switch, terms = (1.0, _TAIL_TERMS) if B <= 3 else (float(B), _TAIL_TERMS + _TAIL_TERMS_PER_B * B)
+    s = np.minimum(x, switch)
     # s^k/k! for k >= 1 as running products, summed from k = B along the last
     # axis: each x's terms in one order, whatever the shape of x
-    powers = np.cumprod(s[..., None] / np.arange(1, B + _TAIL_TERMS), axis=-1)
+    powers = np.cumprod(s[..., None] / np.arange(1, B + terms), axis=-1)
     tail = np.exp(-s) * powers[..., B - 1:].sum(axis=-1)
-    big = np.clip(x, 1.0, _CDF_ONE)
+    big = np.clip(x, switch, _CDF_ONE)
     head = np.polynomial.polynomial.polyval(big, [1.0 / math.factorial(k) for k in range(B)])
-    out = np.where(x < 1.0, tail, 1.0 - np.exp(-big) * head)
+    out = np.where(x < switch, tail, 1.0 - np.exp(-big) * head)
     return float(out) if out.ndim == 0 else out
 
 
@@ -443,14 +452,12 @@ class PolarMICache:
     GAMMA_REF, where alpha = u, and serve every SNR.  The lattice holds the
     directions d with max_b d_b = 1 and every coordinate in {0, 1/nb, ...,
     1}, nb = _BRACKET_BINS[B]: the (nb+1)^B - nb^B rays on the faces of the
-    unit cube (257 at B=2, 817 at B=3).  All rays are solved in one
-    lock-step `solve_increasing` call at `mc_config`'s order; a ray whose MI
-    cap (`_ray_caps_bits`) is not above R saturates without a call.  Each
-    ray keeps the solver's last decided bracket: a, where its MI was below
-    R, and b, where it was not.  An end is kept when its MI clears R by
-    _SCREEN_MARGIN.  Otherwise one more kernel call checks the end widened
-    by _LATTICE_REL_TOL, and an end that fails that too decides nothing (a
-    = 0, b = inf).
+    unit cube (257 at B=2, 817 at B=3).  All rays are solved in the one ray
+    solve, `_ray_radii`, at `mc_config`'s order, and each keeps its last
+    decided bracket: a, where its MI was below R, and b, where it was not.
+    An end is kept only where its MI already clears R by _SCREEN_MARGIN;
+    otherwise it decides nothing (a = 0, b = inf).  A ray whose MI cap is
+    not above R has a = 0 and b = inf without a kernel call.
 
     The exact MI never decreases in any gain: its derivative in alpha_b is
     alpha_b times a component MMSE (Palomar & Verdu, IEEE Trans. IT 52(1),
@@ -487,33 +494,11 @@ class PolarMICache:
         self._sizes = (boxes.size,)
         # each code's ray ends; the all-zero code, which no direction has, decides nothing
         self._a, self._b = np.zeros(codes.shape[0]), np.full(codes.shape[0], np.inf)
-        self._a[boxes], self._b[boxes] = self._radii(codes[boxes] / nb)
-
-    def _radii(self, dirs):
-        """Each lattice ray's inner radius a, where its MI lies below R by
-        _SCREEN_MARGIN (0 where none), and outer radius b, where it lies at
-        least _SCREEN_MARGIN above R (inf where none)."""
-        m, R = dirs.shape[0], self.R
-        inner, outer = np.zeros(m), np.full(m, np.inf)
-        live = np.flatnonzero(_ray_caps_bits(self.omega_x.points, dirs) / self.B > R + 1e-12)
-        f = _ray_mi(self.omega_x, dirs[live], GAMMA_REF, self.cfg)
-        _, (a, fa, b, fb) = _solve(f, np.full(live.size, R), x_start=1.0, rel_tol=_LATTICE_REL_TOL,
-                                   max_doublings=80, x_below=0.0)
-        ends, vals = np.concatenate([a, b]), np.concatenate([fa, fb])
-        up = np.arange(ends.size) >= live.size  # the outer ends
-
-        def clear(vals, up):
-            return np.where(up, vals >= R + _SCREEN_MARGIN, vals < R - _SCREEN_MARGIN)
-
-        ok = clear(vals, up)
-        redo = np.flatnonzero(~ok & (ends > 0) & (ends < np.inf))
-        if redo.size:
-            ends[redo] *= np.where(up[redo], 1.0 + _LATTICE_REL_TOL, 1.0 - _LATTICE_REL_TOL)
-            gains = dirs[np.tile(live, 2)[redo]] * ends[redo, None]
-            ok[redo] = clear(mi_per_use_batch(self.omega_x, gains, GAMMA_REF, self.cfg), up[redo])
-        ends = np.where(ok, ends, np.where(up, np.inf, 0.0))
-        inner[live], outer[live] = ends[:live.size], ends[live.size:]
-        return inner, outer
+        _, (a, fa, b, fb) = _ray_radii(omega_x, codes[boxes] / nb, R, GAMMA_REF, self.cfg,
+                                       x_start=1.0, rel_tol=_LATTICE_REL_TOL)
+        # an end whose MI lies within _SCREEN_MARGIN of R decides nothing
+        self._a[boxes] = np.where(fa < R - _SCREEN_MARGIN, a, 0.0)
+        self._b[boxes] = np.where(fb >= R + _SCREEN_MARGIN, b, np.inf)
 
     def mi(self, alphas: np.ndarray, gamma) -> np.ndarray:
         """The direct per-use MI at each fading point (rows of `alphas`) at
@@ -608,9 +593,9 @@ def outage_mc(
 
     For B in CACHE_SHAPE each sample's bracket starts from its direction's
     ray roots on the face lattice (`PolarMICache.bracket`; the lattice is
-    solved here unless `cache` is given, and a cache of another set or rate
-    raises ValueError) instead of [0, K), and most samples need one
-    evaluation or none.  Every decision, inside the bracket or outside it,
+    solved here unless `cache` is given, and a cache of another set, rate
+    or `mc_config` raises ValueError) instead of [0, K), and most samples
+    need one evaluation or none.  Every decision, inside the bracket or outside it,
     is the direct MI's at `mc_config`'s order, the one a separate test at
     that SNR would make.  Larger B evaluates every sample directly at the
     run's order (slow for large n).
@@ -620,13 +605,15 @@ def outage_mc(
     if not R > 0:
         raise ValueError("R must be positive")
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    if not np.all(gammas > 0):
-        raise ValueError("gamma must be positive")
+    if not np.all((gammas > 0) & (gammas < np.inf)):
+        raise ValueError("gamma must be positive and finite")
     B = omega_x.B
     if cache is not None and (cache.B != B or not np.array_equal(cache.omega_x.points, omega_x.points)):
         raise ValueError("the cache was built for a different constellation")
     if cache is not None and cache.R != R:
         raise ValueError(f"the cache was solved at R = {cache.R:g}, not at R = {R:g}")
+    if cache is not None and cache.cfg != mc_config(B, cfg):
+        raise ValueError(f"the cache decides under {cache.cfg}, not under {mc_config(B, cfg)}")
     if at_alphabet_limit(omega_x, R):
         warnings.warn("R is at or above the alphabet limit m/B; outage is certain")
         return [OutageResult(1.0, (1.0, 1.0), "mc") for _ in gammas]

@@ -6,16 +6,17 @@ import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+MAX_DOUBLINGS = 80  # doublings of `solve_increasing` before a row saturates
 
 
-def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_below=0.0):
+def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, x_below=0.0):
     """Solve f(x) = target for a nondecreasing f on [0, inf), row by row.
 
     The result is that of plain bracketing and bisection: each row doubles
     from `x_start` until f reaches its target, then bisects until its
     bracket is narrower than `rel_tol` relative to the upper edge, or until
     no float lies strictly inside it (a root at 0); a row still below its
-    target after `max_doublings` doublings is saturated and solves to inf.
+    target after MAX_DOUBLINGS doublings is saturated and solves to inf.
     Assumes f(0) <= target; no derivative needed.  A nan target raises
     ValueError.
 
@@ -36,7 +37,7 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
     `x_below` (per row, or one value) is a point known to lie below the
     row's root, f(x_below) < target: a fact that costs no call.  A row
     starts where doubling would have arrived: after its k doubling points
-    x_start*2^j (j >= 0) at or below x_below (k capped at max_doublings),
+    x_start*2^j (j >= 0) at or below x_below (k capped at MAX_DOUBLINGS),
     with lo = x_start*2^(k-1) (0 when k = 0) and hi = x_start*2^k.
 
     Every row of the `target` array is solved in lock-step: f takes the
@@ -45,10 +46,10 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
     every row nan.  A nan value at a row that needs one raises ValueError:
     it decides no loop point, so the row would never finish.
     """
-    return _solve(f, target, x_start, rel_tol, max_doublings, x_below)[0]
+    return _solve(f, target, x_start, rel_tol, x_below)[0]
 
 
-def _solve(f, target, x_start, rel_tol, max_doublings, x_below):
+def _solve(f, target, x_start, rel_tol, x_below):
     """`solve_increasing`'s roots, and each row's last decided bracket
     (a, f(a), b, f(b)): a is the largest point where f was found below the
     target (x_below or 0, with f(a) nan, until f is called below it) and b
@@ -59,10 +60,10 @@ def _solve(f, target, x_start, rel_tol, max_doublings, x_below):
     x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
     k = np.frexp(np.fmax(x_below / x_start, 0.0))[1]  # 2^(k-1) <= ratio < 2^k
     k -= (k > 0) & (np.ldexp(x_start, k - 1) > x_below)  # division rounding
-    doublings = k.clip(0, max_doublings)
+    doublings = k.clip(0, MAX_DOUBLINGS)
     hi = np.ldexp(float(x_start), doublings)
     lo = np.where(doublings > 0, 0.5 * hi, 0.0)
-    scout = _Scout(target, np.fmax(x_below, 0.0), np.ldexp(float(x_start), max_doublings), rel_tol)
+    scout = _Scout(target, np.fmax(x_below, 0.0), np.ldexp(float(x_start), MAX_DOUBLINGS), rel_tol)
     bracketing = np.ones(target.shape, dtype=bool)
     live = np.ones(target.shape, dtype=bool)
     x = hi.copy()
@@ -89,11 +90,11 @@ def _solve(f, target, x_start, rel_tol, max_doublings, x_below):
         doublings += grow
         bracketing &= below | ~step
         wide = hi - lo > np.maximum(rel_tol * hi, np.spacing(lo))  # a float inside, past rel_tol
-        live &= (doublings <= max_doublings) & (bracketing | wide)
+        live &= (doublings <= MAX_DOUBLINGS) & (bracketing | wide)
         x = lo + hi
         x *= 0.5
         np.copyto(x, hi, where=bracketing)
-    roots = np.where(doublings > max_doublings, np.inf, 0.5 * (lo + hi))
+    roots = np.where(doublings > MAX_DOUBLINGS, np.inf, 0.5 * (lo + hi))
     return roots, (scout.a, scout.fa, scout.b, scout.fb)
 
 

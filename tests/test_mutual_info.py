@@ -315,9 +315,11 @@ def test_channel_sample_validation():
 
 
 def test_channel_sample_rejects_nan_snr():
-    # a nan SNR fails every `gamma <= 0` test and gave a nan MI
-    with pytest.raises(ValueError, match="gamma"):
-        ChannelSample([1.0, 1.0], math.nan)
+    # a nan SNR fails every `gamma <= 0` test and gave a nan MI, and so did
+    # an infinite one (with a RuntimeWarning)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            ChannelSample([1.0, 1.0], gamma)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])

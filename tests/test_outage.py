@@ -86,12 +86,27 @@ def test_chi_square_cdf_array_equals_scalar_calls(B):
     assert got[1, 3] == 1.0
 
 
-def chi2_2_decimal(x):
-    """P(2, x) = 1 - (1 + x) exp(-x) in 50-digit decimal arithmetic, x taken exactly."""
+def chi2_decimal(x, B):
+    """P(B, x) = exp(-x) sum_{k>=B} x^k/k! in 60-digit decimal arithmetic, x taken exactly."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 60
         d = decimal.Decimal(x)
-        return float(1 - (1 + d) * (-d).exp())
+        term = d**B / math.factorial(B)
+        total, k = decimal.Decimal(0), B
+        while term > total * decimal.Decimal(10) ** -40:
+            total += term
+            k += 1
+            term = term * d / k
+        return float((-d).exp() * total)
+
+
+@pytest.mark.parametrize("B", [4, 5, 6, 7, 8])
+def test_chi_square_cdf_precise_for_many_blocks(B):
+    # the closed form 1 - exp(-x) sum_{k<B} x^k/k! cancels just above x = 1
+    # (5.7e-12 relative at B = 8); the tail series runs up to x = B instead
+    xs = np.geomspace(1e-4, 4.0 * B, 300)
+    want = np.array([chi2_decimal(float(x), B) for x in xs])
+    np.testing.assert_allclose(chi_square_cdf(xs, B), want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("rho", [1e-3, 1e-4])
@@ -104,7 +119,7 @@ def test_boundary_integration_precise_at_small_radii(rho):
         lam = np.linspace(0.0, math.pi / 2, n)
         inside = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, rho), 0.9)).p_out
         whole = outage_from_boundary_2d(BoundaryTrace(lam, np.full(n, math.inf), 0.9)).p_out
-        assert inside / whole == pytest.approx(chi2_2_decimal(rho * rho), rel=1e-13, abs=0.0)
+        assert inside / whole == pytest.approx(chi2_decimal(rho * rho, 2), rel=1e-13, abs=0.0)
 
 
 def test_wilson_ci_contains_point():
@@ -161,6 +176,39 @@ def test_one_ergodic_solve(q27, cfg):
     assert OutageGeometry.solve(q27.omega_z, q27.precoder, 0.9, cfg).ergodic_snr == s
 
 
+def test_one_ray_solve_roots_and_brackets(cfg):
+    # `_ray_radii` screens the rays by their MI caps and solves the others in
+    # one lock-step call: its roots are `solve_increasing`'s on the same f, bit
+    # for bit, and each solved ray's last decided bracket has f(a) < R <= f(b)
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import GAMMA_REF, _ray_radii
+    from outagelab.search import solve_increasing
+
+    R, gamma = 0.9, GAMMA_REF
+    omega_x = pc.apply(pc.rotation2(0.0), cs.build_named("r2_4"))  # its axis rays saturate
+    lambdas = np.linspace(0.0, math.pi / 2, 17)
+    dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
+    roots, (a, fa, b, fb) = _ray_radii(omega_x, dirs, R, gamma, cfg, x_start=1.0, rel_tol=1e-4)
+    live = _ray_caps_bits(omega_x.points, dirs) / 2 > R + 1e-12
+    assert live.sum() == 15 and not live[0] and not live[-1]
+
+    def f(r):
+        on = ~np.isnan(r)
+        vals = np.full(r.shape, np.nan)
+        vals[on] = mi_per_use_batch(omega_x, dirs[live][on] * r[on, None], gamma, cfg)
+        return vals
+
+    want = solve_increasing(f, np.full(live.sum(), R), x_start=1.0, rel_tol=1e-4)
+    assert roots[live].tolist() == want.tolist()  # exactly
+    assert np.all(fa[live] < R) and np.all(R <= fb[live]) and np.all(a[live] < b[live])
+    assert np.all(mi_per_use_batch(omega_x, dirs[live] * a[live, None], gamma, cfg) < R)
+    assert np.all(mi_per_use_batch(omega_x, dirs[live] * b[live, None], gamma, cfg) >= R)
+    # a capped ray saturates with an empty bracket and no kernel call
+    capped = ~live
+    assert np.all(np.isinf(roots[capped])) and np.all(a[capped] == 0.0) and np.all(np.isnan(fa[capped]))
+    assert np.all(np.isinf(b[capped])) and np.all(np.isinf(fb[capped]))
+
+
 def test_trace_endpoints_and_ergodic_point(q27, cfg):
     an = compute_anchors(q27, cfg)
     tr = trace_boundary_2d(q27, 129, cfg)
@@ -189,18 +237,18 @@ def test_trace_ray_without_bracket_is_saturated(cfg, gamma_8db, monkeypatch):
     def caps_bits(points, dirs):
         return np.where(dirs.min(axis=1) == 0.0, 2.0, _ray_caps_bits(points, dirs))
 
-    def radii(omega_x, dirs, *args, **kwargs):
-        solved.append(dirs.copy())
-        return ray_radii(omega_x, dirs, *args, **kwargs)
+    def solve(f, target, *args):
+        solved.append(target.size)
+        return ray_solve(f, target, *args)
 
     q0 = OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.0), R=0.9, gamma=gamma_8db)
     plain = trace_boundary_2d(q0, 65, cfg)
-    ray_radii = outage._ray_radii
+    ray_solve = outage._solve
     monkeypatch.setattr(outage, "_ray_caps_bits", caps_bits)
-    monkeypatch.setattr(outage, "_ray_radii", radii)
+    monkeypatch.setattr(outage, "_solve", solve)
     tr = trace_boundary_2d(q0, 65, cfg)
-    # the lambda = 0 ray reached the solver
-    assert len(solved) == 1 and np.array_equal(solved[0][0], [1.0, 0.0])
+    # the lambda = 0 ray reached the one solve beside the 63 unsaturated rays
+    assert solved == [64] and plain.saturated.sum() == 2
     assert math.isinf(tr.rhos[0]) and tr.saturated[0]
     # every other ray solves exactly as it does without the failing one
     assert np.array_equal(tr.rhos[1:], plain.rhos[1:])
@@ -254,7 +302,7 @@ def test_outage_mc_needs_min_samples(q27, cfg):
         outage_mc(q27.omega_x(), 100, q27.R, [q27.gamma], seed=0, cfg=cfg)
 
 
-@pytest.mark.parametrize("R,gammas", [(0.0, [1.0]), (0.9, [1.0, 0.0]), (0.9, [-2.0])])
+@pytest.mark.parametrize("R,gammas", [(0.0, [1.0]), (0.9, [1.0, 0.0]), (0.9, [-2.0]), (0.9, [1.0, math.inf])])
 def test_outage_mc_rejects_bad_inputs(q27, cfg, R, gammas):
     with pytest.raises(ValueError, match="must be positive"):
         outage_mc(q27.omega_x(), 1000, R, gammas, cfg=cfg)
@@ -303,25 +351,24 @@ def test_cache_serves_multiple_snrs(q27, cfg):
     np.testing.assert_array_equal(cache.mi(alphas, gammas), per_row)
 
 
-def margin_stand_in(monkeypatch, R, slope):
+def margin_stand_in(monkeypatch, R):
     """Lattice solves at rate R whose every bracket end lies within
     _SCREEN_MARGIN of R (a = 1 - 1e-6, b = 1 + 1e-6 on every ray), and a
-    stand-in MI of R + slope*(rho - 1) at gains of largest coordinate rho;
-    returns the list of gain arrays the stand-in was called with."""
+    kernel stand-in; returns the list of gain arrays it was called with."""
     from outagelab import outage
     from outagelab.outage import _SCREEN_MARGIN
 
     calls = []
 
-    def solve(f, target, **kwargs):
+    def solve(f, target, *args):
         m = target.size
         ends = (np.full(m, 1.0 - 1e-6), np.full(m, R - 0.5 * _SCREEN_MARGIN),
                 np.full(m, 1.0 + 1e-6), np.full(m, R + 0.5 * _SCREEN_MARGIN))
-        return None, ends
+        return np.ones(m), ends
 
     def mi(_om, gains, _gamma, _cfg):
         calls.append(gains)
-        return R + slope * (gains.max(axis=1) - 1.0)
+        return np.full(gains.shape[0], R)
 
     monkeypatch.setattr(outage, "_solve", solve)
     monkeypatch.setattr(outage, "mi_per_use_batch", mi)
@@ -340,20 +387,11 @@ def lattice_rays(B):
 
 def test_cache_evaluates_margin_band_directly(q27, cfg, monkeypatch):
     # the solver's secant often ends a bracket within rounding of R: such an
-    # end is widened by the solve's tolerance and checked in one more kernel
-    # call, and kept only when that check clears R by the margin
-    from outagelab.outage import _LATTICE_REL_TOL
-
+    # end decides nothing, and the samples near it take the direct MI
     rays, _ = lattice_rays(2)
-    calls = margin_stand_in(monkeypatch, q27.R, slope=1.0)
+    calls = margin_stand_in(monkeypatch, q27.R)
     cache = PolarMICache(q27.omega_x(), q27.R, cfg)
-    assert len(calls) == 1 and calls[0].shape == (2 * rays.size, 2)
-    np.testing.assert_array_equal(cache._a[rays], (1.0 - 1e-6) * (1.0 - _LATTICE_REL_TOL))
-    np.testing.assert_array_equal(cache._b[rays], (1.0 + 1e-6) * (1.0 + _LATTICE_REL_TOL))
-    # an MI that stays within the margin after widening decides nothing
-    calls = margin_stand_in(monkeypatch, q27.R, slope=1e-8)
-    cache = PolarMICache(q27.omega_x(), q27.R, cfg)
-    assert len(calls) == 1
+    assert calls == []  # the build makes no kernel call beyond its solve
     assert np.all(cache._a[rays] == 0.0) and np.all(cache._b[rays] == np.inf)
 
 
@@ -575,7 +613,7 @@ def test_bracket_decides_as_the_direct_mi(mc_sets, key):
 
 def test_bracket_is_the_whole_grid_when_no_corner_clears_the_rate(q27, cfg, monkeypatch):
     cache = PolarMICache(q27.omega_x(), q27.R, cfg)
-    margin_stand_in(monkeypatch, q27.R, slope=1e-8)  # every ray end within the margin of R
+    margin_stand_in(monkeypatch, q27.R)  # every ray end within the margin of R
     open_cache = PolarMICache(q27.omega_x(), q27.R, cfg)
     alphas = bracket_rows(2, np.random.default_rng(0))
     lo, hi = open_cache.bracket(alphas, np.array(GRID_2DB))
@@ -694,9 +732,11 @@ def test_query_validation(gamma_8db):
 
 
 def test_query_rejects_nan_snr():
-    # a nan SNR fails every `gamma <= 0` test and gave nan anchors with no note
-    with pytest.raises(ValueError, match="gamma"):
-        OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.4), R=0.9, gamma=math.nan)
+    # a nan SNR fails every `gamma <= 0` test and gave nan anchors with no
+    # note; an infinite one made the boundary trace's kernel return nan
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            OutageQuery(cs.build_named("r2_4"), pc.rotation2(0.4), R=0.9, gamma=gamma)
 
 
 def test_outage_mc_rejects_a_cache_of_another_set(mc_sets):
@@ -705,6 +745,18 @@ def test_outage_mc_rejects_a_cache_of_another_set(mc_sets):
     for other in ("r2_4@0", "r3_8@0"):  # other points, then another B
         with pytest.raises(ValueError, match="different constellation"):
             outage_mc(omega_x, 1000, R, GRID_2DB, cfg=cfg, cache=mc_sets[other][2])
+
+
+def test_outage_mc_rejects_a_cache_of_another_config(mc_sets):
+    # a cache decides every pair at its own order: under another config the
+    # curve would count 93,384 / 8,591 / 103 at 0 / 10 / 20 dB where the
+    # order-4 direct MI counts 93,868 / 8,906 / 105 (r2_4 at 27 degrees,
+    # 100k samples, seed 0)
+    omega_x, R, cache, _ = mc_sets["r2_4@27"]
+    with pytest.raises(ValueError, match="the cache decides under"):
+        outage_mc(omega_x, 1000, R, GRID_2DB, cfg=EngineConfig(gh_order=4), cache=cache)
+    # a run order above the cap gives the cache's own config
+    assert len(outage_mc(omega_x, 1000, R, GRID_2DB, cfg=EngineConfig(gh_order=40), cache=cache)) == 11
 
 
 def test_outage_mc_rejects_a_cache_of_another_rate(mc_sets):

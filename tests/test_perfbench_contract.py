@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` wraps public functions by their positional
 signatures; a changed signature makes every traced call fail.  This runs
-one traced outage curve and checks that the geometry is solved once, one
+one traced outage curve and checks that the geometry is solved once, its
+rays in the one ray solve, which the tracer does not count, one
 traced `anchors` call, whose anchor solve the tracer must count, one
 traced Monte Carlo curve, whose cache attributes the tracer reads, one
 traced complex sweep, whose angles the tracer must see solved in one
@@ -44,6 +45,9 @@ def test_traced_outage_call(tmp_path):
                       "--out", str(tmp_path / "o.csv")])
     assert metrics["outage.trace_calls"] == 1
     assert metrics["outage.anchor_calls"] == 1
+    # the trace and the ergodic anchor take the one ray solve, which the
+    # tracer does not wrap: only the axis anchor's inverse solve is counted
+    assert metrics["search.solves"] == 1
 
 
 def test_traced_anchors_call(tmp_path):

@@ -10,21 +10,22 @@ from outagelab import mutual_info, outage
 from outagelab import precoders as pc
 from outagelab.mutual_info import EngineConfig
 from outagelab.optimizer import default_grid, sweep
-from outagelab.search import GOLDEN_DEPTH, INV_PHI, INV_PHI2, SPARE_CALLS, golden_min, solve_increasing
+from outagelab.search import (GOLDEN_DEPTH, INV_PHI, INV_PHI2, MAX_DOUBLINGS, SPARE_CALLS, golden_min,
+                              solve_increasing)
 
 
 TARGETS = np.array([1e-9, 0.3, 2.0, 17.5, 4e4])
 SCALES = np.array([1.0, 0.5, 3.0, 1e-3, 7.0])
 
 
-def _plain_bisection(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_below=0.0):
+def _plain_bisection(f, target, x_start=1e-4, rel_tol=1e-6, x_below=0.0):
     """The doubling/bisection loop that `solve_increasing` replays, as it was
     before the replay: every row calls f at each of its loop points."""
     target = np.asarray(target, dtype=float)
     x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
     k = np.frexp(np.fmax(x_below / x_start, 0.0))[1]  # 2^(k-1) <= ratio < 2^k
     k -= (k > 0) & (np.ldexp(x_start, k - 1) > x_below)  # division rounding
-    doublings = k.clip(0, max_doublings)
+    doublings = k.clip(0, MAX_DOUBLINGS)
     hi = np.ldexp(float(x_start), doublings)
     lo = np.where(doublings > 0, 0.5 * hi, 0.0)
     bracketing = np.ones(target.shape, dtype=bool)
@@ -36,7 +37,7 @@ def _plain_bisection(f, target, x_start=1e-4, rel_tol=1e-6, max_doublings=80, x_
         lo[grow] = hi[grow]
         hi[grow] *= 2.0
         doublings[grow] += 1
-        failed = grow & (doublings > max_doublings)
+        failed = grow & (doublings > MAX_DOUBLINGS)
         hi[failed] = np.inf
         live &= ~failed
         split = live & ~bracketing
@@ -96,13 +97,13 @@ def test_bracket_failure_saturates_only_its_row():
     def f(x):
         return np.minimum(x, cap)
 
-    roots = solve_increasing(f, np.array([0.5, 20.0, 0.25]), max_doublings=40)
+    roots = solve_increasing(f, np.array([0.5, 20.0, 0.25]))
     assert roots[1] == math.inf
     assert roots[0] == pytest.approx(0.5, rel=1e-6)
     assert roots[2] == pytest.approx(0.25, rel=1e-6)
-    saturated = solve_increasing(lambda x: np.minimum(x, 1.0), np.array([2.0]), max_doublings=40)
+    saturated = solve_increasing(lambda x: np.minimum(x, 1.0), np.array([2.0]))
     assert saturated[0] == math.inf
-    _, got, oracle = _against_oracle(f, np.array([0.5, 20.0, 0.25]), max_doublings=40)
+    _, got, oracle = _against_oracle(f, np.array([0.5, 20.0, 0.25]))
     assert (got <= oracle).all()
 
 
@@ -116,8 +117,8 @@ def test_solve_returns_each_rows_last_decided_bracket(f, target):
     # row's last decided points, f(a) < target <= f(b), at f's own values
     from outagelab.search import _solve
 
-    roots, (a, fa, b, fb) = _solve(f, target, 1e-4, 1e-6, 40, 0.0)
-    assert roots.tolist() == solve_increasing(f, target, max_doublings=40).tolist()
+    roots, (a, fa, b, fb) = _solve(f, target, 1e-4, 1e-6, 0.0)
+    assert roots.tolist() == solve_increasing(f, target).tolist()
     assert np.all(fa < target) and np.all(target <= fb)
     np.testing.assert_array_equal(f(a), fa)
     found = np.isfinite(b)  # a row that saturates keeps b = f(b) = inf
@@ -154,17 +155,18 @@ def test_bound_start_keeps_saturation_and_the_doubling_cap():
 
     targets = np.array([0.5, 20.0, 0.25])
     # row 1 never reaches its target, so any point is below its root
-    roots, calls, oracle = _against_oracle(f, targets, max_doublings=40, x_below=[0.25, 1e300, 0.1])
+    roots, calls, oracle = _against_oracle(f, targets, x_below=[0.25, 1e300, 0.1])
     assert roots[1] == math.inf and oracle[1] == 1  # the loop calls f once at its cap, then inf
     assert (calls <= oracle).all()
-    assert roots.tolist() == solve_increasing(f, targets, max_doublings=40).tolist()
-    # a root past x_start*2^10 needs an 11th doubling: the bound does not grant it
-    t = 1e-4 * 2.0**10.5
-    for m in (10, 11):
-        want = solve_increasing(lambda v: v, np.array([t]), max_doublings=m)
-        assert solve_increasing(lambda v: v, np.array([t]), max_doublings=m, x_below=0.99 * t) == want
-        assert math.isinf(want[0]) == (m == 10)
-        _, calls, oracle = _against_oracle(lambda v: v, np.array([t]), max_doublings=m, x_below=0.99 * t)
+    assert roots.tolist() == solve_increasing(f, targets).tolist()
+    # a root past x_start*2^MAX_DOUBLINGS needs one more doubling: the bound
+    # does not grant it
+    for m in (MAX_DOUBLINGS - 1, MAX_DOUBLINGS):
+        t = 1e-4 * 2.0 ** (m + 0.5)
+        want = solve_increasing(lambda v: v, np.array([t]))
+        assert solve_increasing(lambda v: v, np.array([t]), x_below=0.99 * t) == want
+        assert math.isinf(want[0]) == (m == MAX_DOUBLINGS)
+        _, calls, oracle = _against_oracle(lambda v: v, np.array([t]), x_below=0.99 * t)
         assert (calls <= oracle).all()
 
 
@@ -247,8 +249,13 @@ def _solver_outputs(cfg, step_deg):
 ], ids=["gh4", "gh32", "mc"])
 def test_layers_above_get_the_plain_bisection_roots(cfg, step_deg, monkeypatch):
     got = _solver_outputs(cfg, step_deg)
+
+    def plain_ray_solve(f, target, x_start, rel_tol, x_below):  # the ray layer's solve, roots only
+        nan = np.full(target.shape, np.nan)
+        return _plain_bisection(f, target, x_start, rel_tol, x_below), (nan, nan, nan, nan)
+
     monkeypatch.setattr(mutual_info, "solve_increasing", _plain_bisection)
-    monkeypatch.setattr(outage, "solve_increasing", _plain_bisection)
+    monkeypatch.setattr(outage, "_solve", plain_ray_solve)
     assert got == _solver_outputs(cfg, step_deg)  # exactly, to the last bit
 
 
