@@ -4,7 +4,11 @@ The fading point alpha lives in the positive orthant of R^B; the outage
 region is where the per-use mutual information falls below the rate R.
 Each fading direction asks one question: where along its ray does the MI
 reach R?  One lock-step ray solve (`_ray_radii`) answers it for the B=2
-boundary trace, the ergodic anchor and the Monte Carlo ray lattice.
+boundary trace, the ergodic anchor and the Monte Carlo ray lattice, and a
+geometry's trace solves its equal-gains ray among its own.  Every ray
+starts at a radius where a Gaussian input of the set's per-axis powers,
+which carries at least as much MI at every fading point, still falls
+short of R: a proven point below the root that costs no kernel call.
 Deterministic outage for B=2 integrates the traced boundary radius in
 polar coordinates against the unit-Rayleigh density.  Monte Carlo counts
 the samples whose MI falls below R, a whole SNR curve in one pass: a
@@ -146,15 +150,18 @@ def wilson_ci(k: int, n: int) -> tuple:
 
 
 def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
-               cfg: EngineConfig, x_start: float, rel_tol: float) -> tuple:
+               cfg: EngineConfig, x_start, rel_tol) -> tuple:
     """Radius along each ray (rows of `dirs`) where the MI at SNR gamma
     reaches R, and each ray's last decided bracket (a, f(a), b, f(b)): the
-    MI f lies below R at a and not at b.
+    MI f lies below R at a and not at b.  `x_start` and `rel_tol` take one
+    value per ray or one for all.
 
     A ray whose MI cap (`_ray_caps_bits`) is not above R saturates without
     a kernel call (root inf, a = 0, b = f(b) = inf).  The others are solved
     in one lock-step `search._solve` call, one batch of the rays still open
-    per kernel call; an unbracketed ray solves to inf.
+    per kernel call; an unbracketed ray solves to inf.  Each starts from
+    its Gaussian-input radius (`_gaussian_radii`), which it keeps as a,
+    with f(a) nan, until the solver calls f above it.
     """
     m = dirs.shape[0]
     roots, b, fb = np.full((3, m), np.inf)
@@ -168,9 +175,43 @@ def _ray_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float,
         return vals
 
     if live.size:
+        x_start, rel_tol = (np.broadcast_to(v, (m,))[live] for v in (x_start, rel_tol))
         roots[live], (a[live], fa[live], b[live], fb[live]) = _solve(
-            f, np.full(live.size, R), x_start, rel_tol, 0.0)
+            f, np.full(live.size, R), x_start, rel_tol, _gaussian_radii(omega_x, dirs[live], R, gamma))
     return roots, (a, fa, b, fb)
+
+
+def _gaussian_radii(omega_x: Constellation, dirs: np.ndarray, R: float, gamma: float) -> np.ndarray:
+    """A radius along each ray (rows of `dirs`) at SNR gamma where the MI of
+    `omega_x` is provably below R, found without a kernel call.
+
+    No input whose coordinates have the per-axis powers P_b of `omega_x`
+    carries more than the Gaussian one (the output entropy is at most that
+    of a Gaussian of the same covariance, and at most the sum over axes).
+    On the ray r*d, with x = 2*gamma*r^2 and c_b = d_b^2 * P_b / D (D = 1
+    for a real set, 2 for a complex one), that input reaches R per use
+    where prod_b (1 + x c_b) = 2^(2BR/D): at B = 2 the positive root of a
+    quadratic (`_pair_root`), at other B the AM-GM bound (2^(2R/D) - 1) /
+    mean_b c_b, which lies below the root.  The radius returned is the
+    Gaussian one times sqrt(1/2): the same 1/2-in-SNR margin for
+    quadrature and Monte Carlo error as the inverse solves' starts
+    (`mutual_info._gaussian_snr`).  A ray that sees no power gets inf.
+    """
+    pts = omega_x.points
+    D = 2 if np.iscomplexobj(pts) else 1
+    c = dirs**2 * (np.abs(pts - pts.mean(axis=0)) ** 2).mean(axis=0) / D
+    with np.errstate(divide="ignore"):
+        if omega_x.B == 2:
+            x = _pair_root(c.sum(axis=1), c.prod(axis=1), 2.0 ** (4.0 * R / D) - 1.0)
+        else:
+            x = (2.0 ** (2.0 * R / D) - 1.0) / c.mean(axis=1)
+    return np.sqrt(x / (4.0 * gamma))
+
+
+def _pair_root(s, p, K):
+    """The positive root x of (1 + x c1)(1 + x c2) = 1 + K, from s = c1 + c2
+    and p = c1*c2, written without cancellation (inf where s = 0)."""
+    return 2.0 * K / (s + np.sqrt(s * s + 4.0 * p * K))
 
 
 def at_alphabet_limit(omega: Constellation, R: float) -> bool:
@@ -178,17 +219,28 @@ def at_alphabet_limit(omega: Constellation, R: float) -> bool:
     return R >= omega.m / omega.B - 1e-12
 
 
+# the equal-gains ray's (x_start, rel_tol), alone (`ergodic_snr`) or in a trace
+_EQUAL_GAINS_SOLVE = (0.05, 1e-6)
+
+
 def ergodic_snr(omega_x: Constellation, R: float, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
     """Per-block SNR alpha_e^2*gamma at which the equal-gains MI reaches R.
 
-    The ray along (1, ..., 1), solved once at GAMMA_REF to 1e-6 relative;
-    it does not depend on the SNR, nor on an orthogonal precoder (which
-    keeps all pairwise distances).  Raises SaturationError at the alphabet
-    limit.
+    The ray along (1, ..., 1), solved alone at GAMMA_REF to 1e-6 relative,
+    from its Gaussian-input radius; it does not depend on the SNR, nor on
+    an orthogonal precoder (which keeps all pairwise distances).  A B=2
+    trace at GAMMA_REF solves the same ray among its own
+    (`trace_boundary_2d`), and `compute_anchors` of its query takes that
+    root.  Raises SaturationError at the alphabet limit.
     """
+    (u,), _ = _ray_radii(omega_x, np.ones((1, omega_x.B)), R, GAMMA_REF, cfg, *_EQUAL_GAINS_SOLVE)
+    return _ergodic_snr_of(omega_x, R, u)
+
+
+def _ergodic_snr_of(omega_x: Constellation, R: float, u: float) -> float:
+    """`ergodic_snr` from the equal-gains ray's root u at GAMMA_REF."""
     if at_alphabet_limit(omega_x, R):
         raise SaturationError(f"R >= alphabet limit m/B = {omega_x.m / omega_x.B:.6g}")
-    (u,), _ = _ray_radii(omega_x, np.ones((1, omega_x.B)), R, GAMMA_REF, cfg, x_start=0.05, rel_tol=1e-6)
     if math.isinf(u):
         raise SaturationError(f"no bracket: the equal-gains MI stays below R = {R:.6g}")
     return float(u) ** 2 * GAMMA_REF
@@ -198,7 +250,8 @@ def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> Outag
     """Solve for alpha_o on the axis and alpha_e on the ergodic line.
 
     alpha_o comes from the inverse scalar MI of the axis projection at
-    B*R bits; alpha_e from the ergodic SNR, alpha_e = sqrt(s/gamma).
+    B*R bits; alpha_e from the ergodic SNR, alpha_e = sqrt(s/gamma), with
+    the equal-gains root that a trace of `q` under `cfg` kept, if any.
     """
     omega_x = q.omega_x()
     notes = []
@@ -210,8 +263,10 @@ def compute_anchors(q: OutageQuery, cfg: EngineConfig = DEFAULT_CONFIG) -> Outag
             notes.append(str(exc))
             return math.inf
 
+    kept = q.__dict__.get("_equal_gains", {})
     alpha_o = anchor(lambda: inv_mi_scalar(project(omega_x, 1), omega_x.B * q.R, cfg))
-    alpha_e = anchor(lambda: ergodic_snr(omega_x, q.R, cfg))
+    alpha_e = anchor(lambda: _ergodic_snr_of(omega_x, q.R, kept[cfg]) if cfg in kept
+                     else ergodic_snr(omega_x, q.R, cfg))
     return OutageAnchors(alpha_o, alpha_e, "; ".join(notes))
 
 
@@ -246,17 +301,24 @@ def trace_boundary_2d(
 ) -> BoundaryTrace:
     """Outage boundary rho(lambda) for B=2 on a uniform grid over [0, pi/2].
 
-    All rays are solved in one `_ray_radii` call (doubling from 1,
-    bisection to 1e-4 relative); rays whose MI cap is not above R, and
-    unbracketed rays, saturate.
+    All rays are solved in one `_ray_radii` call (doubling from 1, started
+    at each ray's Gaussian-input radius, bisection to 1e-4 relative); rays
+    whose MI cap is not above R, and unbracketed rays, saturate.  A trace
+    at GAMMA_REF, in scaled gains, also solves the equal-gains ray as
+    `ergodic_snr` does, as one more row of the same call, and keeps its
+    root on `q` for `compute_anchors` under the same `cfg`.
     """
     omega_x = q.omega_x()
     if omega_x.B != 2:
         raise ValueError("boundary tracing is defined for B = 2")
     lambdas = _ray_angles(n_angles)
-    dirs = np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1)
-    rhos, _ = _ray_radii(omega_x, dirs, q.R, q.gamma, cfg, x_start=1.0, rel_tol=1e-4)
-    return BoundaryTrace(lambdas, rhos, q.R)
+    equal_gains = int(q.gamma == GAMMA_REF)  # one more ray, or none
+    dirs = np.vstack([np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1), np.ones((equal_gains, 2))])
+    solves = np.array([(1.0, 1e-4)] * n_angles + [_EQUAL_GAINS_SOLVE] * equal_gains)  # x_start, rel_tol
+    rhos, _ = _ray_radii(omega_x, dirs, q.R, q.gamma, cfg, *solves.T)
+    if equal_gains:
+        q.__dict__.setdefault("_equal_gains", {})[cfg] = float(rhos[-1])
+    return BoundaryTrace(lambdas, rhos[:n_angles], q.R)
 
 
 def check_integration_angles(n_angles: int):
@@ -369,7 +431,8 @@ class OutageGeometry:
         """Anchors, plus the B=2 boundary on `n_angles` rays when given."""
         q = OutageQuery(omega_z, precoder, R, GAMMA_REF)
         boundary = trace_boundary_2d(q, n_angles, cfg) if n_angles is not None else None
-        an = compute_anchors(q, cfg)  # after the trace, which rejects B != 2 at once
+        # after the trace, which rejects B != 2 at once and solves the equal-gains ray
+        an = compute_anchors(q, cfg)
         return cls(omega_z.B, R, an.alpha_o**2 * GAMMA_REF, an.alpha_e**2 * GAMMA_REF,
                    an.note, boundary)
 
@@ -379,9 +442,8 @@ class OutageGeometry:
 
         The anchors are the Gaussian floors.  On the B=2 ray (c, s) =
         (cos lambda, sin lambda) the MI equals R where (1 + x c^2)(1 + x s^2)
-        = 2^(4R) with x = u^2, a quadratic in x whose positive root is
-        written here without cancellation.  Raises ValueError unless R > 0,
-        and for a boundary (`n_angles`) with B != 2.
+        = 2^(4R) with x = u^2, a quadratic in x (`_pair_root`).  Raises
+        ValueError unless R > 0, and for a boundary (`n_angles`) with B != 2.
         """
         if not R > 0:
             raise ValueError("R must be positive")
@@ -390,10 +452,8 @@ class OutageGeometry:
             if B != 2:
                 raise ValueError("boundary tracing is defined for B = 2")
             lambdas = _ray_angles(n_angles)
-            K = 2.0 ** (4.0 * R) - 1.0
             cs2 = (np.cos(lambdas) * np.sin(lambdas)) ** 2
-            x = 2.0 * K / (1.0 + np.sqrt(1.0 + 4.0 * cs2 * K))
-            boundary = BoundaryTrace(lambdas, np.sqrt(x), R)
+            boundary = BoundaryTrace(lambdas, np.sqrt(_pair_root(1.0, cs2, 2.0 ** (4.0 * R) - 1.0)), R)
         return cls(B, R, gaussian_floor(B, R), gaussian_floor(1, R), boundary=boundary)
 
     def anchors(self, gamma) -> OutageAnchors:
@@ -456,8 +516,10 @@ class PolarMICache:
     solve, `_ray_radii`, at `mc_config`'s order, and each keeps its last
     decided bracket: a, where its MI was below R, and b, where it was not.
     An end is kept only where its MI already clears R by _SCREEN_MARGIN;
-    otherwise it decides nothing (a = 0, b = inf).  A ray whose MI cap is
-    not above R has a = 0 and b = inf without a kernel call.
+    otherwise it decides nothing (a = 0, b = inf).  An inner end that the
+    solver never evaluated is the ray's Gaussian-input start, below R by
+    proof, and is kept.  A ray whose MI cap is not above R has a = 0 and b
+    = inf without a kernel call.
 
     The exact MI never decreases in any gain: its derivative in alpha_b is
     alpha_b times a component MMSE (Palomar & Verdu, IEEE Trans. IT 52(1),
@@ -470,8 +532,8 @@ class PolarMICache:
     corners settle more where the boundary runs along an axis.  Every other
     pair of a sample and an SNR takes the direct MI at the same order
     (`mi`), so no decision rests on an interpolant.  On the seed-0 r2_4
-    curve at 27 degrees (100k samples, 0-20 dB) that is 1,928 ray rows and
-    1,533 direct rows.
+    curve at 27 degrees (100k samples, 0-20 dB) that is 1,679 ray rows and
+    1,543 direct rows.
 
     The name is historical: the class once interpolated the MI on a cube of
     scaled gains.  It keeps the name, `__init__`, `mi` and `_sizes` (whose
@@ -496,8 +558,9 @@ class PolarMICache:
         self._a, self._b = np.zeros(codes.shape[0]), np.full(codes.shape[0], np.inf)
         _, (a, fa, b, fb) = _ray_radii(omega_x, codes[boxes] / nb, R, GAMMA_REF, self.cfg,
                                        x_start=1.0, rel_tol=_LATTICE_REL_TOL)
-        # an end whose MI lies within _SCREEN_MARGIN of R decides nothing
-        self._a[boxes] = np.where(fa < R - _SCREEN_MARGIN, a, 0.0)
+        # an end whose MI lies within _SCREEN_MARGIN of R decides nothing; an
+        # inner end never evaluated (f(a) nan) is the Gaussian start, below R by proof
+        self._a[boxes] = np.where(fa >= R - _SCREEN_MARGIN, 0.0, a)
         self._b[boxes] = np.where(fb >= R + _SCREEN_MARGIN, b, np.inf)
 
     def mi(self, alphas: np.ndarray, gamma) -> np.ndarray:

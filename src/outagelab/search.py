@@ -34,11 +34,13 @@ def solve_increasing(f, target, x_start=1e-4, rel_tol=1e-6, x_below=0.0):
     rounding of the target, near a loop point, may decide that point the
     other way, and the root then stays within rel_tol of the true one.
 
-    `x_below` (per row, or one value) is a point known to lie below the
-    row's root, f(x_below) < target: a fact that costs no call.  A row
-    starts where doubling would have arrived: after its k doubling points
-    x_start*2^j (j >= 0) at or below x_below (k capped at MAX_DOUBLINGS),
-    with lo = x_start*2^(k-1) (0 when k = 0) and hi = x_start*2^k.
+    `x_start`, `rel_tol` and `x_below` each take one value per row or one
+    for all rows, and every row's root is the one its own loop returns.
+    `x_below` is a point known to lie below the row's root, f(x_below) <
+    target: a fact that costs no call.  A row starts where doubling would
+    have arrived: after its k doubling points x_start*2^j (j >= 0) at or
+    below x_below (k capped at MAX_DOUBLINGS), with lo = x_start*2^(k-1)
+    (0 when k = 0) and hi = x_start*2^k.
 
     Every row of the `target` array is solved in lock-step: f takes the
     array of the points where rows need a value, nan in the others, and
@@ -57,13 +59,14 @@ def _solve(f, target, x_start, rel_tol, x_below):
     target = np.asarray(target, dtype=float)
     if np.isnan(target).any():
         raise ValueError("a nan target has no root")
-    x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
+    x_start, rel_tol, x_below = (np.broadcast_to(np.asarray(v, dtype=float), target.shape)
+                                 for v in (x_start, rel_tol, x_below))
     k = np.frexp(np.fmax(x_below / x_start, 0.0))[1]  # 2^(k-1) <= ratio < 2^k
     k -= (k > 0) & (np.ldexp(x_start, k - 1) > x_below)  # division rounding
     doublings = k.clip(0, MAX_DOUBLINGS)
-    hi = np.ldexp(float(x_start), doublings)
+    hi = np.ldexp(x_start, doublings)
     lo = np.where(doublings > 0, 0.5 * hi, 0.0)
-    scout = _Scout(target, np.fmax(x_below, 0.0), np.ldexp(float(x_start), MAX_DOUBLINGS), rel_tol)
+    scout = _Scout(target, np.fmax(x_below, 0.0), np.ldexp(x_start, MAX_DOUBLINGS), rel_tol)
     bracketing = np.ones(target.shape, dtype=bool)
     live = np.ones(target.shape, dtype=bool)
     x = hi.copy()
@@ -129,7 +132,7 @@ class _Scout:
         def full(value):
             return np.full(target.shape, value)
 
-        self.target, self.cap, self.lcap, self.h = target, cap, math.log(cap), rel_tol / 8.0
+        self.target, self.cap, self.lcap, self.h = target, cap, np.log(cap), rel_tol / 8.0
         with np.errstate(divide="ignore"):
             self.a, self.fa, self.la = a, full(np.nan), np.log(a)
         self.b, self.fb, self.lb = full(np.inf), full(np.inf), full(np.inf)

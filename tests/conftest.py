@@ -1,9 +1,11 @@
 import math
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from outagelab import mutual_info
 from outagelab.mutual_info import EngineConfig
 
 
@@ -37,3 +39,21 @@ def hang_guard():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """Counts of the quadrature kernel's calls and of the fading rows they take.
+
+    Both depend only on the inputs, not on the machine, so tests pin them.
+    """
+    work = SimpleNamespace(calls=0, rows=0)
+    kernel = mutual_info._quad_nats_many
+
+    def counted(points, probs, reps, rep_w, alphas, *args):
+        work.calls += 1
+        work.rows += alphas.shape[0]
+        return kernel(points, probs, reps, rep_w, alphas, *args)
+
+    monkeypatch.setattr(mutual_info, "_quad_nats_many", counted)
+    return work

@@ -549,12 +549,9 @@ def test_gaussian_bound_keeps_every_root(engine, names, degrees, targets, monkey
         assert want == roots(t)
 
 
-def test_gaussian_bound_cuts_kernel_calls(cfg, monkeypatch):
-    calls = []
-    evaluate = mutual_info._evaluate
-    monkeypatch.setattr(mutual_info, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+def test_gaussian_bound_cuts_kernel_calls(cfg, kernel_work):
     inv_mi_scalar(_swept("r2_4", (27.0,))[0], 1.8, cfg)
-    assert len(calls) <= 24  # 38 when doubling from x_start = 1e-4
+    assert kernel_work.calls <= 24  # 38 when doubling from x_start = 1e-4
 
 
 def lse_oracle_nats(points, probs, reps, rep_w, alphas, gamma, order):

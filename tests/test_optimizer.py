@@ -113,21 +113,18 @@ PINNED_OPTIMA = [
 ]
 
 
-def test_angle_opt_optima_bit_identical_in_few_kernel_calls(monkeypatch):
+def test_angle_opt_optima_bit_identical_in_few_kernel_calls(kernel_work, monkeypatch):
     # the four optimize calls of the angle-opt benchmark study; with one
     # solve per golden-section probe they took 325 kernel calls and 43 solves
-    calls = {}
-    for name in ("_quad_nats_many", "solve_increasing"):
-        def counted(*args, _name=name, _fn=getattr(mutual_info, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(mutual_info, name, counted)
+    solves = []
+    solve = mutual_info.solve_increasing
+    monkeypatch.setattr(mutual_info, "solve_increasing",
+                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
     for name, theta, gamma in PINNED_OPTIMA:
         res = optimize(cs.build_named(name), 0.9)
         assert (res.theta_opt, res.gamma_s_opt) == (theta, gamma), name
-    assert calls["_quad_nats_many"] <= 150
-    assert calls["solve_increasing"] <= 16
+    assert kernel_work.calls <= 150
+    assert len(solves) <= 16
 
 
 def test_optimize_refinement_stable(cfg):

@@ -1,5 +1,7 @@
 import decimal
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from outagelab.outage import (
     compute_anchors,
     ergodic_snr,
     hypersphere_bounds,
+    mc_config,
     outage_from_boundary_2d,
     outage_mc,
     sample_rayleigh,
@@ -174,6 +177,18 @@ def test_one_ergodic_solve(q27, cfg):
     s = ergodic_snr(q27.omega_x(), 0.9, cfg)
     assert compute_anchors(q27, cfg).alpha_e == math.sqrt(s / q27.gamma)
     assert OutageGeometry.solve(q27.omega_z, q27.precoder, 0.9, cfg).ergodic_snr == s
+    # a traced geometry takes the equal-gains root from its trace's ray
+    # solve: the same SNR bit for bit, and the same note where it saturates
+    # (r2_4 at 0 degrees: the axis; at R = 1: the alphabet limit)
+    for theta_deg, R in ((27.0, 0.9), (0.0, 0.9), (27.0, 1.0)):
+        p = pc.rotation2(math.radians(theta_deg))
+        alone = OutageGeometry.solve(q27.omega_z, p, R, cfg)
+        traced = OutageGeometry.solve(q27.omega_z, p, R, cfg, n_angles=65)
+        assert (traced.ergodic_snr, traced.note) == (alone.ergodic_snr, alone.note)
+        try:
+            assert traced.ergodic_snr == ergodic_snr(pc.apply(p, q27.omega_z), R, cfg)
+        except SaturationError as exc:
+            assert str(exc) in traced.note and math.isinf(traced.ergodic_snr)
 
 
 def test_one_ray_solve_roots_and_brackets(cfg):
@@ -207,6 +222,78 @@ def test_one_ray_solve_roots_and_brackets(cfg):
     capped = ~live
     assert np.all(np.isinf(roots[capped])) and np.all(a[capped] == 0.0) and np.all(np.isnan(fa[capped]))
     assert np.all(np.isinf(b[capped])) and np.all(np.isinf(fb[capped]))
+
+
+# the angles the start checks take: 0 degrees and one near each set's
+# optimum (the `reproduce` optima; c2_256 takes its real base r2_16's, and
+# c2_1024 and the file set an oblique angle)
+START_ANGLES = {"r2_4": 27.0, "r2_8": 4.69, "r2_16": 44.01, "c2_16": 27.67, "c2_64": 36.01,
+                "c2_256": 44.01, "c2_1024": 30.0, "r3_8": 50.75, "r3_16": 13.55, "r3_64": 55.75,
+                "pam4xbpsk": 45.0}
+# the orders the ray solves take: 32 for a trace and the ergodic anchor,
+# `mc_config`'s for the lattice; c2_64 at the `bounds` recipe's 12 (at 32
+# its quadrature is over budget), and c2_1024 at the cheapest order, 4
+START_ORDERS = {"c2_64": (12,), "c2_1024": (4,)}
+
+
+def _start_rays(B, name):
+    """Directions for the start checks: a 17-ray fan over the B=2 quadrant
+    (3 rays for the costly c2_1024) or the 19 rays of the B=3 face lattice
+    with 2 bins per axis, plus the equal-gains ray; axes among them."""
+    if B == 3:
+        codes = np.indices((3, 3, 3)).reshape(3, -1).T
+        return codes[codes.max(axis=1) == 2] / 2.0
+    lambdas = np.linspace(0.0, math.pi / 2, 3 if name == "c2_1024" else 17)
+    return np.vstack([np.stack([np.cos(lambdas), np.sin(lambdas)], axis=1), np.ones((1, 2))])
+
+
+def _file_set(tmp_path):
+    """pam4 x bpsk from a constellation file: axis powers 5/3 and 1/3."""
+    import json
+
+    path = tmp_path / "pam4xbpsk.json"
+    path.write_text(json.dumps({"name": "pam4xbpsk", "field": "real", "B": 2,
+                                "points": [[a, b] for a in (-3, -1, 1, 3) for b in (-1, 1)]}))
+    return cs.load_file(path)
+
+
+@pytest.mark.parametrize("name", [n for n in cs.registry_names() if cs.build_named(n).B in (2, 3)]
+                         + ["pam4xbpsk"])
+def test_gaussian_start_lies_below_the_rate(name, tmp_path):
+    # every live ray starts at its Gaussian-input radius (`_gaussian_radii`):
+    # there the direct MI at the solve's order lies below R by more than
+    # _SCREEN_MARGIN, so the doublings it skips would all have found f < R,
+    # and a lattice may keep it as a decided inner end.  Axis rays and capped
+    # rays raise no RuntimeWarning (pyproject.toml makes one an error).
+    from outagelab.mutual_info import mi_per_use_batch
+    from outagelab.outage import _SCREEN_MARGIN, GAMMA_REF, _gaussian_radii
+
+    c = _file_set(tmp_path) if name == "pam4xbpsk" else cs.build_named(name)
+    dirs = _start_rays(c.B, name)
+    orders = START_ORDERS.get(name, (32, mc_config(c.B).gh_order))
+    for theta_deg in (0.0, START_ANGLES[name]):
+        omega_x = pc.apply(pc.rotation(c.B, math.radians(theta_deg)), c)
+        for R in (0.6, 0.9):
+            start = _gaussian_radii(omega_x, dirs, R, GAMMA_REF)
+            live = _ray_caps_bits(omega_x.points, dirs) / c.B > R + 1e-12
+            assert np.all(start[live] > 0) and np.all(np.isfinite(start[live]))
+            for order in orders:
+                mi = mi_per_use_batch(omega_x, dirs[live] * start[live, None], GAMMA_REF,
+                                      EngineConfig(gh_order=order))
+                assert np.all(mi < R - _SCREEN_MARGIN), (theta_deg, R, order)
+
+
+def test_gaussian_start_of_a_ray_without_power():
+    # a ray along an axis whose coordinate never varies sees no power: it
+    # carries no MI, its cap screens it out, and its start is inf, no warning
+    from outagelab.outage import GAMMA_REF, _gaussian_radii, _ray_radii
+
+    c = cs.make_constellation("flat", [[-1.0, 0.5], [1.0, 0.5]], "real")
+    dirs = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    start = _gaussian_radii(c, dirs, 0.3, GAMMA_REF)
+    assert math.isinf(start[0]) and np.all(np.isfinite(start[1:]))
+    roots, (a, fa, b, fb) = _ray_radii(c, dirs, 0.3, GAMMA_REF, EngineConfig(), 1.0, 1e-4)
+    assert math.isinf(roots[0]) and a[0] == 0.0 and np.all(np.isfinite(roots[1:]))
 
 
 def test_trace_endpoints_and_ergodic_point(q27, cfg):
@@ -689,6 +776,61 @@ def test_trace_and_registry_work_guard(cfg, gamma_8db, monkeypatch):
     for name in cs.registry_names():
         cs.build_named(name)
     assert scans == []
+
+
+def _perfbench_study(name, seed):
+    """The CLI calls of a perfbench study (perfbench/workloads.py)."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    return workloads.WORKLOADS[name](seed)
+
+
+def test_outage_curve_study_kernel_work(kernel_work, tmp_path):
+    # the seed-0 outage-curve study: each geometry's trace solves the
+    # equal-gains ray among its own rays, and every ray starts at its
+    # Gaussian-input radius (64 kernel calls and 1,216 rows when each ray
+    # solve doubled from its x_start and the ergodic ray was solved apart)
+    from outagelab import cli
+
+    for call in _perfbench_study("outage-curve", 0):
+        assert cli.main([*call.argv, "--out", str(tmp_path / f"{call.key}.csv")]) == 0
+    assert (kernel_work.calls, kernel_work.rows) == (37, 1056)
+
+
+def test_boundary_at_the_users_snr_solves_no_equal_gains_ray(kernel_work, tmp_path, monkeypatch):
+    # the `boundary` subcommand traces at the user's SNR, not in scaled
+    # gains: its one ray solve holds only the trace's 9 rays (8 kernel calls
+    # and 58 rows when each ray doubled from its x_start)
+    from outagelab import cli, outage
+
+    (call,) = [c for c in _perfbench_study("outage-curve", 0) if c.kind == "boundary"]
+    rays, ray_radii = [], outage._ray_radii
+
+    def counted(omega_x, dirs, *args):
+        rays.append(len(dirs))
+        return ray_radii(omega_x, dirs, *args)
+
+    monkeypatch.setattr(outage, "_ray_radii", counted)
+    assert cli.main([*call.argv, "--out", str(tmp_path / "b.csv")]) == 0
+    assert rays == [9]
+    assert (kernel_work.calls, kernel_work.rows) == (8, 60)
+
+
+@pytest.mark.parametrize("name,theta_deg,rows", [("r2_4", 27.0, 1679), ("r3_8", 50.75, 5828)])
+def test_lattice_build_kernel_rows(kernel_work, name, theta_deg, rows):
+    # a lattice's rays start at their Gaussian-input radii, which stay
+    # decided inner ends (1,928 and 6,471 rows when they doubled from 1);
+    # at r2_4 27 degrees every ray keeps both ends
+    c = cs.build_named(name)
+    cache = PolarMICache(pc.apply(pc.rotation(c.B, math.radians(theta_deg)), c), 0.9)
+    assert kernel_work.rows == rows
+    if name == "r2_4":
+        rays, _ = lattice_rays(2)
+        assert np.all(cache._a[rays] > 0.0) and np.all(np.isfinite(cache._b[rays]))
 
 
 def test_b3_outage_between_bounds(cfg, gamma_8db):

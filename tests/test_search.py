@@ -20,13 +20,15 @@ SCALES = np.array([1.0, 0.5, 3.0, 1e-3, 7.0])
 
 def _plain_bisection(f, target, x_start=1e-4, rel_tol=1e-6, x_below=0.0):
     """The doubling/bisection loop that `solve_increasing` replays, as it was
-    before the replay: every row calls f at each of its loop points."""
+    before the replay: every row calls f at each of its loop points.
+    `x_start`, `rel_tol` and `x_below` take one value per row or one for all."""
     target = np.asarray(target, dtype=float)
-    x_below = np.broadcast_to(np.asarray(x_below, dtype=float), target.shape)
+    x_start, rel_tol, x_below = (np.broadcast_to(np.asarray(v, dtype=float), target.shape)
+                                 for v in (x_start, rel_tol, x_below))
     k = np.frexp(np.fmax(x_below / x_start, 0.0))[1]  # 2^(k-1) <= ratio < 2^k
     k -= (k > 0) & (np.ldexp(x_start, k - 1) > x_below)  # division rounding
     doublings = k.clip(0, MAX_DOUBLINGS)
-    hi = np.ldexp(float(x_start), doublings)
+    hi = np.ldexp(x_start, doublings)
     lo = np.where(doublings > 0, 0.5 * hi, 0.0)
     bracketing = np.ones(target.shape, dtype=bool)
     live = np.ones(target.shape, dtype=bool)
@@ -170,6 +172,31 @@ def test_bound_start_keeps_saturation_and_the_doubling_cap():
         assert (calls <= oracle).all()
 
 
+def test_mixed_starts_and_tolerances_solve_each_row_as_alone():
+    # per-row x_start, rel_tol and x_below in one lock-step solve: each row's
+    # root is the float its separate solve returns, bit for bit, within
+    # SPARE_CALLS calls of its own plain loop; row 3 saturates at its cap
+    cap = np.array([np.inf, np.inf, np.inf, 0.01, np.inf])
+    targets = np.log1p(SCALES * TARGETS)
+    x_start = np.array([1e-4, 0.05, 1.0, 0.05, 1.0])
+    rel_tol = np.array([1e-6, 1e-6, 1e-4, 1e-3, 1e-4])
+    x_below = np.array([0.0, 0.2, 1.5, 0.0, 3e4])
+
+    def f(x):
+        return np.minimum(np.log1p(SCALES * x), cap)
+
+    roots, calls, oracle = _against_oracle(f, targets, x_start=x_start, rel_tol=rel_tol, x_below=x_below)
+    assert math.isinf(roots[3]) and np.isfinite(np.delete(roots, 3)).all()
+    for k in range(targets.size):
+        def alone(x, k=k):
+            return np.minimum(np.log1p(SCALES[k] * x), cap[k])
+
+        one = _plain_bisection(alone, targets[k:k + 1], x_start[k], rel_tol[k], x_below[k])
+        assert roots[k] == one[0]
+        assert solve_increasing(alone, targets[k:k + 1], x_start[k], rel_tol[k], x_below[k])[0] == one[0]
+    assert (calls <= oracle + SPARE_CALLS).all()
+
+
 # Nondecreasing shapes, one row each: f(x) = shape(x / scale).  Each row's
 # target and x_below are drawn with it; x_below is kept only where it lies
 # below the row's root (f(x_below) < target), as the solver requires.
@@ -259,17 +286,9 @@ def test_layers_above_get_the_plain_bisection_roots(cfg, step_deg, monkeypatch):
     assert got == _solver_outputs(cfg, step_deg)  # exactly, to the last bit
 
 
-def test_default_sweep_takes_at_most_10_kernel_rows_per_angle(monkeypatch):
-    rows = []
-    evaluate = mutual_info._evaluate
-
-    def counted(form, alphas, *args):
-        rows.append(len(alphas))
-        return evaluate(form, alphas, *args)
-
-    monkeypatch.setattr(mutual_info, "_evaluate", counted)
+def test_default_sweep_takes_at_most_10_kernel_rows_per_angle(kernel_work):
     prof = sweep(cs.build_named("r2_16"), 0.9)
-    assert sum(rows) <= 10 * np.isfinite(prof.gamma_s).sum()  # plain bisection: 22 per angle
+    assert kernel_work.rows <= 10 * np.isfinite(prof.gamma_s).sum()  # plain bisection: 22 per angle
 
 
 def test_golden_min_quadratic():
